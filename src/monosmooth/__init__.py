@@ -29,14 +29,12 @@ from .hardy import (
     verify_lemma,
 )
 from .smoothness import (
-    ModulusCurve,
     QuadratureSpec,
     SmoothnessParams,
     bound_core,
     k_difference,
     lp_norm,
     modulus_bounds,
-    modulus_curve,
     modulus_direct,
     synthesize,
 )

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sequences import DIVERGENT, WeightedSumSpec, weighted_sum
-from .smoothness import SmoothnessParams, bound_core, modulus_direct
+from .smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
+                         difference_norms, grid_size)
 
 SEMINORM_REL_TOL = 1e-4
 NU_CAP = 2 ** 17
@@ -186,61 +187,51 @@ class CoreModulusSource:
 
 
 class DirectModulusSource:
-    """Memoized direct moduli omega(1/nu) on integer reciprocals.
+    """Direct moduli omega(1/nu), nu = 1..top, from one ascending shift grid.
 
-    The series horizon grows with nu (truncation error of the p = 2
-    Parseval norm decays like (nu/horizon)^3 for power-law tails).
+    The grid holds the endpoints 1/nu and H geometric points per octave of
+    (1/top, 1]; the running max of ||Delta_h^k f||_p over it gives every
+    omega(1/nu) = sup_{0 < h <= 1/nu} at once.  The series stops at 8 * top
+    harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
+    of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
+    when a larger nu is asked for.  All DIVERGENT if sum a^p nu^(p-2) is.
     """
 
-    def __init__(self, seq, params, H=64, horizon_factor=8,
-                 min_horizon=1024, horizon_cap=32768, nu_cap=2048):
+    def __init__(self, seq, params, H=64, nu_cap=2048):
+        if H < 1:
+            raise ValueError("H must be >= 1")
         self.seq = seq
         self.params = params
         self.H = H
-        self.horizon_factor = horizon_factor
-        self.min_horizon = min_horizon
-        self.horizon_cap = horizon_cap
         self.nu_cap = nu_cap
-        self._memo = {}
-
-    def _horizon_for(self, nu):
-        return int(min(self.horizon_cap,
-                       max(self.min_horizon, self.horizon_factor * nu)))
+        self._omega = np.array([], dtype=float)
+        self._divergent = weighted_sum(
+            seq, WeightedSumSpec(q=params.p, s=params.p - 2, m=1)) == DIVERGENT
 
     def batch(self, nus):
         nus = np.asarray(nus, dtype=int)
-        missing = sorted({int(v) for v in nus} - self._memo.keys())
-        if missing:
-            self._fill(np.asarray(missing))
-        return np.array([self._memo[int(v)] for v in nus])
+        if self._divergent:
+            return np.full(nus.shape, DIVERGENT)
+        top = max(self._omega.size, self.nu_cap)
+        while top < nus.max(initial=0):
+            top *= 2
+        if top > self._omega.size:
+            self._omega = self._fill(top)
+        return self._omega[nus - 1]
 
-    def _fill(self, nus):
+    def _fill(self, top):
         k, p = self.params.k, self.params.p
-        if p != 2:
-            from .smoothness import QuadratureSpec
-            quad = QuadratureSpec(H=max(16, self.H))
-            for v in nus:
-                horizon = self._horizon_for(int(v))
-                self._memo[int(v)] = modulus_direct(
-                    self.seq, horizon, self.params, 1.0 / v, quad)
-            return
-        H = self.H
-        # process in blocks sharing one horizon, chunked to bound memory
-        for block in np.array_split(nus, max(1, nus.size // 512)):
-            horizon = self._horizon_for(int(block.max()))
-            a2 = self.seq.values(1, horizon) ** 2
-            mu = np.arange(1, horizon + 1, dtype=float)
-            hs = (np.arange(1, H + 1, dtype=float)[None, :] / H
-                  / block[:, None]).ravel()
-            best = np.empty(hs.size)
-            chunk = max(1, (2 ** 22) // horizon)
-            for lo in range(0, hs.size, chunk):
-                part = hs[lo:lo + chunk]
-                amp = np.abs(2.0 * np.sin(0.5 * np.multiply.outer(part, mu)))
-                best[lo:lo + chunk] = (amp ** (2 * k)) @ a2
-            best = best.reshape(block.size, H).max(axis=1)
-            for v, g in zip(block, best):
-                self._memo[int(v)] = math.sqrt(math.pi * g)
+        tail_vanishes = getattr(self.seq.tail, "c", 0.0) == 0
+        horizon = min(8 * top, self.seq.horizon) if tail_vanishes else 8 * top
+        ends = 1.0 / np.arange(1, top + 1)
+        steps = np.arange(math.ceil(self.H * math.log2(top)) + 1)
+        hs = np.union1d(ends, 2.0 ** (-steps / self.H))
+        norms = difference_norms(self.seq, horizon, k, hs, p,
+                                 QuadratureSpec(M=grid_size(horizon)))
+        if p == 2:
+            rest = weighted_sum(self.seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
+            norms = np.sqrt(norms ** 2 + math.pi * math.comb(2 * k, k) * rest)
+        return np.maximum.accumulate(norms)[np.searchsorted(hs, ends)]
 
     def __call__(self, nu):
         return float(self.batch(np.array([nu]))[0])

@@ -40,6 +40,7 @@ from .smoothness import (
     QuadratureSpec,
     SmoothnessParams,
     bound_core,
+    grid_size,
     modulus_direct,
 )
 
@@ -113,6 +114,7 @@ def parse_config(doc):
         num("lam", lambda v: v > 0, "must be positive")
         num("p", lambda v: 1 < v < math.inf, "must lie in (1, inf)")
         num("k", lambda v: int(v) == v and v >= 1, "must be a positive integer")
+        num("H", lambda v: int(v) == v and v >= 1, "must be a positive integer")
         if all(key in doc for key in ("k", "r", "lam")) and \
                 isinstance(doc["k"], (int, float)):
             try:
@@ -255,8 +257,10 @@ def run_experiment(cfg):
 
     if cfg.task == "modulus":
         params = SmoothnessParams(k=opt["k"], p=opt["p"])
-        quad = QuadratureSpec(M=opt.get("M", 8192), H=opt.get("H", 64))
         horizon = opt.get("horizon", min(seq.horizon, 4096))
+        # the grid serves p != 2 only; unless chosen, it is sized from the horizon
+        M = opt.get("M", QuadratureSpec.M if params.p == 2 else grid_size(horizon))
+        quad = QuadratureSpec(M=M, H=opt.get("H", QuadratureSpec.H))
         rows = []
         for t in opt["t_grid"]:
             om = modulus_direct(seq, horizon, params, t, quad)
@@ -376,8 +380,8 @@ def build_parser():
     m.add_argument("--k", type=int, required=True)
     m.add_argument("--p", type=float, required=True)
     m.add_argument("--t-grid", type=_float_list, required=True)
-    m.add_argument("--M", type=int, default=8192)
-    m.add_argument("--H", type=int, default=64)
+    m.add_argument("--M", type=int, help="p != 2 grid (default: from the horizon)")
+    m.add_argument("--H", type=int, default=64, help="shift samples on (0, t]")
     m.add_argument("--out")
 
     v = sub.add_parser("verify-lemma", help="one inequality instance as CSV")
@@ -407,6 +411,9 @@ def build_parser():
             s.add_argument("--functional", choices=["I", "J", "K"], default="K")
         if name == "seminorm":
             s.add_argument("--source", choices=["core", "direct"], default="core")
+        if name != "membership":
+            s.add_argument("--H", type=int,
+                           help="direct-source shift samples per octave (default 16)")
         s.add_argument("--out")
     return parser
 

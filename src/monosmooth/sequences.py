@@ -139,6 +139,10 @@ class CoefficientSequence:
         if len(self.head) < 1:
             raise ValueError("head must store at least one coefficient")
         object.__setattr__(self, "head", tuple(float(a) for a in self.head))
+        # read-only array for values(); not a field, so __eq__, __hash__
+        # and to_json see only the tuple
+        object.__setattr__(self, "_head_array", np.array(self.head))
+        self._head_array.flags.writeable = False
 
     @property
     def horizon(self):
@@ -155,13 +159,10 @@ class CoefficientSequence:
         """Array of a_m .. a_n (inclusive, 1-based)."""
         if m < 1 or n < m:
             raise ValueError(f"bad index range [{m}, {n}]")
-        nu = np.arange(m, n + 1)
-        out = np.empty(nu.shape, dtype=float)
-        in_head = nu <= self.horizon
-        out[in_head] = np.asarray(self.head, dtype=float)[nu[in_head] - 1]
-        if not in_head.all():
-            out[~in_head] = self.tail.value(nu[~in_head])
-        return out
+        head = self._head_array[m - 1:n]
+        if head.size == n - m + 1:
+            return head.copy()
+        return np.concatenate([head, self.tail.value(np.arange(m + head.size, n + 1))])
 
     def scaled(self, s):
         """Sequence with every coefficient multiplied by s >= 0."""
@@ -231,7 +232,7 @@ def validate_monotone(seq):
     Returns a ValidationResult; `index` is the first (1-based) position
     violating nonnegativity or monotonicity.
     """
-    head = np.asarray(seq.head, dtype=float)
+    head = seq._head_array
     neg = np.nonzero(head < 0)[0]
     if neg.size:
         i = int(neg[0]) + 1

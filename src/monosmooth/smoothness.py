@@ -9,7 +9,7 @@ recorded in every report header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +46,6 @@ class QuadratureSpec:
             raise ValueError("H must be >= 16")
 
 
-@dataclass
-class ModulusCurve:
-    t: np.ndarray
-    omega: np.ndarray
-    params: SmoothnessParams
-    quad: QuadratureSpec
-    horizon: int = 0
-    meta: dict = field(default_factory=dict)
-
-
 def synthesize(seq, horizon, x):
     """Partial cosine series sum_{nu=1}^{horizon} a_nu cos(nu x)."""
     a = seq.values(1, horizon)
@@ -75,34 +65,78 @@ def k_difference(seq, horizon, k, h, x):
     return out if out.shape else float(out)
 
 
-def _amplitudes(a, nu, k, h):
-    # per-harmonic amplitude of the k-th difference of cos(nu x)
-    return a * np.abs(2.0 * np.sin(0.5 * nu * h)) ** k
+#: elements per temporary array (shifts x harmonics or grid points)
+CHUNK_ELEMENTS = 2 ** 22
 
 
-def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec(), method="auto"):
-    """L^p norm of the k-th difference, on the uniform M-point grid.
+def grid_size(horizon):
+    """Quadrature grid for a series truncated at `horizon` when the caller
+    chose none: the smallest power of two above 2 * horizon, at least 8192."""
+    return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
 
-    For p = 2 the grid sum is evaluated through Parseval (exact for the
-    trigonometric polynomial at hand whenever M exceeds twice the
-    horizon); pass method="grid" to force the literal grid sum.
+
+def _chunks(n, width):
+    step = max(1, CHUNK_ELEMENTS // width)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _parseval_sums(hs, nu, a2, k):
+    # sum_nu a_nu^2 |2 sin(nu h/2)|^(2k) for each h in hs
+    amp = np.multiply.outer(hs, 0.5 * nu)
+    np.sin(amp, out=amp)
+    np.square(amp, out=amp)
+    amp *= 4.0
+    base = amp.copy() if k > 1 else None
+    for _ in range(k - 1):
+        amp *= base
+    return amp @ a2
+
+
+def _grid_sums(hs, nu, a, k, M, p):
+    # sum over the M-point grid of |Delta_h^k f|^p for each h in hs
+    spec = np.zeros((hs.size, M // 2 + 1), dtype=complex)
+    spec[:, 1:nu.size + 1] = a * (np.exp(1j * np.multiply.outer(hs, nu)) - 1.0) ** k
+    vals = np.fft.irfft(spec, n=M, axis=1)
+    del spec
+    # irfft(spec) * M / 2 = Re sum_nu spec_nu e^(i nu x) on the grid
+    np.abs(vals, out=vals)
+    vals *= M / 2
+    vals **= p
+    return vals.sum(axis=1)
+
+
+def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto"):
+    """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
+
+    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)).  Other p
+    (or method="grid"): the sum over the uniform M-point grid, one inverse
+    real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
+    when M > 2 * horizon.  Shifts go in chunks of CHUNK_ELEMENTS elements.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if k < 1:
         raise ValueError("difference order k must be >= 1")
+    hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
     nu = np.arange(1, horizon + 1, dtype=float)
+    out = np.empty(hs.size)
     if p == 2 and method == "auto":
-        amp = _amplitudes(a, nu, k, h)
-        return float(math.sqrt(math.pi * np.sum(amp ** 2)))
+        a2 = a * a
+        for rows in _chunks(hs.size, horizon):
+            out[rows] = _parseval_sums(hs[rows], nu, a2, k)
+        return np.sqrt(math.pi * out)
     M = quad.M
     if M <= 2 * horizon:
         raise ValueError("quadrature grid too coarse: need M > 2 * horizon")
-    spec = np.zeros(M, dtype=complex)
-    spec[1:horizon + 1] = a * (np.exp(1j * nu * h) - 1.0) ** k
-    vals = np.real(np.fft.ifft(spec) * M)
-    return float((2.0 * math.pi / M * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+    for rows in _chunks(hs.size, M):
+        out[rows] = _grid_sums(hs[rows], nu, a, k, M, p)
+    return (2.0 * math.pi / M * out) ** (1.0 / p)
+
+
+def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec(), method="auto"):
+    """L^p norm of the k-th difference at one shift h (see difference_norms)."""
+    return float(difference_norms(seq, horizon, k, [h], p, quad, method)[0])
 
 
 def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec(), method="auto"):
@@ -113,22 +147,9 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec(), method="auto"
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    k, p = params.k, params.p
     hs = t * np.arange(1, quad.H + 1, dtype=float) / quad.H
-    if p == 2 and method == "auto":
-        a = seq.values(1, horizon)
-        nu = np.arange(1, horizon + 1, dtype=float)
-        amp2 = (a ** 2)[None, :] * np.abs(
-            2.0 * np.sin(0.5 * np.multiply.outer(hs, nu))
-        ) ** (2 * k)
-        return float(math.sqrt(math.pi * np.max(amp2.sum(axis=1))))
-    return max(lp_norm(seq, horizon, k, h, p, quad, method=method) for h in hs)
-
-
-def modulus_curve(seq, horizon, params, t_grid, quad=QuadratureSpec()):
-    t = np.asarray(t_grid, dtype=float)
-    omega = np.array([modulus_direct(seq, horizon, params, ti, quad) for ti in t])
-    return ModulusCurve(t=t, omega=omega, params=params, quad=quad, horizon=horizon)
+    return float(np.max(difference_norms(seq, horizon, params.k, hs, params.p,
+                                         quad, method)))
 
 
 def bound_core(seq, params, n):
@@ -153,23 +174,3 @@ def modulus_bounds(seq, params, n):
     """Lower/upper sandwich cores for omega(1/n); both equal E(n)."""
     e = bound_core(seq, params, n)
     return e, e
-
-
-def auto_horizon(seq, rel=1e-6, cap=65536):
-    """Smallest horizon whose uniform-norm tail bound sum a_nu is below
-    `rel` of the retained coefficient mass.  Returns (horizon, reached)."""
-    tail = seq.tail
-    n = seq.horizon
-    if tail.to_json()["variant"] == "zero" or getattr(tail, "c", 0) == 0:
-        return n, True
-    if not tail.converges(1.0, 0.0):
-        return cap, False
-    kept = float(np.sum(seq.values(1, n)))
-    while n < cap:
-        rest = tail.integral(1.0, 0.0, n + 0.5)
-        if rest <= rel * max(kept, rest):
-            return n, True
-        n2 = min(2 * n, cap)
-        kept += float(np.sum(tail.value(np.arange(n + 1, n2 + 1))))
-        n = n2
-    return cap, tail.integral(1.0, 0.0, cap + 0.5) <= rel * kept

@@ -21,6 +21,7 @@ from monosmooth.besov import (
     phi_validate,
 )
 from monosmooth.sequences import CoefficientSequence, DIVERGENT, make_power_law
+from monosmooth.smoothness import SmoothnessParams
 
 CP = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
 
@@ -227,6 +228,61 @@ def test_core_source_tracks_direct_modulus():
     for nu in (2, 8, 32):
         ratio = direct(nu) / core(nu)
         assert 0.1 < ratio < 10
+
+
+def _power_law_omega(k, nu):
+    # a_nu = nu^-2: sum_mu a_mu^2 |2 sin(mu h/2)|^(2k) in closed form, h <= 1;
+    # both are increasing in h, so omega(1/nu) = sqrt(pi g(1/nu))
+    h = 1.0 / np.asarray(nu, dtype=float)
+    if k == 1:
+        g = math.pi ** 2 * h ** 2 / 6 - math.pi * h ** 3 / 6 + h ** 4 / 24
+    else:
+        g = 2 * math.pi * h ** 3 / 3 - h ** 4 / 2
+    return np.sqrt(math.pi * g)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_direct_source_power_law_oracle(k):
+    src = DirectModulusSource(make_power_law(1, 2, 4096), SmoothnessParams(k, 2), H=16)
+    nu = np.arange(1, 2048)
+    om = src.batch(nu)
+    assert np.max(np.abs(om / _power_law_omega(k, nu) - 1)) < 1e-3
+    assert np.all(np.diff(om) <= 0)
+
+
+def test_direct_source_extends_past_nu_cap():
+    src = DirectModulusSource(make_power_law(1, 2, 64), SmoothnessParams(1, 2),
+                              H=16, nu_cap=64)
+    nu = np.array([3, 64, 100, 200])
+    assert src(3) == pytest.approx(_power_law_omega(1, 3), rel=1e-3)
+    assert np.allclose(src.batch(nu), _power_law_omega(1, nu), rtol=1e-3, atol=0)
+
+
+def test_direct_source_zero_tail_is_exact():
+    # a = (1): ||Delta_h^k cos||_p = |2 sin(h/2)|^k ||cos||_p, increasing in h
+    nu = np.arange(1, 300)
+    one = CoefficientSequence((1.0,))
+    for k, p, norm in ((2, 2, math.sqrt(math.pi)), (1, 3, (8 / 3) ** (1 / 3))):
+        src = DirectModulusSource(one, SmoothnessParams(k, p), H=16, nu_cap=256)
+        want = (2 * np.sin(0.5 / nu)) ** k * norm
+        assert np.allclose(src.batch(nu), want, rtol=1e-9, atol=0)
+
+
+def test_direct_source_takes_sup_over_shifts():
+    # ||Delta_h cos(4 .)||_2 = 2 |sin(2h)| sqrt(pi) peaks at h = pi/4 < 1
+    seq = CoefficientSequence((0.0, 0.0, 0.0, 1.0))
+    src = DirectModulusSource(seq, SmoothnessParams(1, 2), H=16, nu_cap=64)
+    peak = 2 * math.sqrt(math.pi)
+    assert 0.99 * peak < src(1) <= peak * (1 + 1e-12)
+    assert src(1) > 1.05 * 2 * math.sin(2.0) * math.sqrt(math.pi)
+
+
+def test_direct_source_divergent():
+    # sum a_nu^2 = sum 1/nu diverges: f is not in L^2
+    seq = make_power_law(1, 0.5, 64)
+    src = DirectModulusSource(seq, CP.smoothness, H=16)
+    assert np.all(src.batch(np.array([1, 5, 4000])) == DIVERGENT)
+    assert discrete_seminorm(seq, CP, 4, src) == DIVERGENT
 
 
 def test_membership_constant_phi_bounded_vs_divergent():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,32 @@ def test_modulus_csv_end_to_end(tmp_path):
     assert len(header) == 3
     t0, om0, e0 = (float(x) for x in header[1].split(","))
     assert t0 == 0.5 and om0 > 0 and e0 > 0
+
+
+def test_modulus_grid_sized_from_horizon(tmp_path):
+    # no --M at p != 2: the grid is sized above twice the default horizon
+    out = tmp_path / "mod.csv"
+    rc = main(["modulus", "--power-law", "1", "2", "--k", "2", "--p", "1",
+               "--t-grid", "0.125,0.25", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert "# k=2 p=1 M=16384 H=64 horizon=4096" in lines
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 2 and all(float(r.split(",")[1]) > 0 for r in rows)
+
+
+def test_seminorm_direct_p3(tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"head": [1.0, 0.5, 0.25, 0.125, 0.0625],
+                               "tail": {"variant": "zero"}}))
+    out = tmp_path / "semi.json"
+    t0 = time.perf_counter()
+    rc = main(["seminorm", "--seq", str(seq), "--theta", "1", "--r", "0.5",
+               "--lam", "0.5", "--k", "2", "--p", "3", "--n-grid", "2,4,8",
+               "--source", "direct", "--out", str(out)])
+    assert rc == 0 and time.perf_counter() - t0 < 2.0
+    values = json.loads(out.read_text())["values"]
+    assert all(v > 0 for v in values["I"] + values["J"] + values["K"])
 
 
 def test_verify_lemma_csv(tmp_path):

@@ -139,6 +139,18 @@ def test_json_round_trip():
         == make_power_law(1, 2, 3)
 
 
+def test_values_returns_a_copy():
+    seq = make_power_law(1, 2, 4)
+    for m, n in ((1, 4), (2, 3), (3, 6), (5, 7)):
+        out = seq.values(m, n)
+        want = out.copy()
+        out[:] = -1.0
+        assert np.array_equal(seq.values(m, n), want)
+    assert seq.head == (1.0, 0.25, 1 / 9, 1 / 16)
+    assert seq == make_power_law(1, 2, 4)
+    assert hash(seq) == hash(make_power_law(1, 2, 4))
+
+
 def test_scaled():
     seq = make_power_law(2, 1.5, 8)
     s = seq.scaled(0.5)

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from monosmooth import smoothness
 from monosmooth.sequences import CoefficientSequence, DIVERGENT, make_power_law
 from monosmooth.smoothness import (
     QuadratureSpec,
     SmoothnessParams,
-    auto_horizon,
     bound_core,
+    difference_norms,
+    grid_size,
     k_difference,
     lp_norm,
     modulus_bounds,
-    modulus_curve,
     modulus_direct,
     synthesize,
 )
@@ -102,6 +103,35 @@ def test_lp_norm_rejections():
                 quad=QuadratureSpec(M=8192), method="grid")
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_batched_modulus_matches_single_shift_loop(p, monkeypatch):
+    # five shifts per chunk, so the 16 shifts span four chunks
+    monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 5 * 1024)
+    seq = make_power_law(1, 2, 300)
+    quad = QuadratureSpec(M=1024, H=16)
+    for t in (0.05, 0.5, 2.0):
+        loop = max(lp_norm(seq, 300, 2, t * i / 16, p, quad) for i in range(1, 17))
+        got = modulus_direct(seq, 300, SmoothnessParams(2, p), t, quad)
+        assert got == pytest.approx(loop, rel=1e-12)
+
+
+def test_difference_norms_parseval_matches_grid(monkeypatch):
+    monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 50)  # 3 shifts per chunk
+    seq = make_power_law(1, 1.5, 50)
+    hs = np.linspace(0.01, 3.0, 11)
+    auto = difference_norms(seq, 50, 3, hs, 2)
+    grid = difference_norms(seq, 50, 3, hs, 2, method="grid")
+    assert np.allclose(auto, grid, rtol=1e-12, atol=0)
+
+
+def test_grid_size():
+    assert grid_size(100) == 8192
+    assert grid_size(4096) == 16384
+    assert grid_size(16384) == 65536
+    for horizon in (1, 4095, 4097, 20000):
+        assert grid_size(horizon) > 2 * horizon
+
+
 def test_grid_quadrature_converges_for_p1():
     seq = make_power_law(1, 2, 30)
     vals = [lp_norm(seq, 30, 2, 0.5, 1, quad=QuadratureSpec(M=M, H=16),
@@ -130,9 +160,9 @@ def test_modulus_zero_sequence():
 
 def test_modulus_monotone_in_t():
     seq = make_power_law(1, 2, 40)
-    curve = modulus_curve(seq, 40, SmoothnessParams(2, 2),
-                          np.linspace(0.05, 3.0, 12))
-    assert np.all(np.diff(curve.omega) >= -1e-12)
+    omega = [modulus_direct(seq, 40, SmoothnessParams(2, 2), t)
+             for t in np.linspace(0.05, 3.0, 12)]
+    assert np.all(np.diff(omega) >= -1e-12)
 
 
 def test_modulus_even_in_h():
@@ -198,17 +228,3 @@ def test_modulus_sandwiched_by_core():
         w = modulus_direct(seq, 4096, params, 1.0 / n)
         e = bound_core(seq, params, n)
         assert 0.1 < w / e < 10
-
-
-def test_auto_horizon_zero_tail_is_exact():
-    seq = CoefficientSequence((1, 0.5, 0.25))
-    assert auto_horizon(seq) == (3, True)
-
-
-def test_auto_horizon_extends_power_tail():
-    seq = make_power_law(1, 2, 8)
-    horizon, reached = auto_horizon(seq, rel=1e-4)
-    assert reached and horizon > 8
-    tail_mass = sum(v ** -2.0 for v in range(horizon + 1, 10 ** 6))
-    head_mass = sum(v ** -2.0 for v in range(1, horizon + 1))
-    assert tail_mass <= 2e-4 * head_mass
