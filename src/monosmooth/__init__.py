@@ -34,7 +34,6 @@ from .smoothness import (
     bound_core,
     k_difference,
     lp_norm,
-    modulus_bounds,
     modulus_direct,
     synthesize,
 )

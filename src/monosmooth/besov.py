@@ -157,18 +157,16 @@ class CoreModulusSource:
         self._pref = np.concatenate([self._pref, base + np.cumsum(terms)])
 
     def _fill_far(self, top):
-        # far[nu-1] = sum_{mu > nu} a_mu^p mu^{p-2}, summed backwards from
-        # an extended horizon with an analytic remainder beyond it, so the
-        # relative accuracy holds at every nu (no large-total subtraction)
+        # far[nu-1] = sum_{mu > nu} a_mu^p mu^{p-2}: the terms up to top summed
+        # backwards, plus weighted_sum past top, so the relative accuracy holds
+        # at every nu (no large-total subtraction)
         if self._far.size >= top:
             return
         p = self.params.p
-        top2 = max(4 * top, 4096)
-        rem = weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top2 + 1))
-        nu = np.arange(1, top2 + 1, dtype=float)
-        terms = self.seq.values(1, top2) ** p * nu ** (p - 2)
-        tails = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
-        self._far = tails[:top] + rem
+        rest = weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top + 1))
+        nu = np.arange(1, top + 1, dtype=float)
+        terms = self.seq.values(1, top) ** p * nu ** (p - 2)
+        self._far = np.concatenate([np.cumsum(terms[:0:-1])[::-1], [0.0]]) + rest
 
     def batch(self, nus):
         nus = np.asarray(nus, dtype=int)
@@ -250,8 +248,14 @@ def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
     is estimated by integral comparison against the power law fitted to
     the last block.  Returns DIVERGENT when the fitted decay exponent
     stays at or below 1 up to the cap, or when the remainder bound still
-    exceeds DIVERGENCE_FRACTION of the partial value there.
+    exceeds DIVERGENCE_FRACTION of the partial value there.  A start at or
+    past the cap doubles the cap (as DirectModulusSource doubles its table)
+    until two terms fit below it; that sum ends at the raised cap with its
+    fitted remainder, whatever its size, when the exponent exceeds 1.
     """
+    raised = start >= cap
+    while raised and cap <= start + 1:
+        cap *= 2
     total = 0.0
     lo = start
     width = max(64, start)
@@ -276,7 +280,7 @@ def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
         if hi >= cap:
             if qexp is None or qexp <= 1.0 + 1e-6:
                 return DIVERGENT
-            if rem is not None and rem > DIVERGENCE_FRACTION * total:
+            if not raised and rem is not None and rem > DIVERGENCE_FRACTION * total:
                 return DIVERGENT
             return total + (rem or 0.0)
         lo = hi

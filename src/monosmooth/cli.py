@@ -461,6 +461,10 @@ def main(argv=None):
         for line in err.violations:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except ValueError as err:
+        # a domain condition of the parameters, e.g. n >= 16m or alpha < lam
+        print(f"config error: {' '.join(str(err).split())}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 1

@@ -168,9 +168,3 @@ def bound_core(seq, params, n):
     if far == DIVERGENT:
         return DIVERGENT
     return n ** (-float(k)) * near ** (1.0 / p) + far ** (1.0 / p)
-
-
-def modulus_bounds(seq, params, n):
-    """Lower/upper sandwich cores for omega(1/n); both equal E(n)."""
-    e = bound_core(seq, params, n)
-    return e, e

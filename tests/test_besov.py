@@ -20,8 +20,9 @@ from monosmooth.besov import (
     phi_eval,
     phi_validate,
 )
-from monosmooth.sequences import CoefficientSequence, DIVERGENT, make_power_law
-from monosmooth.smoothness import SmoothnessParams
+from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
+                                  make_power_log)
+from monosmooth.smoothness import SmoothnessParams, bound_core
 
 CP = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
 
@@ -95,6 +96,16 @@ def test_extrapolated_tail_sum_divergent():
 def test_extrapolated_tail_sum_zero_terms():
     got = extrapolated_tail_sum(lambda nu: np.zeros(len(nu)), 5)
     assert got == 0.0
+
+
+def test_extrapolated_tail_sum_start_past_cap():
+    # the cap doubles to 128: one block [100, 128) and its fitted remainder
+    got = extrapolated_tail_sum(lambda nu: nu.astype(float) ** -2.0, 100, cap=64)
+    want = math.pi ** 2 / 6 - sum(v ** -2.0 for v in range(1, 100))
+    assert got == pytest.approx(want, rel=1e-2)
+    # a start below the cap keeps the old rule: one term, no fitted exponent
+    assert extrapolated_tail_sum(lambda nu: nu.astype(float) ** -5.0, 63,
+                                 cap=64) == DIVERGENT
 
 
 def test_coefficient_functional_zero():
@@ -230,6 +241,17 @@ def test_core_source_tracks_direct_modulus():
         assert 0.1 < ratio < 10
 
 
+def test_core_source_equals_bound_core():
+    # the cumulative tables reproduce E(nu) from weighted_sum, at nu inside
+    # the stored head, past it, and after the table has grown
+    params = SmoothnessParams(2, 3)
+    for seq in (make_power_law(1, 1.5, 4096), make_power_log(1, 1.2, 0.5, 512)):
+        core = CoreModulusSource(seq, params)
+        for nus in ([3, 40], [600, 5000], [1, 70000]):
+            want = [bound_core(seq, params, nu) for nu in nus]
+            assert np.allclose(core.batch(nus), want, rtol=1e-8, atol=0)
+
+
 def _power_law_omega(k, nu):
     # a_nu = nu^-2: sum_mu a_mu^2 |2 sin(mu h/2)|^(2k) in closed form, h <= 1;
     # both are increasing in h, so omega(1/nu) = sqrt(pi g(1/nu))
@@ -266,6 +288,18 @@ def test_direct_source_zero_tail_is_exact():
         src = DirectModulusSource(one, SmoothnessParams(k, p), H=16, nu_cap=256)
         want = (2 * np.sin(0.5 / nu)) ** k * norm
         assert np.allclose(src.batch(nu), want, rtol=1e-9, atol=0)
+
+
+def test_seminorms_past_the_direct_source_cap():
+    # n = 64 starts the far sums at or past nu_cap = 64; the table doubles
+    seq = make_power_law(1, 2, 4096)
+    small = DirectModulusSource(seq, CP.smoothness, H=16, nu_cap=64)
+    full = DirectModulusSource(seq, CP.smoothness, H=16)
+    j = discrete_seminorm(seq, CP, 64, small)
+    assert math.isfinite(j) and j > 0
+    assert j == pytest.approx(discrete_seminorm(seq, CP, 64, full), rel=1e-3)
+    i = integral_seminorm(seq, CP, 1 / 65, small)
+    assert i == pytest.approx(integral_seminorm(seq, CP, 1 / 65, full), rel=1e-3)
 
 
 def test_direct_source_takes_sup_over_shifts():

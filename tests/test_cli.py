@@ -1,8 +1,13 @@
 import json
+import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import monosmooth
 from monosmooth.cli import (
     ConfigError,
     main,
@@ -180,6 +185,53 @@ def test_exit_code_on_config_error(capsys):
                "--p", "1", "--m", "5", "--n", "3"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # lp_converse_upper needs n >= 16m
+    ["verify-lemma", "--power-law", "1", "1", "--lemma", "lp_converse_upper",
+     "--alpha", "1", "--lam", "0", "--p", "2", "--m", "1", "--n", "8"],
+    # p != 2 needs M > 2 * horizon = 8192
+    ["modulus", "--power-law", "1", "2", "--k", "2", "--p", "1", "--M", "8192",
+     "--t-grid", "0.125,0.25"],
+    # a power phi needs alpha < lam
+    ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
+     "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:0.75"],
+], ids=["lemma-side-condition", "modulus-coarse-M", "membership-alpha-ge-lam"])
+def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_equivalence_past_the_direct_source_cap(tmp_path):
+    # n = 2048 starts the far sums past the default table of nu <= 2048
+    out = tmp_path / "eq.json"
+    rc = main(["equivalence", "--power-law", "1", "2", "--theta", "1", "--r", "0.5",
+               "--lam", "0.5", "--k", "2", "--p", "2", "--n-grid", "4,2048",
+               "--out", str(out)])
+    assert rc == 0
+    values = json.loads(out.read_text())["values"]
+    assert all(0 < v < math.inf for v in values["I"] + values["J"])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(monosmooth.__file__).resolve().parents[1])
+    code = ("import monosmooth.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [d for d in deps if d.lower().startswith("scipy")] == []
 
 
 def test_exit_code_on_io_error(tmp_path):

@@ -114,6 +114,24 @@ def test_weighted_sum_power_log_tail():
     assert got == pytest.approx(direct + (1 + math.log(2e6)) ** -1, rel=1e-3)
 
 
+def test_power_log_integral_matches_incomplete_gamma():
+    # int_x0^inf x^-a (1 + ln x)^-g dx = e^b b^(g-1) Gamma(1-g, b u0),
+    # b = a - 1, u0 = 1 + ln x0
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(30):
+        for s in 9 - np.geomspace(0.001, 9, 8):
+            a = 10.0 - s  # exactly the a = q * beta - s that integral() sees
+            for g in np.linspace(-3, 10, 9):
+                tail = PowerLogTail(c=1.0, beta=10.0, gamma=g)
+                for x0 in np.geomspace(1.5, 2 ** 23, 6):
+                    b, u0 = mp.mpf(a) - 1, 1 + mp.log(x0)
+                    want = mp.e ** b * b ** (g - 1) * mp.gammainc(1 - mp.mpf(g), b * u0)
+                    got = tail.integral(1, s, x0)
+                    worst = max(worst, abs(got / float(want) - 1))
+    assert worst < 1e-12
+
+
 def test_weighted_sum_range_beyond_horizon_uses_tail():
     seq = make_power_law(1, 2, 4)
     got = weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=3, n=8))

@@ -13,7 +13,6 @@ from monosmooth.smoothness import (
     grid_size,
     k_difference,
     lp_norm,
-    modulus_bounds,
     modulus_direct,
     synthesize,
 )
@@ -212,12 +211,6 @@ def test_bound_core_divergent_tail():
     # a_nu = nu^{-1/2}, p = 2: tail sum of nu^{-1} diverges
     seq = make_power_law(1, 0.5, 8)
     assert bound_core(seq, SmoothnessParams(1, 2), 4) == DIVERGENT
-
-
-def test_modulus_bounds_pair():
-    seq = make_power_law(1, 2, 16)
-    lo, hi = modulus_bounds(seq, SmoothnessParams(1, 2), 8)
-    assert lo == hi == bound_core(seq, SmoothnessParams(1, 2), 8)
 
 
 def test_modulus_sandwiched_by_core():
