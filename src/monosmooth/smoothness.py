@@ -65,8 +65,12 @@ def k_difference(seq, horizon, k, h, x):
     return out if out.shape else float(out)
 
 
-#: elements per temporary array (shifts x harmonics or grid points)
-CHUNK_ELEMENTS = 2 ** 22
+#: elements per work buffer (shifts x harmonics or grid points): 2^17
+#: doubles are 1 MB, so a chunk's buffers stay within a 2 MB L2 cache
+CHUNK_ELEMENTS = 2 ** 17
+
+#: harmonics per angle-addition block in _half_angles
+_BLOCK = 128
 
 
 def grid_size(horizon):
@@ -75,34 +79,77 @@ def grid_size(horizon):
     return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
 
 
-def _chunks(n, width):
-    step = max(1, CHUNK_ELEMENTS // width)
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+def _half_angles(hs, n, out=None):
+    """sin(nu h/2) and cos(nu h/2) for h in the array hs, nu = 1..n, each
+    of shape (hs.size, n).
+
+    With nu = B j + i (i = 1..B, B = min(_BLOCK, n)), angle addition
+    combines the coarse angles B j h/2 with the fine angles i h/2, so a
+    shift takes 2 (n/B + B) trig calls instead of n.  out: two float
+    buffers of at least hs.size * B * ceil(n/B) elements, written over.
+    """
+    block = min(_BLOCK, n)
+    blocks = -(-n // block)
+    size = hs.size * blocks * block
+    if out is None:
+        out = np.empty((2, size))
+    s, c = (buf[:size].reshape(hs.size, blocks, block) for buf in out)
+    coarse = np.multiply.outer(hs, 0.5 * block * np.arange(blocks))
+    fine = np.multiply.outer(hs, 0.5 * np.arange(1, block + 1))
+    sc, cc = np.sin(coarse), np.cos(coarse)
+    fine = np.stack([np.cos(fine), np.sin(fine)], axis=1)
+    # sin(x + y) = sin x cos y + cos x sin y, cos(x + y) = cos x cos y - sin x sin y
+    np.matmul(np.stack([sc, cc], axis=2), fine, out=s)
+    np.matmul(np.stack([cc, -sc], axis=2), fine, out=c)
+    return s.reshape(hs.size, -1)[:, :n], c.reshape(hs.size, -1)[:, :n]
 
 
-def _parseval_sums(hs, nu, a2, k):
-    # sum_nu a_nu^2 |2 sin(nu h/2)|^(2k) for each h in hs
-    amp = np.multiply.outer(hs, 0.5 * nu)
-    np.sin(amp, out=amp)
-    np.square(amp, out=amp)
-    amp *= 4.0
-    base = amp.copy() if k > 1 else None
+def _parseval_sums(hs, a2, k, halves):
+    # sum_nu a2_nu sin(nu h/2)^(2k) for each h in hs
+    s, c = _half_angles(hs, a2.size, halves)
+    np.square(s, out=s)
+    if k > 1:
+        np.copyto(c, s)
     for _ in range(k - 1):
-        amp *= base
-    return amp @ a2
+        s *= c
+    return s @ a2
 
 
-def _grid_sums(hs, nu, a, k, M, p):
+def _power_sums(v, p):
+    # row sums of |v|^p, written over v; p = 1..4 by multiplication
+    if p in (2, 4):
+        np.square(v, out=v)
+    else:
+        np.abs(v, out=v)
+    if p == 3:
+        return np.einsum("ij,ij,ij->i", v, v, v)
+    if p == 4:
+        np.square(v, out=v)
+    elif p not in (1, 2):
+        v **= p
+    return v.sum(axis=1)
+
+
+def _grid_sums(hs, a, k, p, spec, vals, work):
     # sum over the M-point grid of |Delta_h^k f|^p for each h in hs
-    spec = np.zeros((hs.size, M // 2 + 1), dtype=complex)
-    spec[:, 1:nu.size + 1] = a * (np.exp(1j * np.multiply.outer(hs, nu)) - 1.0) ** k
-    vals = np.fft.irfft(spec, n=M, axis=1)
-    del spec
-    # irfft(spec) * M / 2 = Re sum_nu spec_nu e^(i nu x) on the grid
-    np.abs(vals, out=vals)
-    vals *= M / 2
-    vals **= p
-    return vals.sum(axis=1)
+    rows, n = hs.size, a.size
+    halves = work.view(float).reshape(2, -1)
+    s, c = _half_angles(hs, n, halves)
+    z = spec[:rows, 1:n + 1]
+    # e^(i nu h) - 1 = -2 sin^2(nu h/2) + 2i sin(nu h/2) cos(nu h/2)
+    np.multiply(s, s, out=z.real)
+    z.real *= -2.0
+    np.multiply(s, c, out=z.imag)
+    z.imag *= 2.0
+    if k > 1:
+        # the half angles are spent: their buffers hold the base of the power
+        base = work[:rows * n].reshape(rows, n)
+        np.copyto(base, z)
+        for _ in range(k - 1):
+            z *= base
+    z *= a
+    np.fft.irfft(spec[:rows], n=vals.shape[1], axis=1, out=vals[:rows])
+    return _power_sums(vals[:rows], p)
 
 
 def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto"):
@@ -111,7 +158,14 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
     p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)).  Other p
     (or method="grid"): the sum over the uniform M-point grid, one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
-    when M > 2 * horizon.  Shifts go in chunks of CHUNK_ELEMENTS elements.
+    when M > 2 * horizon.  sin(nu h/2) and cos(nu h/2) come from angle
+    addition (_half_angles), and |v|^p for p = 1..4 from multiplication.
+
+    Shifts go in chunks of CHUNK_ELEMENTS // width rows, width being the
+    horizon (Parseval) or M (grid), so that a chunk's work fits in L2.
+    The half-angle, spectrum and grid buffers are allocated once per call
+    and reused by every chunk through out= arguments; only the spectrum's
+    columns 1..horizon are ever written, so its zero padding stays zero.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -119,18 +173,27 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
         raise ValueError("difference order k must be >= 1")
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
-    nu = np.arange(1, horizon + 1, dtype=float)
     out = np.empty(hs.size)
-    if p == 2 and method == "auto":
-        a2 = a * a
-        for rows in _chunks(hs.size, horizon):
-            out[rows] = _parseval_sums(hs[rows], nu, a2, k)
-        return np.sqrt(math.pi * out)
+    parseval = p == 2 and method == "auto"
     M = quad.M
-    if M <= 2 * horizon:
+    if not parseval and M <= 2 * horizon:
         raise ValueError("quadrature grid too coarse: need M > 2 * horizon")
-    for rows in _chunks(hs.size, M):
-        out[rows] = _grid_sums(hs[rows], nu, a, k, M, p)
+    rows = max(1, min(hs.size, CHUNK_ELEMENTS // (horizon if parseval else M)))
+    # room for _half_angles, whose last block may run past the horizon
+    work = np.empty(rows * (horizon + _BLOCK), dtype=complex)
+    chunks = [slice(lo, lo + rows) for lo in range(0, hs.size, rows)]
+    if parseval:
+        a2 = 4.0 ** k * a * a
+        halves = work.view(float).reshape(2, -1)
+        for sl in chunks:
+            out[sl] = _parseval_sums(hs[sl], a2, k, halves)
+        return np.sqrt(math.pi * out)
+    spec = np.zeros((rows, M // 2 + 1), dtype=complex)
+    vals = np.empty((rows, M))
+    # irfft(spec) * M / 2 = Re sum_nu spec_nu e^(i nu x) on the grid
+    a = a * (M / 2)
+    for sl in chunks:
+        out[sl] = _grid_sums(hs[sl], a, k, p, spec, vals, work)
     return (2.0 * math.pi / M * out) ** (1.0 / p)
 
 

@@ -123,6 +123,48 @@ def test_difference_norms_parseval_matches_grid(monkeypatch):
     assert np.allclose(auto, grid, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 16384])
+def test_half_angles_match_direct_trig(n):
+    rng = np.random.default_rng(n)
+    hs = np.concatenate([rng.uniform(0, 2 * math.pi, 6), [1e-6, math.pi, 2 * math.pi]])
+    hs = hs[hs > 0]
+    args = np.multiply.outer(hs, np.arange(1, n + 1) / 2.0)
+    s, c = smoothness._half_angles(hs, n)
+    assert s.shape == c.shape == (hs.size, n)
+    # angle addition rounds the block and offset angles once each, so an
+    # error of a few ulp of the argument is as exact as np.sin of it
+    ulps = 4 * np.spacing(np.maximum(args, 1.0))
+    assert np.all(np.abs(s - np.sin(args)) <= ulps)
+    assert np.all(np.abs(c - np.cos(args)) <= ulps)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 1.5, 3, 4, 5, 64])
+def test_grid_path_matches_pointwise_oracle(p, k, monkeypatch):
+    # 3 shifts per chunk, so 7 shifts end in a partial chunk of one: a row
+    # left in the reused buffers by an earlier chunk would change its norm
+    monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 256)
+    seq = make_power_law(1, 1.5, 20)
+    hs = np.array([0.01, 0.3, 0.7, 1.2, 2.0, 3.1, 5.5])
+    got = difference_norms(seq, 20, k, hs, p, QuadratureSpec(M=256), method="grid")
+    xs = np.arange(256) * (2 * math.pi / 256)
+    for h, norm in zip(hs, got):
+        vals = np.abs(k_difference(seq, 20, k, h, xs))
+        scale = vals.max()  # keeps |v|^p in range at p = 64
+        want = scale * (np.sum((vals / scale) ** p) * (2 * math.pi / 256)) ** (1 / p)
+        # 1e-11, not 1e-12: at h = 0.01 and k = 3 the oracle's difference of
+        # f values cancels six digits (its error there is 4e-12; 1e-15 elsewhere)
+        assert norm == pytest.approx(want, rel=1e-11)
+
+
+def test_huge_integer_p_uses_pow():
+    # p = 10**9 would never finish if integer powers were taken by repeated
+    # multiplication; every |v|^p underflows, so the norm is exactly zero
+    seq = CoefficientSequence((1e-3, 5e-4))
+    got = difference_norms(seq, 2, 1, [0.5, 1.0], 10 ** 9, QuadratureSpec(M=256))
+    assert np.all(got == 0.0)
+
+
 def test_grid_size():
     assert grid_size(100) == 8192
     assert grid_size(4096) == 16384
