@@ -116,21 +116,16 @@ def _parseval_sums(hs, a2, k, halves):
 
 
 def _power_sums(v, p):
-    # row sums of |v|^p, written over v; p = 1..4 by multiplication
-    if p in (2, 4):
-        np.square(v, out=v)
-    else:
-        np.abs(v, out=v)
+    # row sums of |v|^p, written over v; p = 3 by multiplication
+    np.abs(v, out=v)
     if p == 3:
         return np.einsum("ij,ij,ij->i", v, v, v)
-    if p == 4:
-        np.square(v, out=v)
-    elif p not in (1, 2):
+    if p != 1:
         v **= p
     return v.sum(axis=1)
 
 
-def _grid_sums(hs, a, k, p, spec, vals, work):
+def _grid_sums(hs, a, k, p, M, spec, work):
     # sum over the M-point grid of |Delta_h^k f|^p for each h in hs
     rows, n = hs.size, a.size
     halves = work.view(float).reshape(2, -1)
@@ -148,8 +143,7 @@ def _grid_sums(hs, a, k, p, spec, vals, work):
         for _ in range(k - 1):
             z *= base
     z *= a
-    np.fft.irfft(spec[:rows], n=vals.shape[1], axis=1, out=vals[:rows])
-    return _power_sums(vals[:rows], p)
+    return _power_sums(np.fft.irfft(spec[:rows], n=M, axis=1), p)
 
 
 def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto"):
@@ -159,13 +153,14 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
     (or method="grid"): the sum over the uniform M-point grid, one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
     when M > 2 * horizon.  sin(nu h/2) and cos(nu h/2) come from angle
-    addition (_half_angles), and |v|^p for p = 1..4 from multiplication.
+    addition (_half_angles), and |v|^3 from multiplication.
 
     Shifts go in chunks of CHUNK_ELEMENTS // width rows, width being the
     horizon (Parseval) or M (grid), so that a chunk's work fits in L2.
-    The half-angle, spectrum and grid buffers are allocated once per call
-    and reused by every chunk through out= arguments; only the spectrum's
+    The half-angle and spectrum buffers are allocated once per call and
+    reused by every chunk through out= arguments; only the spectrum's
     columns 1..horizon are ever written, so its zero padding stays zero.
+    The grid values are the irfft's own result, taken to |v|^p in place.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -189,11 +184,10 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
             out[sl] = _parseval_sums(hs[sl], a2, k, halves)
         return np.sqrt(math.pi * out)
     spec = np.zeros((rows, M // 2 + 1), dtype=complex)
-    vals = np.empty((rows, M))
     # irfft(spec) * M / 2 = Re sum_nu spec_nu e^(i nu x) on the grid
     a = a * (M / 2)
     for sl in chunks:
-        out[sl] = _grid_sums(hs[sl], a, k, p, spec, vals, work)
+        out[sl] = _grid_sums(hs[sl], a, k, p, M, spec, work)
     return (2.0 * math.pi / M * out) ** (1.0 / p)
 
 
