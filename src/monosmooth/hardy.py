@@ -1,8 +1,15 @@
 """Discrete Hardy-type inequality evaluators and empirical constants.
 
-Each evaluator computes the left- and right-hand side of one displayed
-inequality exactly as written; the asserted comparison direction is
-carried as `bound` on the report ("upper": lhs <= C rhs, "lower":
+Every Hardy-type display has one shape: with P(mu) = (a_mu mu^(l+1))^p it
+compares
+
+    sum_mu mu^e inner(mu)^p   with   sum_mu mu^e P(mu),
+
+where inner is the tail sum_{nu=mu}^{n} a_nu nu^l and e = a - 1, or the
+head sum_{nu=s}^{mu} a_nu nu^l and e = -a - 1.  The displays differ only in
+their ranges, side condition and asserted bound, so each is one row of
+_DISPLAYS, evaluated exactly as written.  The asserted comparison direction
+is carried as `bound` on the report ("upper": lhs <= C rhs, "lower":
 lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 """
 
@@ -24,6 +31,27 @@ LEMMA_IDS = (
     "lp_complete_tail",
     "lp_complete_head",
 )
+
+# (lemma id, p >= 1) -> (inner sum, lhs start, rhs start, c, bound).  A start
+# k is mu = k m, and k = 0 is mu = 1; every sum runs to n, and a head sum
+# starts where its lhs does.  c is the side condition n >= c m.
+_DISPLAYS = {
+    ("lp_upper", True): ("tail", 1, 1, 0, "upper"),
+    ("lp_upper", False): ("tail", 1, 1, 0, "lower"),
+    ("lp_lower", True): ("head", 1, 1, 0, "upper"),
+    ("lp_lower", False): ("head", 1, 1, 0, "lower"),
+    ("lp_converse_upper", True): ("tail", 1, 8, 16, "lower"),
+    ("lp_converse_upper", False): ("tail", 4, 1, 4, "upper"),
+    ("lp_converse_lower", True): ("head", 1, 4, 4, "lower"),
+    ("lp_converse_lower", False): ("head", 4, 1, 4, "upper"),
+    ("lp_complete_tail", True): ("tail", 0, 0, 0, "two_sided"),
+    ("lp_complete_tail", False): ("tail", 0, 0, 0, "two_sided"),
+    ("lp_complete_head", True): ("head", 0, 0, 0, "two_sided"),
+    ("lp_complete_head", False): ("head", 0, 0, 0, "two_sided"),
+}
+# displays that hold only for monotone sequences
+_MONOTONE = {"lp_converse_upper", "lp_converse_lower",
+             "lp_complete_tail", "lp_complete_head"}
 
 
 @dataclass(frozen=True)
@@ -93,12 +121,21 @@ def inner_tail(seq, lam, mu, n):
     return float(np.sum(seq.values(mu, n) * nu ** lam))
 
 
-def _weighted_pieces(seq, hp):
-    nu = np.arange(1, hp.n + 1, dtype=float)
-    a = seq.values(1, hp.n)
-    w = a * nu ** hp.lam          # summand of the inner sums
-    point = (a * nu ** (hp.lam + 1)) ** hp.p
-    return nu, w, point
+def _sides(lemma_id, seq, hp):
+    """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p."""
+    inner, lo, hi, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
+    p, m, n = hp.p, hp.m, hp.n
+    if n < c * m:
+        raise ValueError(f"{lemma_id} with p {'>=' if p >= 1 else '<'} 1 needs n >= {c}m")
+    lo, hi = lo * m or 1, hi * m or 1
+    nu = np.arange(1, n + 1, dtype=float)
+    a = seq.values(1, n)
+    w = a[lo - 1:] * nu[lo - 1:] ** hp.lam  # summands of the inner sums
+    sums = np.cumsum(w[::-1])[::-1] if inner == "tail" else np.cumsum(w)
+    weight = nu ** (hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)
+    point = (a[hi - 1:] * nu[hi - 1:] ** (hp.lam + 1)) ** p
+    lhs = float(np.sum(weight[lo - 1:] * sums ** p))
+    return lhs, float(np.sum(weight[hi - 1:] * point))
 
 
 def hardy_tail_pair(seq, hp):
@@ -107,13 +144,7 @@ def hardy_tail_pair(seq, hp):
     lhs = sum_{mu=m}^{n} mu^{a-1} (sum_{nu=mu}^{n} a_nu nu^l)^p,
     rhs = sum_{mu=m}^{n} mu^{a-1} (a_mu mu^{l+1})^p.
     """
-    nu, w, point = _weighted_pieces(seq, hp)
-    tails = np.cumsum(w[::-1])[::-1]  # tails[mu-1] = sum_{nu=mu}^{n} w
-    sl = slice(hp.m - 1, hp.n)
-    weight = nu[sl] ** (hp.alpha - 1)
-    lhs = float(np.sum(weight * tails[sl] ** hp.p))
-    rhs = float(np.sum(weight * point[sl]))
-    return lhs, rhs
+    return _sides("lp_upper", seq, hp)
 
 
 def hardy_head_pair(seq, hp):
@@ -122,30 +153,13 @@ def hardy_head_pair(seq, hp):
     lhs = sum_{mu=m}^{n} mu^{-a-1} (sum_{nu=m}^{mu} a_nu nu^l)^p,
     rhs = sum_{mu=m}^{n} mu^{-a-1} (a_mu mu^{l+1})^p.
     """
-    nu, w, point = _weighted_pieces(seq, hp)
-    heads = np.cumsum(w[hp.m - 1:])  # heads[j] = sum_{nu=m}^{m+j} w
-    sl = slice(hp.m - 1, hp.n)
-    weight = nu[sl] ** (-hp.alpha - 1)
-    lhs = float(np.sum(weight * heads ** hp.p))
-    rhs = float(np.sum(weight * point[sl]))
-    return lhs, rhs
-
-
-def _outer_sum(nu, weight_exp, inner, p, lo, hi):
-    sl = slice(lo - 1, hi)
-    return float(np.sum(nu[sl] ** weight_exp * inner[sl] ** p))
-
-
-def _require_monotone(seq, lemma_id):
-    res = validate_monotone(seq)
-    if not res.ok:
-        raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
+    return _sides("lp_lower", seq, hp)
 
 
 def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):
     """Evaluate one inequality instance and return its RatioReport.
 
-    Side conditions (n >= 16m / 4m for the converse bounds, monotone
+    Side conditions (n >= c m for the converse bounds, monotone
     sequences where required) are rejected before evaluation.
     """
     if lemma_id not in LEMMA_IDS:
@@ -160,59 +174,12 @@ def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):
         rhs = float(np.sum(a ** lo) ** (1.0 / lo))
         return _report(lemma_id, lhs, rhs, "upper")
 
-    nu, w, point = _weighted_pieces(seq, hp)
-    tails = np.cumsum(w[::-1])[::-1]
-    p, m, n = hp.p, hp.m, hp.n
-
-    if lemma_id == "lp_upper":
-        lhs, rhs = hardy_tail_pair(seq, hp)
-        return _report(lemma_id, lhs, rhs, "upper" if p >= 1 else "lower")
-
-    if lemma_id == "lp_lower":
-        lhs, rhs = hardy_head_pair(seq, hp)
-        return _report(lemma_id, lhs, rhs, "upper" if p >= 1 else "lower")
-
-    if lemma_id == "lp_converse_upper":
-        _require_monotone(seq, lemma_id)
-        if p >= 1:
-            if n < 16 * m:
-                raise ValueError("lp_converse_upper with p >= 1 needs n >= 16m")
-            lhs = _outer_sum(nu, hp.alpha - 1, tails, p, m, n)
-            rhs = float(np.sum(nu[8 * m - 1:n] ** (hp.alpha - 1) * point[8 * m - 1:n]))
-            return _report(lemma_id, lhs, rhs, "lower")
-        if n < 4 * m:
-            raise ValueError("lp_converse_upper with p <= 1 needs n >= 4m")
-        lhs = _outer_sum(nu, hp.alpha - 1, tails, p, 4 * m, n)
-        rhs = float(np.sum(nu[m - 1:n] ** (hp.alpha - 1) * point[m - 1:n]))
-        return _report(lemma_id, lhs, rhs, "upper")
-
-    if lemma_id == "lp_converse_lower":
-        _require_monotone(seq, lemma_id)
-        if n < 4 * m:
-            raise ValueError("lp_converse_lower needs n >= 4m")
-        if p >= 1:
-            heads = np.concatenate(([0.0] * (m - 1), np.cumsum(w[m - 1:])))
-            lhs = _outer_sum(nu, -hp.alpha - 1, heads, p, m, n)
-            rhs = float(np.sum(nu[4 * m - 1:n] ** (-hp.alpha - 1) * point[4 * m - 1:n]))
-            return _report(lemma_id, lhs, rhs, "lower")
-        # p <= 1: both the outer and the inner sum start at 4m
-        heads = np.concatenate(([0.0] * (4 * m - 1), np.cumsum(w[4 * m - 1:])))
-        lhs = _outer_sum(nu, -hp.alpha - 1, heads, p, 4 * m, n)
-        rhs = float(np.sum(nu[m - 1:n] ** (-hp.alpha - 1) * point[m - 1:n]))
-        return _report(lemma_id, lhs, rhs, "upper")
-
-    if lemma_id == "lp_complete_tail":
-        _require_monotone(seq, lemma_id)
-        lhs = _outer_sum(nu, hp.alpha - 1, tails, p, 1, n)
-        rhs = float(np.sum(nu[:n] ** (hp.alpha - 1) * point[:n]))
-        return _report(lemma_id, lhs, rhs, "two_sided")
-
-    # lp_complete_head
-    _require_monotone(seq, lemma_id)
-    heads = np.cumsum(w)
-    lhs = _outer_sum(nu, -hp.alpha - 1, heads, p, 1, n)
-    rhs = float(np.sum(nu[:n] ** (-hp.alpha - 1) * point[:n]))
-    return _report(lemma_id, lhs, rhs, "two_sided")
+    if lemma_id in _MONOTONE:
+        res = validate_monotone(seq)
+        if not res.ok:
+            raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
+    lhs, rhs = _sides(lemma_id, seq, hp)
+    return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
 
 
 def _report(lemma_id, lhs, rhs, bound):
@@ -228,20 +195,18 @@ def estimate_constant(lemma_id, cases, jensen_exponents=None):
     Cases whose ratio is undefined (rhs = 0) or whose side conditions
     fail are counted as skipped.
     """
-    bound = None
-    report = None
+    report = SweepReport(lemma_id=lemma_id, bound="")
     for seq, hp in cases:
         try:
             r = verify_lemma(lemma_id, seq, hp, jensen_exponents=jensen_exponents)
         except ValueError:
-            r = None
-        if report is None:
-            report = SweepReport(lemma_id=lemma_id, bound=r.bound if r else "")
-        if r is None or r.ratio is None:
             report.skipped += 1
             continue
         report.bound = r.bound
-        report.ratios.append(r.ratio)
-    if report is None:
+        if r.ratio is None:
+            report.skipped += 1
+        else:
+            report.ratios.append(r.ratio)
+    if not report.ratios and not report.skipped:
         raise ValueError("estimate_constant needs at least one case")
     return report

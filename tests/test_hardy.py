@@ -156,8 +156,7 @@ def test_converse_upper_oriented():
     rep = verify_lemma("lp_converse_upper", make_power_law(1, 1, 32), hp)
     assert rep.bound == "lower"
     assert rep.ratio is not None and rep.ratio >= 1.0
-    # p >= 1 branch against the naive oracle (needs n >= 16m, so n <= 12
-    # sweeps cannot reach it)
+    # p >= 1 branch against the naive oracle
     a = list(make_power_law(1, 1, 32).values(1, 32))
     lhs, rhs = naive_lemma("lp_converse_upper", a, hp)
     assert rep.lhs == pytest.approx(lhs, rel=1e-12)
@@ -174,6 +173,17 @@ def test_side_conditions_rejected():
                      HardyParams(alpha=1, lam=0, p=2, m=2, n=6))
     with pytest.raises(ValueError):
         verify_lemma("nope", seq, HardyParams(alpha=1, lam=0, p=1, m=1, n=4))
+    # n = c m is accepted and n = c m - 1 rejected, by lemma and p regime
+    for lemma, p, regime, c in (("lp_converse_upper", 2, ">=", 16),
+                                ("lp_converse_upper", 0.5, "<", 4),
+                                ("lp_converse_lower", 2, ">=", 4),
+                                ("lp_converse_lower", 0.5, "<", 4)):
+        for m in (1, 2, 3):
+            rep = verify_lemma(lemma, seq, HardyParams(alpha=1, lam=0, p=p, m=m, n=c * m))
+            assert rep.ratio is not None
+            msg = f"^{lemma} with p {regime} 1 needs n >= {c}m$"
+            with pytest.raises(ValueError, match=msg):
+                verify_lemma(lemma, seq, HardyParams(alpha=1, lam=0, p=p, m=m, n=c * m - 1))
 
 
 def test_monotonicity_required_for_converse():
@@ -194,21 +204,29 @@ def test_hardy_params_validation():
 
 def test_brute_force_small_sweep():
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(5, 13))
+    # 25 draws at m = 1 and n <= 12, then m in {1, 2, 3} at n = 4m, 16m - 1,
+    # 16m and 64: every start m, 4m, 8m and both sides of every n >= c m
+    sizes = [None] * 25 + [(m, n) for m in (1, 2, 3)
+                           for n in (4 * m, 16 * m - 1, 16 * m, 64)]
+    for size in sizes:
+        m, n = size or (1, int(rng.integers(5, 13)))
         a = tuple(np.sort(rng.uniform(0, 1, size=n))[::-1])
         seq = CoefficientSequence(a)
         p = float(rng.choice([0.5, 1.0, 2.0]))
         hp = HardyParams(alpha=float(rng.choice([0.5, 1.0, 2.0])),
                          lam=float(rng.choice([-0.5, 0.0, 1.0])),
-                         p=p, m=1, n=n)
+                         p=p, m=m, n=n)
         for lemma in LEMMA_IDS:
-            if lemma == "lp_converse_upper" and p >= 1:
-                continue  # needs n >= 16m
-            rep = verify_lemma(lemma, seq, hp)
-            lhs, rhs = naive_lemma(lemma, list(a), hp)
-            assert rep.lhs == pytest.approx(lhs, rel=1e-12)
-            assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+            c = {"lp_converse_upper": 16 if p >= 1 else 4,
+                 "lp_converse_lower": 4}.get(lemma, 0)
+            if n < c * m:
+                with pytest.raises(ValueError):
+                    verify_lemma(lemma, seq, hp)
+            else:
+                rep = verify_lemma(lemma, seq, hp)
+                lhs, rhs = naive_lemma(lemma, list(a), hp)
+                assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+                assert rep.rhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_estimate_constant_sweep():

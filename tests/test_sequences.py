@@ -102,6 +102,12 @@ def test_weighted_sum_divergent_is_value_not_error():
     assert weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=1)) == DIVERGENT
     # boundary: q*beta - s == 1 diverges for a pure power law
     assert weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=5)) == DIVERGENT
+    # also where q*beta - s rounds to 1 + 2e-16
+    for q, beta, s in ((1, 2.2, 1.2), (1.5, 0.8, 0.2)):
+        assert q * beta - s != 1
+        got = weighted_sum(make_power_law(1, beta, 10), WeightedSumSpec(q=q, s=s))
+        assert got == DIVERGENT
+        assert not PowerLogTail(c=1, beta=beta, gamma=0.5).converges(q, s)
 
 
 def test_weighted_sum_power_log_tail():
@@ -112,6 +118,13 @@ def test_weighted_sum_power_log_tail():
     # crude upper remainder: integral of the summand from the cutoff
     assert direct < got < direct + 1.0 / (1 + math.log(2 * 10 ** 6 - 1))
     assert got == pytest.approx(direct + (1 + math.log(2e6)) ** -1, rel=1e-3)
+    # the same series where q*beta - s = 2.2 - 1.2 rounds to 1 + 2e-16
+    tail = PowerLogTail(c=1, beta=2.2, gamma=2)
+    critical = 1 / (1 + math.log(4096.5))
+    assert tail.integral(1, 1.2, 4096.5) == pytest.approx(critical, rel=1e-12)
+    seq = make_power_log(1, 2.2, 2, 32)
+    shifted = weighted_sum(seq, WeightedSumSpec(q=1, s=1.2, m=1))
+    assert shifted == pytest.approx(got, rel=1e-9)
 
 
 def test_power_log_integral_matches_incomplete_gamma():
