@@ -133,75 +133,17 @@ def phi_validate(phi, grid):
     return c1, c2
 
 
-class CoreModulusSource:
-    """omega(1/nu) surrogate built from the coefficient core E(nu)."""
+class _OmegaTable:
+    """omega(1/nu), nu = 1..top, looked up in one table that _fill(top) builds.
 
-    nu_cap = NU_CAP
+    top starts at nu_cap and doubles when a larger nu is asked for.  All
+    DIVERGENT if sum a^p nu^(p-2) is.  Each source names batch in its own
+    class body, so that it can be wrapped per class.
+    """
 
     def __init__(self, seq, params):
         self.seq = seq
         self.params = params
-        self._pref = np.array([], dtype=float)
-        self._far = np.array([], dtype=float)
-        self._divergent = weighted_sum(
-            seq, WeightedSumSpec(q=params.p, s=params.p - 2, m=1)) == DIVERGENT
-
-    def _fill(self, top):
-        lo = self._pref.size + 1
-        if top < lo:
-            return
-        k, p = self.params.k, self.params.p
-        nu = np.arange(lo, top + 1, dtype=float)
-        terms = self.seq.values(lo, top) ** p * nu ** ((k + 1) * p - 2)
-        base = self._pref[-1] if self._pref.size else 0.0
-        self._pref = np.concatenate([self._pref, base + np.cumsum(terms)])
-
-    def _fill_far(self, top):
-        # far[nu-1] = sum_{mu > nu} a_mu^p mu^{p-2}: the terms up to top summed
-        # backwards, plus weighted_sum past top, so the relative accuracy holds
-        # at every nu (no large-total subtraction)
-        if self._far.size >= top:
-            return
-        p = self.params.p
-        rest = weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top + 1))
-        nu = np.arange(1, top + 1, dtype=float)
-        terms = self.seq.values(1, top) ** p * nu ** (p - 2)
-        self._far = np.concatenate([np.cumsum(terms[:0:-1])[::-1], [0.0]]) + rest
-
-    def batch(self, nus):
-        nus = np.asarray(nus, dtype=int)
-        if self._divergent:
-            return np.full(nus.shape, DIVERGENT)
-        top = int(nus.max())
-        self._fill(top)
-        self._fill_far(top)
-        k, p = self.params.k, self.params.p
-        near = self._pref[nus - 1]
-        far = self._far[nus - 1]
-        return nus ** (-float(k)) * near ** (1.0 / p) + far ** (1.0 / p)
-
-    def __call__(self, nu):
-        return float(self.batch(np.array([nu]))[0])
-
-
-class DirectModulusSource:
-    """Direct moduli omega(1/nu), nu = 1..top, from one ascending shift grid.
-
-    The grid holds the endpoints 1/nu and H geometric points per octave of
-    (1/top, 1]; the running max of ||Delta_h^k f||_p over it gives every
-    omega(1/nu) = sup_{0 < h <= 1/nu} at once.  The series stops at 8 * top
-    harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
-    of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
-    when a larger nu is asked for.  All DIVERGENT if sum a^p nu^(p-2) is.
-    """
-
-    def __init__(self, seq, params, H=64, nu_cap=2048):
-        if H < 1:
-            raise ValueError("H must be >= 1")
-        self.seq = seq
-        self.params = params
-        self.H = H
-        self.nu_cap = nu_cap
         self._omega = np.array([], dtype=float)
         self._divergent = weighted_sum(
             seq, WeightedSumSpec(q=params.p, s=params.p - 2, m=1)) == DIVERGENT
@@ -217,6 +159,56 @@ class DirectModulusSource:
             self._omega = self._fill(top)
         return self._omega[nus - 1]
 
+    def __call__(self, nu):
+        return float(self.batch(np.array([nu]))[0])
+
+
+class CoreModulusSource(_OmegaTable):
+    """omega(1/nu) surrogate built from the coefficient core E(nu).
+
+    The first request fills E(nu) (see bound_core) for nu = 1..2^17: the
+    near sum is one cumulative sum, the far sum one backward cumulative sum
+    plus weighted_sum past the table's end, so its relative accuracy holds
+    at every nu.  A request past the end doubles the table.  omega(1/nu)
+    thus does not depend on which nu were asked for first.  A modulus
+    source, for I and J, is anything with batch(nus) and nu_cap.
+    """
+
+    nu_cap = NU_CAP
+    batch = _OmegaTable.batch
+
+    def _fill(self, top):
+        k, p = self.params.k, self.params.p
+        nu = np.arange(1, top + 1, dtype=float)
+        a_p = self.seq.values(1, top) ** p
+        near = np.cumsum(a_p * nu ** ((k + 1) * p - 2))
+        terms = a_p * nu ** (p - 2)
+        far = np.concatenate([np.cumsum(terms[:0:-1])[::-1], [0.0]])
+        far += weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top + 1))
+        return nu ** (-float(k)) * near ** (1.0 / p) + far ** (1.0 / p)
+
+
+class DirectModulusSource(_OmegaTable):
+    """Direct moduli omega(1/nu), nu = 1..top, from one ascending shift grid.
+
+    The grid holds the endpoints 1/nu and H geometric points per octave of
+    (1/top, 1]; the running max of ||Delta_h^k f||_p over it gives every
+    omega(1/nu) = sup_{0 < h <= 1/nu} at once.  The series stops at 8 * top
+    harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
+    of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
+    when a larger nu is asked for.  All DIVERGENT if sum a^p nu^(p-2) is.
+    A modulus source, for I and J, is anything with batch(nus) and nu_cap.
+    """
+
+    batch = _OmegaTable.batch
+
+    def __init__(self, seq, params, H=64, nu_cap=2048):
+        if H < 1:
+            raise ValueError("H must be >= 1")
+        super().__init__(seq, params)
+        self.H = H
+        self.nu_cap = nu_cap
+
     def _fill(self, top):
         k, p = self.params.k, self.params.p
         tail_vanishes = getattr(self.seq.tail, "c", 0.0) == 0
@@ -230,15 +222,6 @@ class DirectModulusSource:
             rest = weighted_sum(self.seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
             norms = np.sqrt(norms ** 2 + math.pi * math.comb(2 * k, k) * rest)
         return np.maximum.accumulate(norms)[np.searchsorted(hs, ends)]
-
-    def __call__(self, nu):
-        return float(self.batch(np.array([nu]))[0])
-
-
-def _source_batch(source, nus):
-    if hasattr(source, "batch"):
-        return np.asarray(source.batch(nus), dtype=float)
-    return np.array([float(source(int(v))) for v in nus])
 
 
 def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
@@ -301,17 +284,17 @@ def integral_seminorm(seq, cp, delta, source, rel_tol=SEMINORM_REL_TOL):
     c1 = cp.r * th
     c2 = (cp.r + cp.lam) * th
     nu0 = math.ceil(1.0 / delta)
-    cap = min(getattr(source, "nu_cap", NU_CAP), NU_CAP)
+    cap = min(source.nu_cap, NU_CAP)
 
     # small-t piece: cells at and beyond nu0, top cell clipped at delta
     w_top = ((nu0 + 1) ** c1 - delta ** (-c1)) / c1
-    top_val = _source_batch(source, np.array([nu0]))[0]
+    top_val = source.batch(np.array([nu0]))[0]
     if not math.isfinite(top_val):
         return DIVERGENT
     s1 = top_val ** th * w_top
 
     def term(nus):
-        om = _source_batch(source, nus)
+        om = source.batch(nus)
         nus = nus.astype(float)
         return om ** th * ((nus + 1) ** c1 - nus ** c1) / c1
 
@@ -324,7 +307,7 @@ def integral_seminorm(seq, cp, delta, source, rel_tol=SEMINORM_REL_TOL):
     s2 = 0.0
     if nu0 > 1:
         nus = np.arange(1, nu0, dtype=int)
-        om = _source_batch(source, nus)
+        om = source.batch(nus)
         if np.any(~np.isfinite(om)):
             return DIVERGENT
         nuf = nus.astype(float)
@@ -340,17 +323,17 @@ def discrete_seminorm(seq, cp, n, source, rel_tol=SEMINORM_REL_TOL):
     if n < 1:
         raise ValueError("n must be >= 1")
     th = cp.theta
-    cap = min(getattr(source, "nu_cap", NU_CAP), NU_CAP)
+    cap = min(source.nu_cap, NU_CAP)
 
     def term(nus):
-        om = _source_batch(source, nus)
+        om = source.batch(nus)
         return om ** th * nus.astype(float) ** (cp.r * th - 1)
 
     far = extrapolated_tail_sum(term, n + 1, rel_tol=rel_tol, cap=cap)
     if far == DIVERGENT:
         return DIVERGENT
     nus = np.arange(1, n + 1, dtype=int)
-    om = _source_batch(source, nus)
+    om = source.batch(nus)
     if np.any(~np.isfinite(om)):
         return DIVERGENT
     near = float(np.sum(om ** th * nus.astype(float) ** ((cp.r + cp.lam) * th - 1)))
@@ -477,7 +460,7 @@ def equivalence_report(seq, cp, n_grid, source=None, rel_tol=SEMINORM_REL_TOL):
         iv = integral_seminorm(seq, cp, 1.0 / (n + 1), source, rel_tol=rel_tol)
         kv = coefficient_functional(seq, cp, n)
         ev = bound_core(seq, cp.smoothness, n)
-        wv = float(_source_batch(source, np.array([n]))[0])
+        wv = float(source.batch(np.array([n]))[0])
         values["I"].append(iv)
         values["J"].append(jv)
         values["K"].append(kv)

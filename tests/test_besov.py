@@ -242,14 +242,22 @@ def test_core_source_tracks_direct_modulus():
 
 
 def test_core_source_equals_bound_core():
-    # the cumulative tables reproduce E(nu) from weighted_sum, at nu inside
-    # the stored head, past it, and after the table has grown
+    # the omega table reproduces E(nu) from weighted_sum, at nu inside the
+    # stored head, past it, and past nu_cap, where the table doubles
     params = SmoothnessParams(2, 3)
     for seq in (make_power_law(1, 1.5, 4096), make_power_log(1, 1.2, 0.5, 512)):
         core = CoreModulusSource(seq, params)
-        for nus in ([3, 40], [600, 5000], [1, 70000]):
+        for nus in ([3, 40], [600, 5000], [1, 70000], [2 ** 17 + 3]):
             want = [bound_core(seq, params, nu) for nu in nus]
             assert np.allclose(core.batch(nus), want, rtol=1e-8, atol=0)
+
+
+def test_core_source_does_not_depend_on_request_history():
+    seq = make_power_law(1, 1.5, 4096)
+    fresh = CoreModulusSource(seq, CP.smoothness)
+    used = CoreModulusSource(seq, CP.smoothness)
+    used.batch([100000])
+    assert np.array_equal(fresh.batch([5, 300]), used.batch([5, 300]))
 
 
 def _power_law_omega(k, nu):
