@@ -137,14 +137,18 @@ class _OmegaTable:
     """omega(1/nu), nu = 1..top, looked up in one table that _fill(top) builds.
 
     top starts at nu_cap and doubles when a larger nu is asked for.  All
-    DIVERGENT if sum a^p nu^(p-2) is.  Each source names batch in its own
-    class body, so that it can be wrapped per class.
+    DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it the source
+    keeps the far-sum terms of I and J, one table per (summand, theta,
+    exponent) (see tail_term).  A modulus source, for I and J, is a
+    subclass with nu_cap and _fill(top).  Each source names batch in its
+    own class body, so that it can be wrapped per class.
     """
 
     def __init__(self, seq, params):
         self.seq = seq
         self.params = params
         self._omega = np.array([], dtype=float)
+        self._terms = {}
         self._divergent = weighted_sum(
             seq, WeightedSumSpec(q=params.p, s=params.p - 2, m=1)) == DIVERGENT
 
@@ -157,10 +161,39 @@ class _OmegaTable:
             top *= 2
         if top > self._omega.size:
             self._omega = self._fill(top)
+            self._terms = {}
         return self._omega[nus - 1]
 
     def __call__(self, nu):
         return float(self.batch(np.array([nu]))[0])
+
+    def tail_term(self, summand, theta, e):
+        """term(nus) = summand(omega(1/nu), nu, theta, e) for extrapolated_tail_sum.
+
+        nus must be consecutive and ascending, as extrapolated_tail_sum
+        passes them; term returns a slice of a table of these values for
+        nu = 1..(the largest nu asked for so far).  The table grows only
+        that far; a request past the omega table first grows the omega
+        table through batch, which drops every term table, so they are
+        rebuilt from the new omega.  Each entry is the elementwise value a
+        per-request evaluation would give.
+        """
+        key = (summand, theta, e)
+
+        def term(nus):
+            if self._divergent:
+                return np.full(nus.shape, DIVERGENT)
+            top = int(nus[-1])
+            if top > self._omega.size:
+                self.batch(nus[-1:])
+            table = self._terms.get(key, np.empty(0))
+            if top > table.size:
+                nu = np.arange(table.size + 1, top + 1, dtype=float)
+                grown = summand(self._omega[table.size:top], nu, theta, e)
+                table = self._terms[key] = np.concatenate([table, grown])
+            return table[int(nus[0]) - 1:top]
+
+        return term
 
 
 class CoreModulusSource(_OmegaTable):
@@ -169,9 +202,9 @@ class CoreModulusSource(_OmegaTable):
     The first request fills E(nu) (see bound_core) for nu = 1..2^17: the
     near sum is one cumulative sum, the far sum one backward cumulative sum
     plus weighted_sum past the table's end, so its relative accuracy holds
-    at every nu.  A request past the end doubles the table.  omega(1/nu)
-    thus does not depend on which nu were asked for first.  A modulus
-    source, for I and J, is anything with batch(nus) and nu_cap.
+    at every nu.  A request past the end doubles the table and rebuilds the
+    far-sum term tables.  omega(1/nu) thus does not depend on which nu were
+    asked for first below 2^17.
     """
 
     nu_cap = NU_CAP
@@ -180,12 +213,23 @@ class CoreModulusSource(_OmegaTable):
     def _fill(self, top):
         k, p = self.params.k, self.params.p
         nu = np.arange(1, top + 1, dtype=float)
-        a_p = self.seq.values(1, top) ** p
-        near = np.cumsum(a_p * nu ** ((k + 1) * p - 2))
-        terms = a_p * nu ** (p - 2)
-        far = np.concatenate([np.cumsum(terms[:0:-1])[::-1], [0.0]])
+        a_p = self.seq.values(1, top)
+        a_p **= p
+        near = nu ** ((k + 1) * p - 2)
+        near *= a_p
+        np.cumsum(near, out=near)
+        terms = nu ** (p - 2)
+        terms *= a_p
+        far = a_p
+        far[-1] = 0.0
+        np.cumsum(terms[:0:-1], out=far[-2::-1])
         far += weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top + 1))
-        return nu ** (-float(k)) * near ** (1.0 / p) + far ** (1.0 / p)
+        far **= 1.0 / p
+        near **= 1.0 / p
+        nu **= -float(k)
+        near *= nu
+        near += far
+        return near
 
 
 class DirectModulusSource(_OmegaTable):
@@ -196,8 +240,8 @@ class DirectModulusSource(_OmegaTable):
     omega(1/nu) = sup_{0 < h <= 1/nu} at once.  The series stops at 8 * top
     harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
     of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
-    when a larger nu is asked for.  All DIVERGENT if sum a^p nu^(p-2) is.
-    A modulus source, for I and J, is anything with batch(nus) and nu_cap.
+    when a larger nu is asked for, which refills omega at every nu and
+    rebuilds the far-sum term tables.  All DIVERGENT if sum a^p nu^(p-2) is.
     """
 
     batch = _OmegaTable.batch
@@ -235,6 +279,7 @@ def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
     past the cap doubles the cap (as DirectModulusSource doubles its table)
     until two terms fit below it; that sum ends at the raised cap with its
     fitted remainder, whatever its size, when the exponent exceeds 1.
+    term is called with each block's consecutive integers nu, ascending.
     """
     raised = start >= cap
     while raised and cap <= start + 1:
@@ -246,8 +291,7 @@ def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
     rem = None
     while True:
         hi = min(lo + width, cap)
-        nu = np.arange(lo, hi, dtype=float)
-        tv = term(nu.astype(int))
+        tv = term(np.arange(lo, hi))
         if np.any(~np.isfinite(tv)):
             return DIVERGENT
         total += float(tv.sum())
@@ -270,13 +314,24 @@ def extrapolated_tail_sum(term, start, rel_tol=SEMINORM_REL_TOL, cap=NU_CAP):
         width *= 2
 
 
+def _power_summand(om, nu, th, e):
+    """J's far-sum term omega^theta nu^e."""
+    return om ** th * nu ** e
+
+
+def _cell_summand(om, nu, th, c):
+    """I's far-cell term: omega^theta times int t^(-c-1) dt over [1/(nu+1), 1/nu]."""
+    return om ** th * ((nu + 1) ** c - nu ** c) / c
+
+
 def integral_seminorm(seq, cp, delta, source, rel_tol=SEMINORM_REL_TOL):
     """I(delta): cell-discretized weighted integral of omega^theta.
 
     The t-weight is integrated in closed form on each cell
     [1/(nu+1), 1/nu], with omega evaluated at 1/nu; partial end cells
     are truncated at delta.  Returns DIVERGENT if the small-t part fails
-    to converge.
+    to converge.  The far cells' terms come from the source's term table
+    (see _OmegaTable.tail_term).
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -293,11 +348,7 @@ def integral_seminorm(seq, cp, delta, source, rel_tol=SEMINORM_REL_TOL):
         return DIVERGENT
     s1 = top_val ** th * w_top
 
-    def term(nus):
-        om = source.batch(nus)
-        nus = nus.astype(float)
-        return om ** th * ((nus + 1) ** c1 - nus ** c1) / c1
-
+    term = source.tail_term(_cell_summand, th, c1)
     rest = extrapolated_tail_sum(term, nu0 + 1, rel_tol=rel_tol, cap=cap)
     if rest == DIVERGENT:
         return DIVERGENT
@@ -319,16 +370,17 @@ def integral_seminorm(seq, cp, delta, source, rel_tol=SEMINORM_REL_TOL):
 
 
 def discrete_seminorm(seq, cp, n, source, rel_tol=SEMINORM_REL_TOL):
-    """J(n): discrete seminorm built from omega(1/nu) samples."""
+    """J(n): discrete seminorm built from omega(1/nu) samples.
+
+    The far sum's terms come from the source's term table (see
+    _OmegaTable.tail_term).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     th = cp.theta
     cap = min(source.nu_cap, NU_CAP)
 
-    def term(nus):
-        om = source.batch(nus)
-        return om ** th * nus.astype(float) ** (cp.r * th - 1)
-
+    term = source.tail_term(_power_summand, th, cp.r * th - 1)
     far = extrapolated_tail_sum(term, n + 1, rel_tol=rel_tol, cap=cap)
     if far == DIVERGENT:
         return DIVERGENT

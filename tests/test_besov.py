@@ -10,6 +10,7 @@ from monosmooth.besov import (
     CoreModulusSource,
     DirectModulusSource,
     MembershipReport,
+    NU_CAP,
     PhiSpec,
     coefficient_functional,
     discrete_seminorm,
@@ -19,6 +20,7 @@ from monosmooth.besov import (
     membership_test,
     phi_eval,
     phi_validate,
+    _OmegaTable,
 )
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
                                   make_power_log)
@@ -27,19 +29,18 @@ from monosmooth.smoothness import SmoothnessParams, bound_core
 CP = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
 
 
-class FakeSource:
+class FakeSource(_OmegaTable):
     """Synthetic modulus samples omega(1/nu) = nu^(-decay)."""
 
     nu_cap = 2 ** 17
 
     def __init__(self, decay):
+        # one harmonic: the base class's L^p divergence check never fires
+        super().__init__(CoefficientSequence((1.0,)), CP.smoothness)
         self.decay = decay
 
-    def __call__(self, nu):
-        return float(nu) ** -self.decay
-
-    def batch(self, nus):
-        return np.asarray(nus, dtype=float) ** -self.decay
+    def _fill(self, top):
+        return np.arange(1, top + 1, dtype=float) ** -self.decay
 
 
 def test_phi_power_value():
@@ -192,11 +193,8 @@ def test_integral_seminorm_zero():
     src = FakeSource(2.0)
 
     class Zero(FakeSource):
-        def __call__(self, nu):
-            return 0.0
-
-        def batch(self, nus):
-            return np.zeros(len(nus))
+        def _fill(self, top):
+            return np.zeros(top)
 
     assert integral_seminorm(None, CP, 0.3, Zero(2.0)) == 0.0
     assert integral_seminorm(None, CP, 0.3, src) > 0
@@ -325,6 +323,104 @@ def test_direct_source_divergent():
     src = DirectModulusSource(seq, CP.smoothness, H=16)
     assert np.all(src.batch(np.array([1, 5, 4000])) == DIVERGENT)
     assert discrete_seminorm(seq, CP, 4, src) == DIVERGENT
+    assert integral_seminorm(seq, CP, 0.2, src) == DIVERGENT
+
+
+def _per_request_j(cp, n, source):
+    # J(n) with a fresh term callable per call that looks omega up per block
+    th = cp.theta
+
+    def term(nus):
+        om = source.batch(nus)
+        return om ** th * nus.astype(float) ** (cp.r * th - 1)
+
+    far = extrapolated_tail_sum(term, n + 1, cap=min(source.nu_cap, NU_CAP))
+    if far == DIVERGENT:
+        return DIVERGENT
+    nus = np.arange(1, n + 1)
+    om = source.batch(nus)
+    near = float(np.sum(om ** th * nus.astype(float) ** ((cp.r + cp.lam) * th - 1)))
+    return (far + n ** (-cp.lam * th) * near) ** (1.0 / th)
+
+
+def _per_request_i(cp, delta, source):
+    # I(delta) with a fresh term callable per call that looks omega up per block
+    th = cp.theta
+    c1, c2 = cp.r * th, (cp.r + cp.lam) * th
+    nu0 = math.ceil(1.0 / delta)
+    top = source.batch(np.array([nu0]))[0]
+    s1 = top ** th * ((nu0 + 1) ** c1 - delta ** (-c1)) / c1
+
+    def term(nus):
+        om = source.batch(nus)
+        nus = nus.astype(float)
+        return om ** th * ((nus + 1) ** c1 - nus ** c1) / c1
+
+    rest = extrapolated_tail_sum(term, nu0 + 1, cap=min(source.nu_cap, NU_CAP))
+    if rest == DIVERGENT:
+        return DIVERGENT
+    s1 += rest
+    s2 = 0.0
+    if nu0 > 1:
+        nus = np.arange(1, nu0)
+        nuf = nus.astype(float)
+        w2 = ((nuf + 1) ** c2 - nuf ** c2) / c2
+        w2[-1] = (delta ** (-c2) - (nu0 - 1) ** c2) / c2
+        s2 = float(np.sum(source.batch(nus) ** th * w2))
+    return (s1 + delta ** (cp.lam * th) * s2) ** (1.0 / th)
+
+
+# steep enough that every far sum closes within a few blocks of n + 1
+STEEP = ClassParams(theta=2, r=0.5, lam=0.5, k=3, p=2)
+_HEAD_64 = CoefficientSequence(tuple(np.arange(1, 65, dtype=float) ** -2))
+
+
+@pytest.mark.parametrize("seq, make, cp, n_max", [
+    (make_power_law(1, 5, 4096), CoreModulusSource, STEEP, 4096),
+    (make_power_log(1, 5, 0.5, 4096), CoreModulusSource, STEEP, 4096),
+    # n >= 63 starts the far sums at or past nu_cap = 64: raised caps and
+    # omega refills up to 2^13
+    (_HEAD_64, lambda s, p: DirectModulusSource(s, p, H=4, nu_cap=64), STEEP, 4096),
+    # far sums that run to the 2^17 cap
+    (make_power_law(1, 1.75, 4096), CoreModulusSource, CP, 24),
+], ids=["core-power-law", "core-power-log", "direct-raised-cap", "core-to-cap"])
+def test_seminorms_equal_per_request_evaluation(seq, make, cp, n_max):
+    # the term tables change where the far-sum terms come from, not their
+    # values or the order in which they are summed
+    tabled, plain = make(seq, cp.smoothness), make(seq, cp.smoothness)
+    for n in range(1, n_max + 1):
+        assert discrete_seminorm(seq, cp, n, tabled) == _per_request_j(cp, n, plain)
+        assert integral_seminorm(seq, cp, 1 / (n + 1), tabled) \
+            == _per_request_i(cp, 1 / (n + 1), plain)
+
+
+def test_seminorms_do_not_depend_on_request_order():
+    # n = 200 refills the omega table (horizon 8 * top changes every entry);
+    # each value must come from the omega table current when it is asked for
+    seq = make_power_law(1, 2, 4096)
+    grid = [1, 3, 10, 40, 63, 64, 200]
+    shuffled = list(grid)
+    np.random.default_rng(7).shuffle(shuffled)
+    assert shuffled not in (grid, grid[::-1])
+
+    def make():
+        return DirectModulusSource(seq, CP.smoothness, H=4, nu_cap=64)
+
+    def values(src):
+        return [(discrete_seminorm(seq, CP, n, src),
+                 integral_seminorm(seq, CP, 1 / (n + 1), src)) for n in grid]
+
+    settled = make()
+    settled.batch([4 * 64])
+    assert values(make()) != values(settled)
+    want = values(settled)
+    for order in (grid, grid[::-1], shuffled):
+        src, plain = make(), make()
+        for n in order:
+            assert discrete_seminorm(seq, CP, n, src) == _per_request_j(CP, n, plain)
+            assert integral_seminorm(seq, CP, 1 / (n + 1), src) \
+                == _per_request_i(CP, 1 / (n + 1), plain)
+        assert values(src) == want
 
 
 def test_membership_constant_phi_bounded_vs_divergent():
