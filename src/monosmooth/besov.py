@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import DIVERGENT, WeightedSumSpec, weighted_sum
-from .smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
+from .sequences import (DIVERGENT, WeightedSumSpec, check_rules, positive_integer,
+                        weighted_sum)
+from .smoothness import (K_RULE, QuadratureSpec, SmoothnessParams, bound_core,
                          difference_norms, grid_size)
 
 SEMINORM_REL_TOL = 1e-4
@@ -40,17 +41,26 @@ class ClassParams:
     k: int
     p: float
 
+    RULES = (
+        ("theta", ("theta",), lambda v: v > 0, "must be positive"),
+        ("r", ("r",), lambda v: v > 0, "must be positive"),
+        ("lam", ("lam",), lambda v: v > 0, "must be positive"),
+        ("p", ("p",), lambda v: 1 < v < math.inf, "must lie in (1, inf)"),
+        K_RULE,
+        ("k", ("k", "r", "lam"), lambda k, r, lam: k > r + lam, "must exceed r + lam"),
+    )
+
     def __post_init__(self):
-        if min(self.theta, self.r, self.lam) <= 0:
-            raise ValueError("theta, r, lambda must be positive")
-        if self.k <= self.r + self.lam:
-            raise ValueError("need k > r + lambda")
-        if not 1 < self.p < math.inf:
-            raise ValueError("p must lie in (1, inf)")
+        check_rules(self)
 
     @property
     def smoothness(self):
         return SmoothnessParams(k=self.k, p=self.p)
+
+
+#: the parameters of each phi variant, in the order of the compact form
+#: "power_log:ALPHA,GAMMA"; only c has a default
+PHI_ARGS = {"power": ("alpha",), "constant": ("c",), "power_log": ("alpha", "gamma")}
 
 
 @dataclass(frozen=True)
@@ -58,22 +68,19 @@ class PhiSpec:
     """Admissible weight function, as a closed-form family."""
 
     variant: str          # "power" | "constant" | "power_log"
-    alpha: float = 0.0
+    alpha: float | None = None
     c: float = 1.0
-    gamma: float = 0.0
+    gamma: float | None = None
 
     def __post_init__(self):
-        if self.variant == "power":
-            if self.alpha <= 0:
-                raise ValueError("power phi needs alpha > 0")
-        elif self.variant == "constant":
-            if self.c <= 0:
-                raise ValueError("constant phi needs c > 0")
-        elif self.variant == "power_log":
-            if self.alpha <= 0:
-                raise ValueError("power-log phi needs alpha > 0")
-        else:
+        if self.variant not in PHI_ARGS:
             raise ValueError(f"unknown phi variant: {self.variant!r}")
+        name, args = self.variant.replace("_", "-"), PHI_ARGS[self.variant]
+        missing = [a for a in args if getattr(self, a) is None]
+        if missing:
+            raise ValueError(f"{name} phi needs {' and '.join(missing)}")
+        if getattr(self, args[0]) <= 0:  # alpha, or c
+            raise ValueError(f"{name} phi needs {args[0]} > 0")
 
     @classmethod
     def power(cls, alpha):
@@ -91,11 +98,8 @@ class PhiSpec:
         return phi_eval(self, delta)
 
     def to_json(self):
-        if self.variant == "power":
-            return {"variant": "power", "alpha": self.alpha}
-        if self.variant == "constant":
-            return {"variant": "constant", "c": self.c}
-        return {"variant": "power_log", "alpha": self.alpha, "gamma": self.gamma}
+        return {"variant": self.variant,
+                **{a: getattr(self, a) for a in PHI_ARGS[self.variant]}}
 
 
 def phi_eval(phi, delta):
@@ -245,12 +249,12 @@ class DirectModulusSource(_OmegaTable):
     """
 
     batch = _OmegaTable.batch
+    RULES = (("H", ("H",), positive_integer, "must be a positive integer"),)
 
-    def __init__(self, seq, params, H=64, nu_cap=2048):
-        if H < 1:
-            raise ValueError("H must be >= 1")
-        super().__init__(seq, params)
+    def __init__(self, seq, params, H=16, nu_cap=2048):
         self.H = H
+        check_rules(self)
+        super().__init__(seq, params)
         self.nu_cap = nu_cap
 
     def _fill(self, top):
@@ -504,7 +508,7 @@ def equivalence_report(seq, cp, n_grid, source=None, rel_tol=SEMINORM_REL_TOL):
     """
     n_grid = sorted(int(n) for n in n_grid)
     if source is None:
-        source = DirectModulusSource(seq, cp.smoothness, H=16)
+        source = DirectModulusSource(seq, cp.smoothness)
     ji, kj, we = [], [], []
     values = {"n": n_grid, "I": [], "J": [], "K": [], "omega": [], "E": []}
     for n in n_grid:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .besov import (
+    PHI_ARGS,
     ClassParams,
     CoreModulusSource,
     DirectModulusSource,
@@ -31,6 +31,7 @@ from .besov import (
 from .hardy import LEMMA_IDS, HardyParams, verify_lemma
 from .sequences import (
     CoefficientSequence,
+    broken_rules,
     make_power_law,
     make_power_log,
     make_random_monotone,
@@ -44,26 +45,40 @@ from .smoothness import (
     modulus_direct,
 )
 
-TASKS = ("gen", "modulus", "seminorm", "verify-lemma", "equivalence", "membership")
+#: length of a family sequence, and the series cut of modulus, unless chosen
+HORIZON = 4096
 
-_COMMON_KEYS = {"task", "out", "format", "seed"}
-_TASK_KEYS = {
-    "gen": {"family", "c", "beta", "gamma", "horizon", "size", "scale"},
-    "modulus": {"sequence", "k", "p", "t_grid", "M", "H", "horizon"},
-    "seminorm": {"sequence", "theta", "r", "lam", "k", "p", "n_grid", "source", "H"},
-    "verify-lemma": {"lemma", "sequence", "alpha", "lam", "p", "m", "n"},
-    "equivalence": {"sequence", "theta", "r", "lam", "k", "p", "n_grid", "H"},
-    "membership": {"sequence", "theta", "r", "lam", "k", "p", "phi",
-                   "functional", "n_grid"},
+_COMMON_KEYS = {"task", "out", "seed"}
+_CLASS_KEYS = {"sequence", "theta", "r", "lam", "k", "p"}
+#: task -> (required keys, optional keys, the RULES of the parameter classes
+#: the task builds); sequences.broken_rules reads the rule rows
+_TASKS = {
+    "gen": ({"family"}, {"c", "beta", "gamma", "horizon", "size", "scale"}, ()),
+    "modulus": ({"sequence", "k", "p", "t_grid"}, {"M", "H", "horizon"},
+                SmoothnessParams.RULES),
+    "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source", "H"},
+                 ClassParams.RULES + DirectModulusSource.RULES),
+    "verify-lemma": ({"lemma", "sequence", "alpha", "lam", "p", "m", "n"}, set(),
+                     HardyParams.RULES),
+    "equivalence": (_CLASS_KEYS | {"n_grid"}, {"H"},
+                    ClassParams.RULES + DirectModulusSource.RULES),
+    "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ClassParams.RULES),
 }
-_TASK_REQUIRED = {
-    "gen": {"family"},
-    "modulus": {"sequence", "k", "p", "t_grid"},
-    "seminorm": {"sequence", "theta", "r", "lam", "k", "p", "n_grid"},
-    "verify-lemma": {"lemma", "sequence", "alpha", "lam", "p", "m", "n"},
-    "equivalence": {"sequence", "theta", "r", "lam", "k", "p", "n_grid"},
-    "membership": {"sequence", "theta", "r", "lam", "k", "p", "phi"},
-}
+#: rules on the keys that only the CLI reads
+_RULES = (
+    ("n_grid", ("n_grid",),
+     lambda v: isinstance(v, list) and v and all(isinstance(x, int) and x >= 1 for x in v)
+     and v == sorted(v),
+     "must be an ascending list of integers >= 1"),
+    ("t_grid", ("t_grid",),
+     lambda v: len(v) > 0 and all(x > 0 for x in v) and list(v) == sorted(v),
+     "must be ascending positive values"),
+    ("lemma", ("lemma",), lambda v: v in LEMMA_IDS, "unknown id {!r}"),
+    ("source", ("source",), lambda v: v in ("core", "direct"), "must be 'core' or 'direct'"),
+    ("functional", ("functional",), lambda v: v in ("I", "J", "K"),
+     "must be one of I, J, K"),
+    ("seed", ("seed",), lambda v: isinstance(v, int), "must be an integer"),
+)
 
 
 class ConfigError(ValueError):
@@ -79,81 +94,32 @@ class ExperimentConfig:
     task: str
     options: dict
     out: str | None = None
-    format: str | None = None
     seed: int = 0
 
 
 def parse_config(doc):
     """Validate a config document (dict) into an ExperimentConfig.
 
-    Unknown keys are rejected to catch parameter-name typos; every
-    violation is collected before raising.
+    Unknown keys are rejected to catch parameter-name typos.  The values
+    present are checked against the rules of the parameter classes the
+    task builds and the CLI's own rules; every violation is collected
+    before raising.
     """
-    bad = []
+    if not isinstance(doc, dict):
+        raise ConfigError(["config: must be a JSON object"])
     task = doc.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError([f"unknown or missing task: {task!r}"])
-    allowed = _COMMON_KEYS | _TASK_KEYS[task]
-    for key in sorted(set(doc) - allowed):
-        bad.append(f"unknown key: {key!r}")
-    for key in sorted(_TASK_REQUIRED[task] - set(doc)):
-        bad.append(f"missing required key: {key!r}")
-
-    def num(key, cond, msg):
-        if key in doc:
-            try:
-                ok = cond(doc[key])
-            except TypeError:
-                ok = False
-            if not ok:
-                bad.append(f"{key}: {msg}")
-
-    if task in ("seminorm", "equivalence", "membership"):
-        num("theta", lambda v: v > 0, "must be positive")
-        num("r", lambda v: v > 0, "must be positive")
-        num("lam", lambda v: v > 0, "must be positive")
-        num("p", lambda v: 1 < v < math.inf, "must lie in (1, inf)")
-        num("k", lambda v: int(v) == v and v >= 1, "must be a positive integer")
-        num("H", lambda v: int(v) == v and v >= 1, "must be a positive integer")
-        if all(key in doc for key in ("k", "r", "lam")) and \
-                isinstance(doc["k"], (int, float)):
-            try:
-                if doc["k"] <= doc["r"] + doc["lam"]:
-                    bad.append("k: must exceed r + lam")
-            except TypeError:
-                pass
-    if task == "modulus":
-        num("k", lambda v: int(v) == v and v >= 1, "must be a positive integer")
-        num("p", lambda v: v > 0, "must be positive")
-        num("t_grid", lambda v: len(v) > 0 and all(x > 0 for x in v)
-            and list(v) == sorted(v), "must be ascending positive values")
-    for key in ("n_grid",):
-        if key in doc:
-            v = doc[key]
-            if not (isinstance(v, list) and v and
-                    all(isinstance(x, int) and x >= 1 for x in v) and
-                    v == sorted(v)):
-                bad.append(f"{key}: must be an ascending list of integers >= 1")
-    if task == "verify-lemma":
-        if "lemma" in doc and doc["lemma"] not in LEMMA_IDS:
-            bad.append(f"lemma: unknown id {doc['lemma']!r}")
-        num("alpha", lambda v: v > 0, "must be positive")
-        num("p", lambda v: v > 0, "must be positive")
-        if "m" in doc and "n" in doc:
-            try:
-                if not (1 <= doc["m"] < doc["n"]):
-                    bad.append("m, n: need 1 <= m < n")
-            except TypeError:
-                bad.append("m, n: must be integers")
-    if "seed" in doc and not isinstance(doc["seed"], int):
-        bad.append("seed: must be an integer")
-    if "format" in doc and doc["format"] not in ("csv", "json"):
-        bad.append("format: must be 'csv' or 'json'")
+    required, optional, rules = _TASKS[task]
+    allowed = _COMMON_KEYS | required | optional
+    bad = [f"unknown key: {key!r}" for key in sorted(set(doc) - allowed)]
+    bad += [f"missing required key: {key!r}" for key in sorted(required - set(doc))]
+    bad += broken_rules(rules + _RULES, {k: v for k, v in doc.items() if k in allowed})
     if bad:
         raise ConfigError(bad)
     options = {k: v for k, v in doc.items() if k not in _COMMON_KEYS}
     return ExperimentConfig(task=task, options=options, out=doc.get("out"),
-                            format=doc.get("format"), seed=doc.get("seed", 0))
+                            seed=doc.get("seed", 0))
 
 
 def resolve_sequence(spec, seed=0):
@@ -161,15 +127,20 @@ def resolve_sequence(spec, seed=0):
     if isinstance(spec, str):
         with open(spec) as fh:
             spec = json.load(fh)
-    if "head" in spec:
-        return CoefficientSequence.from_json(spec)
+    if not isinstance(spec, dict):
+        raise ConfigError(["sequence: must be an object or a file path"])
     family = spec.get("family")
-    if family == "power_law":
-        return make_power_law(spec.get("c", 1.0), spec["beta"],
-                              spec.get("horizon", 4096))
-    if family == "power_log":
-        return make_power_log(spec.get("c", 1.0), spec["beta"], spec["gamma"],
-                              spec.get("horizon", 4096))
+    try:
+        if "head" in spec:
+            return CoefficientSequence.from_json(spec)
+        if family == "power_law":
+            return make_power_law(spec.get("c", 1.0), spec["beta"],
+                                  spec.get("horizon", HORIZON))
+        if family == "power_log":
+            return make_power_log(spec.get("c", 1.0), spec["beta"], spec["gamma"],
+                                  spec.get("horizon", HORIZON))
+    except KeyError as err:
+        raise ConfigError([f"sequence: missing key {err.args[0]!r}"]) from None
     if family == "random":
         rng = np.random.default_rng(seed)
         return make_random_monotone(rng, spec.get("size", 64),
@@ -180,23 +151,21 @@ def resolve_sequence(spec, seed=0):
 def _phi_from_spec(spec):
     if isinstance(spec, str):
         # compact form: "power:0.25" | "constant:1" | "power_log:0.25,1.5"
-        name, _, args = spec.partition(":")
+        variant, _, args = spec.partition(":")
         vals = [float(x) for x in args.split(",")] if args else []
-        if name == "power":
-            return PhiSpec.power(*vals)
-        if name == "constant":
-            return PhiSpec.constant(*(vals or [1.0]))
-        if name == "power_log":
-            return PhiSpec.power_log(*vals)
-        raise ConfigError([f"phi: unknown variant {name!r}"])
+        names = PHI_ARGS.get(variant, ())
+        if variant in PHI_ARGS and len(vals) > len(names):
+            raise ConfigError([f"phi: {variant} takes at most {len(names)} value(s)"])
+        spec = {"variant": variant, **dict(zip(names, vals))}
+    if not isinstance(spec, dict):
+        raise ConfigError(["phi: must be a string or an object"])
     variant = spec.get("variant")
-    if variant == "power":
-        return PhiSpec.power(spec["alpha"])
-    if variant == "constant":
-        return PhiSpec.constant(spec.get("c", 1.0))
-    if variant == "power_log":
-        return PhiSpec.power_log(spec["alpha"], spec["gamma"])
-    raise ConfigError([f"phi: unknown variant {variant!r}"])
+    if not isinstance(variant, str) or variant not in PHI_ARGS:
+        raise ConfigError([f"phi: unknown variant {variant!r}"])
+    try:
+        return PhiSpec(**spec)
+    except TypeError as err:  # a key PhiSpec does not have, or a non-number
+        raise ConfigError([f"phi: {err}"]) from None
 
 
 def _header_lines(cfg, extra=()):
@@ -257,7 +226,7 @@ def run_experiment(cfg):
 
     if cfg.task == "modulus":
         params = SmoothnessParams(k=opt["k"], p=opt["p"])
-        horizon = opt.get("horizon", min(seq.horizon, 4096))
+        horizon = opt.get("horizon", min(seq.horizon, HORIZON))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
         M = opt.get("M", QuadratureSpec.M if params.p == 2 else grid_size(horizon))
         quad = QuadratureSpec(M=M, H=opt.get("H", QuadratureSpec.H))
@@ -286,11 +255,12 @@ def run_experiment(cfg):
 
     cp = ClassParams(theta=opt["theta"], r=opt["r"], lam=opt["lam"],
                      k=opt["k"], p=opt["p"])
+    direct = {"H": opt["H"]} if "H" in opt else {}
 
     if cfg.task == "seminorm":
         n_grid = opt["n_grid"]
         if opt.get("source", "core") == "direct":
-            source = DirectModulusSource(seq, cp.smoothness, H=opt.get("H", 16))
+            source = DirectModulusSource(seq, cp.smoothness, **direct)
         else:
             source = CoreModulusSource(seq, cp.smoothness)
         values = {"n": list(n_grid), "I": [], "J": [], "K": []}
@@ -302,7 +272,7 @@ def run_experiment(cfg):
         return _write(_out_path(cfg, "seminorm.json"), _json_report(cfg, payload))
 
     if cfg.task == "equivalence":
-        source = DirectModulusSource(seq, cp.smoothness, H=opt.get("H", 16))
+        source = DirectModulusSource(seq, cp.smoothness, **direct)
         rep = equivalence_report(seq, cp, opt["n_grid"], source=source)
         payload = {
             "values": rep["values"],
@@ -332,7 +302,7 @@ def _add_sequence_flags(sub):
     sub.add_argument("--seq", help="sequence JSON file path")
     sub.add_argument("--power-law", nargs=2, type=float, metavar=("C", "BETA"),
                      help="inline power-law family c, beta")
-    sub.add_argument("--horizon", type=int, default=4096)
+    sub.add_argument("--horizon", type=int, default=HORIZON)
 
 
 def _sequence_spec(args):
@@ -370,7 +340,7 @@ def build_parser():
     g.add_argument("--c", type=float, default=1.0)
     g.add_argument("--beta", type=float, default=1.0)
     g.add_argument("--gamma", type=float, default=0.0)
-    g.add_argument("--horizon", type=int, default=4096)
+    g.add_argument("--horizon", type=int, default=HORIZON)
     g.add_argument("--size", type=int, default=64)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
@@ -419,27 +389,12 @@ def build_parser():
 
 
 def _config_from_args(args):
-    doc = {"task": args.task}
-    if args.task == "gen":
-        doc.update(family=args.family, c=args.c, beta=args.beta,
-                   horizon=args.horizon, seed=args.seed)
-        if args.family == "power_log":
-            doc["gamma"] = args.gamma
-        if args.family == "random":
-            doc = {"task": "gen", "family": "random", "size": args.size,
-                   "seed": args.seed}
-    else:
+    """The config document that the flags of a command line stand for."""
+    doc = {key: v for key, v in vars(args).items() if v is not None and key != "config"}
+    if args.task != "gen":
+        for key in ("seq", "power_law", "horizon"):  # _add_sequence_flags
+            doc.pop(key, None)
         doc["sequence"] = _sequence_spec(args)
-        for key in ("k", "p", "theta", "r", "lam", "alpha", "m", "n",
-                    "lemma", "M", "H", "phi", "functional", "source"):
-            if hasattr(args, key) and getattr(args, key) is not None:
-                doc[key] = getattr(args, key)
-        if getattr(args, "t_grid", None) is not None:
-            doc["t_grid"] = args.t_grid
-        if getattr(args, "n_grid", None) is not None:
-            doc["n_grid"] = args.n_grid
-    if getattr(args, "out", None):
-        doc["out"] = args.out
     return doc
 
 
@@ -457,13 +412,13 @@ def main(argv=None):
             return 2
         cfg = parse_config(doc)
         path = run_experiment(cfg)
-    except ConfigError as err:
-        for line in err.violations:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
     except ValueError as err:
-        # a domain condition of the parameters, e.g. n >= 16m or alpha < lam
-        print(f"config error: {' '.join(str(err).split())}", file=sys.stderr)
+        # every violation in a config, or one domain condition of the
+        # parameters, e.g. n >= 16m or alpha < lam
+        lines = err.violations if isinstance(err, ConfigError) \
+            else [" ".join(str(err).split())]
+        for line in lines:
+            print(f"config error: {line}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .sequences import validate_monotone
+from .sequences import check_rules, validate_monotone
 
 LEMMA_IDS = (
     "jensen",
@@ -64,13 +65,16 @@ class HardyParams:
     m: int
     n: int
 
+    RULES = (
+        ("alpha", ("alpha",), lambda v: v > 0, "must be positive"),
+        ("p", ("p",), lambda v: v > 0, "must be positive"),
+        ("m, n", ("m", "n"), lambda m, n: isinstance(m, Integral) and isinstance(n, Integral),
+         "must be integers"),
+        ("m, n", ("m", "n"), lambda m, n: 1 <= m < n, "need 1 <= m < n"),
+    )
+
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
-        if not (1 <= self.m < self.n):
-            raise ValueError("need 1 <= m < n")
+        check_rules(self)
 
 
 @dataclass(frozen=True)

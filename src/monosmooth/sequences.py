@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,37 @@ def _exp_quadrature():
 
 
 _EXP_NODES, _EXP_WEIGHTS = _exp_quadrature()
+
+
+def positive_integer(v):
+    """True for an integer v >= 1; a whole float such as 2.0 counts."""
+    return (isinstance(v, numbers.Integral)
+            or isinstance(v, float) and v.is_integer()) and v >= 1
+
+
+def broken_rules(rules, values):
+    """'label: message' for each row (label, keys, test, message) of rules
+    whose test(*values of keys) is false or raises TypeError; message may
+    hold {} fields for those values.  Rows with a key absent are skipped.
+    """
+    bad = []
+    for label, keys, test, message in rules:
+        if all(key in values for key in keys):
+            args = [values[key] for key in keys]
+            try:
+                ok = test(*args)
+            except TypeError:
+                ok = False
+            if not ok:
+                bad.append(f"{label}: {message.format(*args)}")
+    return bad
+
+
+def check_rules(obj):
+    """Raise one ValueError listing every row of obj.RULES that obj breaks."""
+    bad = broken_rules(obj.RULES, vars(obj))
+    if bad:
+        raise ValueError("; ".join(bad))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import DIVERGENT, WeightedSumSpec, weighted_sum
+from .sequences import (DIVERGENT, WeightedSumSpec, check_rules, positive_integer,
+                        weighted_sum)
 
 NORM_CONVENTION = "Lp integral over [0, 2pi), no 1/(2pi) normalization"
+
+#: rule row (see sequences.broken_rules) for a difference order k
+K_RULE = ("k", ("k",), positive_integer, "must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -25,11 +29,11 @@ class SmoothnessParams:
     k: int
     p: float
 
+    RULES = (K_RULE, ("p", ("p",), lambda p: p > 0, "must be positive"))
+
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("difference order k must be >= 1")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
+        check_rules(self)
+        object.__setattr__(self, "k", int(self.k))  # 2.0 from JSON indexes as 2
 
 
 @dataclass(frozen=True)
@@ -162,10 +166,7 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
     columns 1..horizon are ever written, so its zero padding stays zero.
     The grid values are the irfft's own result, taken to |v|^p in place.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if k < 1:
-        raise ValueError("difference order k must be >= 1")
+    SmoothnessParams(k=k, p=p)  # raises if k or p breaks a rule
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
     out = np.empty(hs.size)

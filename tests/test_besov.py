@@ -82,6 +82,32 @@ def test_class_params_validation():
         ClassParams(theta=1, r=0.5, lam=0.5, k=1, p=2)  # needs k > r + lam
 
 
+def test_class_params_list_every_broken_rule():
+    with pytest.raises(ValueError, match="^k: must be a positive integer$"):
+        ClassParams(theta=1, r=0.5, lam=0.5, k=2.5, p=2)
+    with pytest.raises(ValueError) as err:
+        ClassParams(theta=0, r=0.5, lam=0.5, k=0.5, p=1)
+    assert str(err.value) == ("theta: must be positive; p: must lie in (1, inf); "
+                              "k: must be a positive integer; k: must exceed r + lam")
+    # a whole float order is stored as an int, so it can index and count
+    assert ClassParams(theta=1, r=0.5, lam=0.5, k=2.0, p=2).smoothness.k == 2
+    assert isinstance(SmoothnessParams(k=2.0, p=2).k, int)
+
+
+def test_direct_source_h_rule_and_default():
+    assert DirectModulusSource(make_power_law(1, 2, 8), CP.smoothness).H == 16
+    with pytest.raises(ValueError, match="^H: must be a positive integer$"):
+        DirectModulusSource(make_power_law(1, 2, 8), CP.smoothness, H=0)
+
+
+def test_phi_needs_every_parameter_of_its_variant():
+    with pytest.raises(ValueError, match="^power phi needs alpha$"):
+        PhiSpec(variant="power")
+    with pytest.raises(ValueError, match="^power-log phi needs gamma$"):
+        PhiSpec(variant="power_log", alpha=0.25)
+    assert PhiSpec(variant="constant") == PhiSpec.constant()
+
+
 def test_extrapolated_tail_sum_zeta():
     got = extrapolated_tail_sum(lambda nu: nu.astype(float) ** -2.0, 10)
     want = math.pi ** 2 / 6 - sum(v ** -2.0 for v in range(1, 10))

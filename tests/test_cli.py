@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,10 @@ import pytest
 
 import monosmooth
 from monosmooth.cli import (
+    _TASKS,
     ConfigError,
+    _config_from_args,
+    build_parser,
     main,
     parse_config,
     resolve_sequence,
@@ -197,7 +201,13 @@ def test_exit_code_on_config_error(capsys):
     # a power phi needs alpha < lam
     ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
      "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:0.75"],
-], ids=["lemma-side-condition", "modulus-coarse-M", "membership-alpha-ge-lam"])
+    # a phi missing a parameter is an error, not a silent alpha or gamma = 0
+    ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
+     "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:"],
+    ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
+     "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power_log:0.25"],
+], ids=["lemma-side-condition", "modulus-coarse-M", "membership-alpha-ge-lam",
+        "phi-power-no-alpha", "phi-power-log-no-gamma"])
 def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "report")])
     err = capsys.readouterr().err
@@ -205,6 +215,99 @@ def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "report").exists()
+
+
+_SEMINORM = {"task": "seminorm", "sequence": {"family": "power_law", "beta": 2},
+             "theta": 1, "r": 0.5, "lam": 0.5, "k": 2, "p": 2, "n_grid": [2, 4]}
+_MEMBERSHIP = {**_SEMINORM, "task": "membership", "phi": "power:0.25"}
+_LEMMA = {"task": "verify-lemma", "lemma": "lp_upper",
+          "sequence": {"family": "power_law", "beta": 1, "horizon": 64},
+          "alpha": 1, "lam": 0, "p": 1, "m": 1, "n": 32}
+
+
+@pytest.mark.parametrize("doc, line", [
+    ([1, 2], "config: must be a JSON object"),
+    ({**_MEMBERSHIP, "phi": {"variant": "power"}}, "power phi needs alpha"),
+    ({**_MEMBERSHIP, "phi": {"variant": "power_log", "alpha": 0.25}},
+     "power-log phi needs gamma"),
+    ({**_SEMINORM, "sequence": {"family": "power_law"}}, "sequence: missing key 'beta'"),
+    ({"task": "gen", "family": "power_log", "beta": 2}, "sequence: missing key 'gamma'"),
+    ({**_SEMINORM, "sequence": 3}, "sequence: must be an object or a file path"),
+    ({**_LEMMA, "m": 1.5}, "m, n: must be integers"),
+    ({**_LEMMA, "lemma": "nope"}, "lemma: unknown id 'nope'"),
+    ({**_SEMINORM, "source": "dirct"}, "source: must be 'core' or 'direct'"),
+    ({**_MEMBERSHIP, "functional": "X"}, "functional: must be one of I, J, K"),
+    ({"task": "gen", "family": "random", "format": "csv"}, "unknown key: 'format'"),
+], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma",
+        "family-no-beta", "gen-power-log-no-gamma", "sequence-not-object-or-path",
+        "lemma-m-not-integer", "lemma-unknown-id", "unknown-source",
+        "unknown-functional", "format-key"])
+def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: {line}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_flags_match_the_task_table():
+    # keys with no flag: gen's scale, modulus's series cut horizon, and the
+    # seed of a random sequence outside gen
+    config_only = {"scale", "horizon", "seed"}
+    assert set(_subparsers()) == set(_TASKS)
+    for task, sub in _subparsers().items():
+        required, optional, _ = _TASKS[task]
+        actions = [a for a in sub._actions if a.dest != "help"]
+        dests = {a.dest for a in actions}
+        if task != "gen":
+            # --seq, --power-law and --horizon stand for the one key "sequence"
+            assert {"seq", "power_law", "horizon"} <= dests
+            dests = dests - {"seq", "power_law", "horizon"} | {"sequence"}
+        assert dests | config_only == required | optional | {"out"} | config_only, task
+        # a required flag is a required key, and a required key always lands
+        # in the flag form's document
+        always = {a.dest for a in actions if a.required or a.default is not None}
+        assert {a.dest for a in actions if a.required} <= required, task
+        assert required <= always | {"sequence"}, task
+
+
+def test_flags_become_a_config_document():
+    args = build_parser().parse_args(
+        ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
+         "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:0.25"])
+    assert _config_from_args(args) == {
+        "task": "membership",
+        "sequence": {"family": "power_law", "c": 1.0, "beta": 1.25, "horizon": 4096},
+        "theta": 1.0, "r": 0.5, "lam": 0.5, "k": 2, "p": 2.0, "phi": "power:0.25",
+        "functional": "K"}
+    args = build_parser().parse_args(["gen", "--family", "random", "--size", "8"])
+    assert _config_from_args(args) == {
+        "task": "gen", "family": "random", "c": 1.0, "beta": 1.0, "gamma": 0.0,
+        "horizon": 4096, "size": 8, "seed": 0}
+
+
+def test_whole_float_k_runs_like_integer_k(tmp_path):
+    # JSON may write k = 2 as 2.0; the direct source then indexes with 2
+    doc = {"task": "seminorm",
+           "sequence": {"head": [1.0, 0.5, 0.25, 0.125], "tail": {"variant": "zero"}},
+           "theta": 1, "r": 0.5, "lam": 0.5, "p": 2, "n_grid": [2, 4],
+           "source": "direct"}
+    values = []
+    for k in (2, 2.0):
+        cfg, out = tmp_path / "cfg.json", tmp_path / f"{k}.json"
+        cfg.write_text(json.dumps({**doc, "k": k, "out": str(out)}))
+        assert main(["--config", str(cfg)]) == 0
+        values.append(json.loads(out.read_text())["values"])
+    assert values[0] == values[1]
 
 
 def test_equivalence_past_the_direct_source_cap(tmp_path):

@@ -202,6 +202,13 @@ def test_hardy_params_validation():
         HardyParams(alpha=1, lam=0, p=1, m=3, n=2)
 
 
+def test_hardy_params_need_integer_range():
+    with pytest.raises(ValueError, match="^m, n: must be integers$"):
+        HardyParams(alpha=1, lam=0, p=1, m=1.5, n=4)
+    with pytest.raises(ValueError, match="^alpha: must be positive; m, n: need 1 <= m < n$"):
+        HardyParams(alpha=0, lam=0, p=1, m=4, n=4)
+
+
 def test_brute_force_small_sweep():
     rng = np.random.default_rng(42)
     # 25 draws at m = 1 and n <= 12, then m in {1, 2, 3} at n = 4m, 16m - 1,

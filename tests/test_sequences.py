@@ -13,11 +13,24 @@ from monosmooth.sequences import (
     PowerLogTail,
     WeightedSumSpec,
     ZeroTail,
+    broken_rules,
     make_power_law,
     make_power_log,
     validate_monotone,
     weighted_sum,
 )
+
+
+def test_broken_rules_lists_every_row_with_its_keys_present():
+    rules = (("a", ("a",), lambda v: v > 0, "must be positive"),
+             ("b", ("b",), lambda v: v > 0, "must be positive"),
+             ("a", ("a", "c"), lambda a, c: a < c, "must be below c"),
+             ("d", ("d",), lambda v: v in ("x",), "unknown id {!r}"))
+    # c is missing, so its row is skipped; "x" > 0 raises TypeError, so b breaks
+    assert broken_rules(rules, {"a": -1, "b": "x", "d": "y"}) == [
+        "a: must be positive", "b: must be positive", "d: unknown id 'y'"]
+    assert broken_rules(rules, {"a": 1, "c": 0}) == ["a: must be below c"]
+    assert broken_rules(rules, {}) == []
 
 
 def test_make_power_law_basic():
