@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .sequences import (
     make_power_law,
     make_power_log,
     make_random_monotone,
+    positive_integer,
 )
 from .smoothness import (
     NORM_CONVENTION,
@@ -55,7 +57,7 @@ _CLASS_KEYS = {"sequence", "theta", "r", "lam", "k", "p"}
 _TASKS = {
     "gen": ({"family"}, {"c", "beta", "gamma", "horizon", "size", "scale"}, ()),
     "modulus": ({"sequence", "k", "p", "t_grid"}, {"M", "H", "horizon"},
-                SmoothnessParams.RULES),
+                SmoothnessParams.RULES + QuadratureSpec.RULES),
     "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source", "H"},
                  ClassParams.RULES + DirectModulusSource.RULES),
     "verify-lemma": ({"lemma", "sequence", "alpha", "lam", "p", "m", "n"}, set(),
@@ -64,8 +66,16 @@ _TASKS = {
                     ClassParams.RULES + DirectModulusSource.RULES),
     "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ClassParams.RULES),
 }
+#: rules on the keys of a family sequence (gen's keys, or a "sequence"
+#: object); horizon is also modulus's series cut
+_SEQUENCE_RULES = tuple(
+    (key, (key,), lambda v: isinstance(v, Real), "must be a real number")
+    for key in ("c", "beta", "gamma", "scale")
+) + tuple(
+    (key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")
+)
 #: rules on the keys that only the CLI reads
-_RULES = (
+_RULES = _SEQUENCE_RULES + (
     ("n_grid", ("n_grid",),
      lambda v: isinstance(v, list) and v and all(isinstance(x, int) and x >= 1 for x in v)
      and v == sorted(v),
@@ -129,21 +139,23 @@ def resolve_sequence(spec, seed=0):
             spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ConfigError(["sequence: must be an object or a file path"])
+    bad = broken_rules(_SEQUENCE_RULES, spec)
+    if bad:
+        raise ConfigError([f"sequence: {line}" for line in bad])
     family = spec.get("family")
+    horizon = int(spec.get("horizon", HORIZON))
     try:
         if "head" in spec:
             return CoefficientSequence.from_json(spec)
         if family == "power_law":
-            return make_power_law(spec.get("c", 1.0), spec["beta"],
-                                  spec.get("horizon", HORIZON))
+            return make_power_law(spec.get("c", 1.0), spec["beta"], horizon)
         if family == "power_log":
-            return make_power_log(spec.get("c", 1.0), spec["beta"], spec["gamma"],
-                                  spec.get("horizon", HORIZON))
+            return make_power_log(spec.get("c", 1.0), spec["beta"], spec["gamma"], horizon)
     except KeyError as err:
         raise ConfigError([f"sequence: missing key {err.args[0]!r}"]) from None
     if family == "random":
         rng = np.random.default_rng(seed)
-        return make_random_monotone(rng, spec.get("size", 64),
+        return make_random_monotone(rng, int(spec.get("size", 64)),
                                     scale=spec.get("scale", 1.0))
     raise ConfigError([f"sequence: unknown family {family!r}"])
 
@@ -226,7 +238,7 @@ def run_experiment(cfg):
 
     if cfg.task == "modulus":
         params = SmoothnessParams(k=opt["k"], p=opt["p"])
-        horizon = opt.get("horizon", min(seq.horizon, HORIZON))
+        horizon = int(opt.get("horizon", min(seq.horizon, HORIZON)))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
         M = opt.get("M", QuadratureSpec.M if params.p == 2 else grid_size(horizon))
         quad = QuadratureSpec(M=M, H=opt.get("H", QuadratureSpec.H))

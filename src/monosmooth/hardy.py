@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class HardyParams:
 
     RULES = (
         ("alpha", ("alpha",), lambda v: v > 0, "must be positive"),
+        ("lam", ("lam",), lambda v: isinstance(v, Real), "must be a real number"),
         ("p", ("p",), lambda v: v > 0, "must be positive"),
         ("m, n", ("m", "n"), lambda m, n: isinstance(m, Integral) and isinstance(n, Integral),
          "must be integers"),
@@ -125,21 +126,66 @@ def inner_tail(seq, lam, mu, n):
     return float(np.sum(seq.values(mu, n) * nu ** lam))
 
 
-def _sides(lemma_id, seq, hp):
-    """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p."""
+def _sides(lemma_id, a, hp, power):
+    """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p, where a
+    holds a_1 .. a_N and power(x) holds nu^x for nu = 1 .. N, N >= hp.n."""
     inner, lo, hi, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
     p, m, n = hp.p, hp.m, hp.n
     if n < c * m:
         raise ValueError(f"{lemma_id} with p {'>=' if p >= 1 else '<'} 1 needs n >= {c}m")
     lo, hi = lo * m or 1, hi * m or 1
-    nu = np.arange(1, n + 1, dtype=float)
-    a = seq.values(1, n)
-    w = a[lo - 1:] * nu[lo - 1:] ** hp.lam  # summands of the inner sums
+    w = a[lo - 1:n] * power(hp.lam)[lo - 1:n]  # summands of the inner sums
     sums = np.cumsum(w[::-1])[::-1] if inner == "tail" else np.cumsum(w)
-    weight = nu ** (hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)
-    point = (a[hi - 1:] * nu[hi - 1:] ** (hp.lam + 1)) ** p
+    weight = power(hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)[:n]
+    point = (a[hi - 1:n] * power(hp.lam + 1)[hi - 1:n]) ** p
     lhs = float(np.sum(weight[lo - 1:] * sums ** p))
     return lhs, float(np.sum(weight[hi - 1:] * point))
+
+
+def _sweep(lemma_id, cases, jensen_exponents=None):
+    """evaluate(seq, hp) -> RatioReport for the (seq, hp) pairs of cases.
+
+    The evaluations share one table of nu^x over nu = 1 .. max n, one
+    values() read and one monotonicity check per sequence object; all
+    three live as long as evaluate.  A rejected case raises ValueError.
+    """
+    top = {}  # id(seq) -> largest n asked of it
+    for seq, hp in cases:
+        top[id(seq)] = max(top.get(id(seq), 0), hp.n)
+    nu = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
+    powers, heads, monotone = {}, {}, {}
+
+    def power(x):
+        if x not in powers:
+            powers[x] = nu ** x
+        return powers[x]
+
+    def head(seq):
+        if id(seq) not in heads:
+            heads[id(seq)] = seq.values(1, top[id(seq)])
+        return heads[id(seq)]
+
+    def evaluate(seq, hp):
+        if lemma_id not in LEMMA_IDS:
+            raise ValueError(f"unknown lemma id: {lemma_id!r}")
+        if lemma_id == "jensen":
+            lo, hi = jensen_exponents if jensen_exponents else (1.0, 2.0)
+            if not 0 < lo < hi:
+                raise ValueError("jensen needs exponents 0 < alpha < beta")
+            a = head(seq)[:hp.n]
+            lhs = float(np.sum(a ** hi) ** (1.0 / hi))
+            rhs = float(np.sum(a ** lo) ** (1.0 / lo))
+            return _report(lemma_id, lhs, rhs, "upper")
+        if lemma_id in _MONOTONE:
+            if id(seq) not in monotone:
+                monotone[id(seq)] = validate_monotone(seq)
+            res = monotone[id(seq)]
+            if not res.ok:
+                raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
+        lhs, rhs = _sides(lemma_id, head(seq), hp, power)
+        return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
+
+    return evaluate
 
 
 def hardy_tail_pair(seq, hp):
@@ -148,7 +194,8 @@ def hardy_tail_pair(seq, hp):
     lhs = sum_{mu=m}^{n} mu^{a-1} (sum_{nu=mu}^{n} a_nu nu^l)^p,
     rhs = sum_{mu=m}^{n} mu^{a-1} (a_mu mu^{l+1})^p.
     """
-    return _sides("lp_upper", seq, hp)
+    r = verify_lemma("lp_upper", seq, hp)
+    return r.lhs, r.rhs
 
 
 def hardy_head_pair(seq, hp):
@@ -157,33 +204,19 @@ def hardy_head_pair(seq, hp):
     lhs = sum_{mu=m}^{n} mu^{-a-1} (sum_{nu=m}^{mu} a_nu nu^l)^p,
     rhs = sum_{mu=m}^{n} mu^{-a-1} (a_mu mu^{l+1})^p.
     """
-    return _sides("lp_lower", seq, hp)
+    r = verify_lemma("lp_lower", seq, hp)
+    return r.lhs, r.rhs
 
 
 def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):
     """Evaluate one inequality instance and return its RatioReport.
 
     Side conditions (n >= c m for the converse bounds, monotone
-    sequences where required) are rejected before evaluation.
+    sequences where required) are rejected before evaluation.  This is
+    a sweep of one case: estimate_constant evaluates each of its cases
+    the same way.
     """
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma id: {lemma_id!r}")
-
-    if lemma_id == "jensen":
-        lo, hi = jensen_exponents if jensen_exponents else (1.0, 2.0)
-        if not 0 < lo < hi:
-            raise ValueError("jensen needs exponents 0 < alpha < beta")
-        a = seq.values(1, hp.n)
-        lhs = float(np.sum(a ** hi) ** (1.0 / hi))
-        rhs = float(np.sum(a ** lo) ** (1.0 / lo))
-        return _report(lemma_id, lhs, rhs, "upper")
-
-    if lemma_id in _MONOTONE:
-        res = validate_monotone(seq)
-        if not res.ok:
-            raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
-    lhs, rhs = _sides(lemma_id, seq, hp)
-    return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
+    return _sweep(lemma_id, [(seq, hp)], jensen_exponents)(seq, hp)
 
 
 def _report(lemma_id, lhs, rhs, bound):
@@ -194,15 +227,18 @@ def _report(lemma_id, lhs, rhs, bound):
 
 
 def estimate_constant(lemma_id, cases, jensen_exponents=None):
-    """Sweep verify_lemma over (seq, hp) cases and collect ratio statistics.
+    """Evaluate lemma_id on every (seq, hp) case, as verify_lemma would, and
+    collect ratio statistics.
 
     Cases whose ratio is undefined (rhs = 0) or whose side conditions
     fail are counted as skipped.
     """
+    cases = list(cases)
+    evaluate = _sweep(lemma_id, cases, jensen_exponents)
     report = SweepReport(lemma_id=lemma_id, bound="")
     for seq, hp in cases:
         try:
-            r = verify_lemma(lemma_id, seq, hp, jensen_exponents=jensen_exponents)
+            r = evaluate(seq, hp)
         except ValueError:
             report.skipped += 1
             continue

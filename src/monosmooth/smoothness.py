@@ -43,11 +43,16 @@ class QuadratureSpec:
     M: int = 8192
     H: int = 64
 
+    RULES = (
+        ("M", ("M",), lambda M: positive_integer(M) and M >= 2 and not int(M) & (int(M) - 1),
+         "must be a power of two"),
+        ("H", ("H",), lambda H: positive_integer(H) and H >= 16, "must be an integer >= 16"),
+    )
+
     def __post_init__(self):
-        if self.M < 2 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of two")
-        if self.H < 16:
-            raise ValueError("H must be >= 16")
+        check_rules(self)
+        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "H", int(self.H))
 
 
 def synthesize(seq, horizon, x):

@@ -223,6 +223,8 @@ _MEMBERSHIP = {**_SEMINORM, "task": "membership", "phi": "power:0.25"}
 _LEMMA = {"task": "verify-lemma", "lemma": "lp_upper",
           "sequence": {"family": "power_law", "beta": 1, "horizon": 64},
           "alpha": 1, "lam": 0, "p": 1, "m": 1, "n": 32}
+_MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
+            "k": 2, "p": 2, "t_grid": [0.25]}
 
 
 @pytest.mark.parametrize("doc, line", [
@@ -238,10 +240,25 @@ _LEMMA = {"task": "verify-lemma", "lemma": "lp_upper",
     ({**_SEMINORM, "source": "dirct"}, "source: must be 'core' or 'direct'"),
     ({**_MEMBERSHIP, "functional": "X"}, "functional: must be one of I, J, K"),
     ({"task": "gen", "family": "random", "format": "csv"}, "unknown key: 'format'"),
+    ({"task": "gen", "family": "power_law", "beta": "x"}, "beta: must be a real number"),
+    ({"task": "gen", "family": "power_law", "beta": 1, "c": "x"}, "c: must be a real number"),
+    ({"task": "gen", "family": "power_log", "beta": 2, "gamma": "x"},
+     "gamma: must be a real number"),
+    ({"task": "gen", "family": "power_law", "beta": 1, "horizon": "x"},
+     "horizon: must be a positive integer"),
+    ({"task": "gen", "family": "random", "size": "x"}, "size: must be a positive integer"),
+    ({"task": "gen", "family": "random", "scale": "x"}, "scale: must be a real number"),
+    ({**_LEMMA, "lam": "x"}, "lam: must be a real number"),
+    ({**_MODULUS, "M": "x"}, "M: must be a power of two"),
+    ({**_MODULUS, "horizon": "x"}, "horizon: must be a positive integer"),
+    ({**_SEMINORM, "sequence": {"family": "power_law", "beta": "x"}},
+     "sequence: beta: must be a real number"),
 ], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma",
         "family-no-beta", "gen-power-log-no-gamma", "sequence-not-object-or-path",
         "lemma-m-not-integer", "lemma-unknown-id", "unknown-source",
-        "unknown-functional", "format-key"])
+        "unknown-functional", "format-key", "gen-beta", "gen-c", "gen-gamma",
+        "gen-horizon", "gen-size", "gen-scale", "lemma-lam", "modulus-M",
+        "modulus-horizon", "sequence-beta"])
 def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from monosmooth import hardy
 from monosmooth.hardy import (
     LEMMA_IDS,
     HardyParams,
@@ -14,7 +15,7 @@ from monosmooth.hardy import (
     inner_tail,
     verify_lemma,
 )
-from monosmooth.sequences import CoefficientSequence, make_power_law
+from monosmooth.sequences import CoefficientSequence, make_power_law, make_random_monotone
 
 
 # --- independent naive oracles: literal nested loops, no shared code ---
@@ -263,6 +264,71 @@ def test_estimate_constant_all_zero_skipped():
     rep = estimate_constant("lp_upper", [(seq, hp)] * 3)
     assert rep.count == 0
     assert rep.skipped == 3
+
+
+def _loop(lemma, cases):
+    """Ratios, skipped count and bound of verify_lemma run case by case."""
+    ratios, skipped, bound = [], 0, ""
+    for seq, hp in cases:
+        try:
+            r = verify_lemma(lemma, seq, hp)
+        except ValueError:
+            skipped += 1
+            continue
+        bound = r.bound
+        if r.ratio is None:
+            skipped += 1
+        else:
+            ratios.append(r.ratio)
+    return ratios, skipped, bound
+
+
+def test_sweep_equals_its_cases():
+    power = make_power_law(1, 1.25, 256)  # n = 512 reads its tail
+    copy = make_power_law(1, 1.25, 256)
+    assert copy == power and copy is not power
+    rand = make_random_monotone(np.random.default_rng(7), 512)
+    rising = CoefficientSequence(tuple(np.linspace(0.1, 1.0, 512)))
+    seqs = [power, rand, power, copy, rising, power]
+    cases = [(seq, HardyParams(alpha=alpha, lam=lam, p=p, m=m, n=n))
+             for p in (0.5, 1.0, 1.5, 2.0)
+             for alpha, lam in ((1.0, 0.0), (0.5, -0.25))
+             for n in (64, 512, 256)
+             for m in (1, n // 8)
+             for seq in seqs]
+    for lemma in LEMMA_IDS:
+        want = _loop(lemma, cases)
+        for given_cases in (cases, (case for case in cases)):
+            rep = estimate_constant(lemma, given_cases)
+            assert (rep.ratios, rep.skipped, rep.bound) == want, lemma
+        if lemma in hardy._MONOTONE:
+            assert estimate_constant(
+                lemma, [(rising, HardyParams(alpha=1, lam=0, p=1, m=1, n=64))]).skipped == 1
+    # m = n/8 breaks n >= 16m for the p >= 1 converse upper bound
+    assert _loop("lp_converse_upper", cases)[1] > 0
+    with pytest.raises(ValueError, match="^estimate_constant needs at least one case$"):
+        estimate_constant("lp_upper", [])
+    with pytest.raises(ValueError, match="^estimate_constant needs at least one case$"):
+        estimate_constant("lp_upper", iter(()))
+
+
+def test_sweep_keeps_no_state():
+    seq = make_power_law(1, 1.5, 512)
+    first = [(seq, HardyParams(alpha=1.0, lam=0.0, p=2, m=1, n=n)) for n in (64, 512)]
+    second = [(seq, HardyParams(alpha=0.5, lam=0.25, p=2, m=1, n=n)) for n in (128, 512)]
+    before = {k: (v, repr(v)) for k, v in vars(hardy).items() if not k.startswith("__")}
+
+    def run(cases):
+        rep = estimate_constant("lp_complete_tail", cases)
+        return rep.ratios, rep.skipped, rep.bound
+
+    a1, b1 = run(first), run(second)
+    b2, a2 = run(second), run(first)
+    assert (a1, b1) == (a2, b2)
+    after = {k: v for k, v in vars(hardy).items() if not k.startswith("__")}
+    assert after.keys() == before.keys()
+    for key, (value, text) in before.items():
+        assert after[key] is value and repr(after[key]) == text, key
 
 
 def test_zero_rhs_violation_flag():
