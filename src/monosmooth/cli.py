@@ -67,12 +67,17 @@ _TASKS = {
     "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ClassParams.RULES),
 }
 #: rules on the keys of a family sequence (gen's keys, or a "sequence"
-#: object); horizon is also modulus's series cut
+#: object, or the tail object of a sequence with a head); horizon is also
+#: modulus's series cut
 _SEQUENCE_RULES = tuple(
     (key, (key,), lambda v: isinstance(v, Real), "must be a real number")
     for key in ("c", "beta", "gamma", "scale")
 ) + tuple(
     (key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")
+) + (
+    ("head", ("head",), lambda v: isinstance(v, list) and all(isinstance(x, Real) for x in v),
+     "must be a list of real numbers"),
+    ("tail", ("tail",), lambda v: isinstance(v, dict), "must be an object"),
 )
 #: rules on the keys that only the CLI reads
 _RULES = _SEQUENCE_RULES + (
@@ -140,6 +145,8 @@ def resolve_sequence(spec, seed=0):
     if not isinstance(spec, dict):
         raise ConfigError(["sequence: must be an object or a file path"])
     bad = broken_rules(_SEQUENCE_RULES, spec)
+    if isinstance(spec.get("tail"), dict):
+        bad += [f"tail: {line}" for line in broken_rules(_SEQUENCE_RULES, spec["tail"])]
     if bad:
         raise ConfigError([f"sequence: {line}" for line in bad])
     family = spec.get("family")

@@ -125,6 +125,20 @@ def test_modulus_grid_sized_from_horizon(tmp_path):
     assert len(rows) == 2 and all(float(r.split(",")[1]) > 0 for r in rows)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("p", ["1", "3"])
+def test_modulus_report_matches_golden(p, tmp_path):
+    # the README sequence; the reports were written before modulus_direct
+    # skipped shifts by their bounds, so skipping must not move a digit
+    out = tmp_path / "mod.csv"
+    rc = main(["modulus", "--power-law", "1", "2", "--k", "2", "--p", p,
+               "--t-grid", "0.001,0.015625,0.125,0.5,2", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"modulus_p{p}.csv").read_bytes()
+
+
 def test_seminorm_direct_p3(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"head": [1.0, 0.5, 0.25, 0.125, 0.0625],
@@ -253,12 +267,20 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_MODULUS, "horizon": "x"}, "horizon: must be a positive integer"),
     ({**_SEMINORM, "sequence": {"family": "power_law", "beta": "x"}},
      "sequence: beta: must be a real number"),
+    ({**_SEMINORM, "sequence": {"head": [1, 0.5], "tail": "x"}},
+     "sequence: tail: must be an object"),
+    ({**_SEMINORM, "sequence": {"head": [1, 0.5],
+                                "tail": {"variant": "power_law", "c": "x", "beta": 2}}},
+     "sequence: tail: c: must be a real number"),
+    ({**_SEMINORM, "sequence": {"head": 3, "tail": {"variant": "zero"}}},
+     "sequence: head: must be a list of real numbers"),
 ], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma",
         "family-no-beta", "gen-power-log-no-gamma", "sequence-not-object-or-path",
         "lemma-m-not-integer", "lemma-unknown-id", "unknown-source",
         "unknown-functional", "format-key", "gen-beta", "gen-c", "gen-gamma",
         "gen-horizon", "gen-size", "gen-scale", "lemma-lam", "modulus-M",
-        "modulus-horizon", "sequence-beta"])
+        "modulus-horizon", "sequence-beta", "sequence-tail-not-object",
+        "sequence-tail-c", "sequence-head-not-list"])
 def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"

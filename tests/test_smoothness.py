@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from monosmooth import smoothness
-from monosmooth.sequences import CoefficientSequence, DIVERGENT, make_power_law
+from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
+                                  make_random_monotone)
 from monosmooth.smoothness import (
     QuadratureSpec,
     SmoothnessParams,
@@ -147,10 +148,86 @@ def test_half_angles_match_direct_trig(n):
 
 def test_huge_integer_p_uses_pow():
     # p = 10**9 would never finish if integer powers were taken by repeated
-    # multiplication; every |v|^p underflows, so the norm is exactly zero
+    # multiplication.  Every |v|^p underflows, so each row is divided by its
+    # max first; the norm is then the grid max times (2pi/M count)^(1/p),
+    # count being the points at the max, which is the max to within 4e-9
     seq = CoefficientSequence((1e-3, 5e-4))
-    got = difference_norms(seq, 2, 1, [0.5, 1.0], 10 ** 9, QuadratureSpec(M=256))
-    assert np.all(got == 0.0)
+    hs = [0.5, 1.0]
+    got = difference_norms(seq, 2, 1, hs, 10 ** 9, QuadratureSpec(M=256))
+    xs = np.arange(256) * (2 * math.pi / 256)
+    for h, norm in zip(hs, got):
+        top = np.abs(k_difference(seq, 2, 1, h, xs)).max()
+        assert norm == pytest.approx(top, rel=1e-8)
+
+
+@pytest.mark.parametrize("c, p, k", [(2.0, 400.0, 3), (0.01, 200.0, 1), (1e-200, 4.0, 2)])
+def test_grid_norm_scales_rows_out_of_float_range(c, p, k):
+    # |v|^p overflows at c = 2, p = 400 and underflows at the other two;
+    # such a row is divided by its max, which gives the scaled reference
+    seq = make_power_law(c, 2, 100)
+    hs = np.array([1.0, 2.0])
+    xs = np.arange(256) * (2 * math.pi / 256)
+    with np.errstate(over="raise", invalid="raise"):
+        got = difference_norms(seq, 100, k, hs, p, QuadratureSpec(M=256))
+    for h, norm in zip(hs, got):
+        vals = np.abs(k_difference(seq, 100, k, h, xs))
+        top = vals.max()
+        want = top * (np.sum((vals / top) ** p) * (2 * math.pi / 256)) ** (1 / p)
+        assert norm == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _shifts(t, H):
+    return t * np.arange(1, H + 1, dtype=float) / H
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 64.0])
+def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
+    # three shifts per chunk, so the visited shifts span several chunks; at
+    # t = 3 and 6 the largest norm lies inside the shift range, not at h = t.
+    # On the grid at p = 2 the bound is the norm itself, up to rounding.
+    monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 1024)
+    quad = QuadratureSpec(M=1024, H=64)
+    big = make_power_law(1, 2, 300)
+    tiny = CoefficientSequence(tuple(1e-200 * np.array(big.head)))
+    for seq in (big, tiny):
+        for t in (0.05, 0.5, 2.0, 3.0, 6.0):
+            want = np.max(difference_norms(seq, 300, k, _shifts(t, 64), p, quad, "grid"))
+            got = modulus_direct(seq, 300, SmoothnessParams(k, p), t, quad, "grid")
+            assert got == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_norms_within_their_bounds(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 200))
+    seq = make_random_monotone(rng, size, scale=float(rng.uniform(0.1, 10)))
+    quad = QuadratureSpec(M=grid_size(size) // 16)
+    hs = rng.uniform(0.001, 2 * math.pi, size=32)
+    for k in (1, 2, 3):
+        for p in (0.5, 1.0, 1.5, 3.0, 4.0, 64.0):
+            norms = difference_norms(seq, size, k, hs, p, quad)
+            bounds = smoothness._norm_bounds(hs, seq.values(1, size), k, p)
+            assert np.all(norms <= bounds), (k, p)
+
+
+def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
+    # at h = t the norm is largest; the others' bounds fall below it fast
+    sent = []
+    grid_sums = smoothness._grid_sums
+
+    def counting(hs, *args):
+        sent.append(hs.size)
+        return grid_sums(hs, *args)
+
+    monkeypatch.setattr(smoothness, "_grid_sums", counting)
+    seq = make_power_law(1, 2, 4096)
+    quad = QuadratureSpec(M=16384, H=64)
+    got = modulus_direct(seq, 4096, SmoothnessParams(2, 3), 1 / 64, quad)
+    assert sum(sent) <= 16
+    assert sent[0] == 1  # the top shift goes alone
+    want = np.max(difference_norms(seq, 4096, 2, _shifts(1 / 64, 64), 3, quad))
+    assert got == want
 
 
 def test_grid_size():
