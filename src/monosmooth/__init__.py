@@ -23,19 +23,14 @@ from .hardy import (
     RatioReport,
     SweepReport,
     estimate_constant,
-    hardy_head_pair,
-    hardy_tail_pair,
-    inner_tail,
     verify_lemma,
 )
 from .smoothness import (
     QuadratureSpec,
     SmoothnessParams,
     bound_core,
-    k_difference,
     lp_norm,
     modulus_direct,
-    synthesize,
 )
 from .besov import (
     ClassParams,
@@ -49,5 +44,4 @@ from .besov import (
     integral_seminorm,
     membership_test,
     phi_eval,
-    phi_validate,
 )

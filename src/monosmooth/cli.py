@@ -191,7 +191,7 @@ def _header_lines(cfg, extra=()):
     lines = [
         f"# monosmooth {__version__}",
         f"# norm: {NORM_CONVENTION}",
-        "# tail rule: integral-comparison remainder, power-fit extrapolation",
+        "# tail rule: integral-comparison remainder, tail-model closure",
     ]
     lines.extend(f"# {line}" for line in extra)
     return lines
@@ -311,6 +311,8 @@ def run_experiment(cfg):
             "ratios": rep.ratios,
             "sup_ratio": rep.sup_ratio,
             "verdict": rep.verdict,
+            "grid_verdict": rep.grid_verdict,
+            "grid_disagrees": rep.grid_disagrees,
         }
         return _write(_out_path(cfg, "membership.json"), _json_report(cfg, payload))
 

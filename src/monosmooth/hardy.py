@@ -118,14 +118,6 @@ class SweepReport:
         return self.ratio_max / self.ratio_min
 
 
-def inner_tail(seq, lam, mu, n):
-    """sum_{nu=mu}^{n} a_nu nu^lam."""
-    if not (1 <= mu <= n):
-        raise ValueError("need 1 <= mu <= n")
-    nu = np.arange(mu, n + 1, dtype=float)
-    return float(np.sum(seq.values(mu, n) * nu ** lam))
-
-
 def _sides(lemma_id, a, hp, power):
     """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p, where a
     holds a_1 .. a_N and power(x) holds nu^x for nu = 1 .. N, N >= hp.n."""
@@ -186,26 +178,6 @@ def _sweep(lemma_id, cases, jensen_exponents=None):
         return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
 
     return evaluate
-
-
-def hardy_tail_pair(seq, hp):
-    """Both sides of the tail-type comparison on [m, n].
-
-    lhs = sum_{mu=m}^{n} mu^{a-1} (sum_{nu=mu}^{n} a_nu nu^l)^p,
-    rhs = sum_{mu=m}^{n} mu^{a-1} (a_mu mu^{l+1})^p.
-    """
-    r = verify_lemma("lp_upper", seq, hp)
-    return r.lhs, r.rhs
-
-
-def hardy_head_pair(seq, hp):
-    """Both sides of the head-type comparison on [m, n].
-
-    lhs = sum_{mu=m}^{n} mu^{-a-1} (sum_{nu=m}^{mu} a_nu nu^l)^p,
-    rhs = sum_{mu=m}^{n} mu^{-a-1} (a_mu mu^{l+1})^p.
-    """
-    r = verify_lemma("lp_lower", seq, hp)
-    return r.lhs, r.rhs
 
 
 def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):

@@ -55,25 +55,6 @@ class QuadratureSpec:
         object.__setattr__(self, "H", int(self.H))
 
 
-def synthesize(seq, horizon, x):
-    """Partial cosine series sum_{nu=1}^{horizon} a_nu cos(nu x)."""
-    a = seq.values(1, horizon)
-    nu = np.arange(1, horizon + 1, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.cos(np.multiply.outer(x, nu)) @ a
-
-
-def k_difference(seq, horizon, k, h, x):
-    """k-th difference: sum_{j=0}^{k} (-1)^(k-j) C(k,j) f(x + j h)."""
-    if k < 1:
-        raise ValueError("difference order k must be >= 1")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=float)
-    for j in range(k + 1):
-        out += (-1) ** (k - j) * math.comb(k, j) * synthesize(seq, horizon, x + j * h)
-    return out if out.shape else float(out)
-
-
 #: elements per work buffer (shifts x harmonics or grid points): 2^17
 #: doubles are 1 MB, so a chunk's buffers stay within a 2 MB L2 cache
 CHUNK_ELEMENTS = 2 ** 17
@@ -88,7 +69,7 @@ def grid_size(horizon):
     return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
 
 
-def _half_angles(hs, n, out=None):
+def _half_angles(hs, n, out=None, cos=True):
     """sin(nu h/2) and cos(nu h/2) for h in the array hs, nu = 1..n, each
     of shape (hs.size, n).
 
@@ -96,6 +77,7 @@ def _half_angles(hs, n, out=None):
     combines the coarse angles B j h/2 with the fine angles i h/2, so a
     shift takes 2 (n/B + B) trig calls instead of n.  out: two float
     buffers of at least hs.size * B * ceil(n/B) elements, written over.
+    Without cos the second array is left unwritten, a scratch buffer.
     """
     block = min(_BLOCK, n)
     blocks = -(-n // block)
@@ -109,7 +91,8 @@ def _half_angles(hs, n, out=None):
     fine = np.stack([np.cos(fine), np.sin(fine)], axis=1)
     # sin(x + y) = sin x cos y + cos x sin y, cos(x + y) = cos x cos y - sin x sin y
     np.matmul(np.stack([sc, cc], axis=2), fine, out=s)
-    np.matmul(np.stack([cc, -sc], axis=2), fine, out=c)
+    if cos:
+        np.matmul(np.stack([cc, -sc], axis=2), fine, out=c)
     return s.reshape(hs.size, -1)[:, :n], c.reshape(hs.size, -1)[:, :n]
 
 
@@ -131,7 +114,7 @@ def _parseval_sums(hs, a, k, sup=False):
     out = np.empty((1 + sup, hs.size))
     for lo in range(0, hs.size, rows):
         sl = slice(lo, lo + rows)
-        s, c = _half_angles(hs[sl], n, halves)
+        s, c = _half_angles(hs[sl], n, halves, cos=False)
         np.square(s, out=s)
         if k > 1:
             np.copyto(c, s)

@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from monosmooth.besov import (
-    DIVERGENCE_FRACTION,
     Band,
     ClassParams,
     CoreModulusSource,
     DirectModulusSource,
     MembershipReport,
-    NU_CAP,
     PhiSpec,
     coefficient_functional,
     discrete_seminorm,
     equivalence_report,
-    extrapolated_tail_sum,
     integral_seminorm,
     membership_test,
     phi_eval,
-    phi_validate,
     _OmegaTable,
 )
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
@@ -41,6 +37,20 @@ class FakeSource(_OmegaTable):
 
     def _fill(self, top):
         return np.arange(1, top + 1, dtype=float) ** -self.decay
+
+
+def phi_validate(phi, grid):
+    """Empirical almost-increasing and doubling constants of phi.
+
+    C1 = max over grid pairs d1 <= d2 of phi(d1)/phi(d2);
+    C2 = max over the grid of phi(2 d)/phi(d), for grid in (0, 1/2].
+    """
+    grid = np.sort(np.asarray(grid, dtype=float))
+    v = np.atleast_1d(phi_eval(phi, grid))
+    run_max = np.maximum.accumulate(v)
+    c1 = float(np.max(run_max / v))
+    doubled = np.atleast_1d(phi_eval(phi, np.minimum(2.0 * grid, 1.0 - 1e-12)))
+    return c1, float(np.max(doubled / v))
 
 
 def test_phi_power_value():
@@ -106,33 +116,6 @@ def test_phi_needs_every_parameter_of_its_variant():
     with pytest.raises(ValueError, match="^power-log phi needs gamma$"):
         PhiSpec(variant="power_log", alpha=0.25)
     assert PhiSpec(variant="constant") == PhiSpec.constant()
-
-
-def test_extrapolated_tail_sum_zeta():
-    got = extrapolated_tail_sum(lambda nu: nu.astype(float) ** -2.0, 10)
-    want = math.pi ** 2 / 6 - sum(v ** -2.0 for v in range(1, 10))
-    assert got == pytest.approx(want, rel=1e-4)
-
-
-def test_extrapolated_tail_sum_divergent():
-    assert extrapolated_tail_sum(
-        lambda nu: nu.astype(float) ** -1.0, 1) == DIVERGENT
-    assert 0 < DIVERGENCE_FRACTION < 1
-
-
-def test_extrapolated_tail_sum_zero_terms():
-    got = extrapolated_tail_sum(lambda nu: np.zeros(len(nu)), 5)
-    assert got == 0.0
-
-
-def test_extrapolated_tail_sum_start_past_cap():
-    # the cap doubles to 128: one block [100, 128) and its fitted remainder
-    got = extrapolated_tail_sum(lambda nu: nu.astype(float) ** -2.0, 100, cap=64)
-    want = math.pi ** 2 / 6 - sum(v ** -2.0 for v in range(1, 100))
-    assert got == pytest.approx(want, rel=1e-2)
-    # a start below the cap keeps the old rule: one term, no fitted exponent
-    assert extrapolated_tail_sum(lambda nu: nu.astype(float) ** -5.0, 63,
-                                 cap=64) == DIVERGENT
 
 
 def test_coefficient_functional_zero():
@@ -226,6 +209,14 @@ def test_integral_seminorm_zero():
     assert integral_seminorm(None, CP, 0.3, src) > 0
 
 
+def test_seminorms_of_the_zero_sequence():
+    zero = CoefficientSequence((0.0, 0.0))
+    for src in (CoreModulusSource(zero, CP.smoothness),
+                DirectModulusSource(zero, CP.smoothness, H=4, nu_cap=64)):
+        assert discrete_seminorm(zero, CP, 4, src) == 0.0
+        assert integral_seminorm(zero, CP, 0.2, src) == 0.0
+
+
 def test_integral_seminorm_ratio_to_closed_form_stabilizes():
     # synthetic omega(t) = t^2 with theta=1, r=0.5, lam=0.5:
     # closed form I(delta) = delta^{1.5}/1.5 + delta^{0.5}(1 - delta).
@@ -242,8 +233,13 @@ def test_integral_seminorm_ratio_to_closed_form_stabilizes():
 
 
 def test_integral_seminorm_divergent_small_t():
-    # omega(1/nu) = nu^{-0.3}: summand ~ nu^{-0.3-0.5} diverges
-    assert integral_seminorm(None, CP, 0.25, FakeSource(0.3)) == DIVERGENT
+    # a_nu = nu^-0.8: omega(1/nu) = E(nu) ~ nu^{-0.3}, summand ~ nu^{-0.3-0.5}
+    # diverges, while f is in L^2
+    seq = make_power_law(1, 0.8, 64)
+    src = CoreModulusSource(seq, CP.smoothness)
+    assert math.isfinite(src(5))
+    assert integral_seminorm(seq, CP, 0.25, src) == DIVERGENT
+    assert discrete_seminorm(seq, CP, 4, src) == DIVERGENT
 
 
 def test_seminorm_input_validation():
@@ -277,11 +273,16 @@ def test_core_source_equals_bound_core():
 
 
 def test_core_source_does_not_depend_on_request_history():
+    # within the first table (2^13 here) every value is the same float; a
+    # larger table moves weighted_sum's far sum past its end, which holds
+    # to its 1e-9 tolerance
     seq = make_power_law(1, 1.5, 4096)
     fresh = CoreModulusSource(seq, CP.smoothness)
     used = CoreModulusSource(seq, CP.smoothness)
-    used.batch([100000])
+    used.batch([8000])
     assert np.array_equal(fresh.batch([5, 300]), used.batch([5, 300]))
+    used.batch([100000])
+    assert np.allclose(fresh.batch([5, 300]), used.batch([5, 300]), rtol=1e-9, atol=0)
 
 
 def _power_law_omega(k, nu):
@@ -352,17 +353,26 @@ def test_direct_source_divergent():
     assert integral_seminorm(seq, CP, 0.2, src) == DIVERGENT
 
 
+def _far_sum(source, start, theta, c, cell):
+    # the terms from start to the table's end, summed per call, plus the
+    # source's sum past the table (once per table); batch grows the table
+    # as far_sums does
+    source.batch([start])
+    top = source._omega.size
+    closures = source.__dict__.setdefault("per_call_closures", {})
+    key = (top, cell, theta, c)
+    if key not in closures:
+        closures[key] = source._closure(cell, theta, c)
+    nus = np.arange(start, top + 1)
+    nuf = nus.astype(float)
+    w = ((nuf + 1) ** c - nuf ** c) / c if cell else nuf ** (c - 1)
+    return float(np.sum(source.batch(nus) ** theta * w)) + closures[key]
+
+
 def _per_request_j(cp, n, source):
-    # J(n) with a fresh term callable per call that looks omega up per block
+    # J(n) with its far sum summed per call
     th = cp.theta
-
-    def term(nus):
-        om = source.batch(nus)
-        return om ** th * nus.astype(float) ** (cp.r * th - 1)
-
-    far = extrapolated_tail_sum(term, n + 1, cap=min(source.nu_cap, NU_CAP))
-    if far == DIVERGENT:
-        return DIVERGENT
+    far = _far_sum(source, n + 1, th, cp.r * th, False)
     nus = np.arange(1, n + 1)
     om = source.batch(nus)
     near = float(np.sum(om ** th * nus.astype(float) ** ((cp.r + cp.lam) * th - 1)))
@@ -370,22 +380,13 @@ def _per_request_j(cp, n, source):
 
 
 def _per_request_i(cp, delta, source):
-    # I(delta) with a fresh term callable per call that looks omega up per block
+    # I(delta) with its far cells summed per call
     th = cp.theta
     c1, c2 = cp.r * th, (cp.r + cp.lam) * th
     nu0 = math.ceil(1.0 / delta)
+    far = _far_sum(source, nu0 + 1, th, c1, True)  # first: it may grow the table
     top = source.batch(np.array([nu0]))[0]
-    s1 = top ** th * ((nu0 + 1) ** c1 - delta ** (-c1)) / c1
-
-    def term(nus):
-        om = source.batch(nus)
-        nus = nus.astype(float)
-        return om ** th * ((nus + 1) ** c1 - nus ** c1) / c1
-
-    rest = extrapolated_tail_sum(term, nu0 + 1, cap=min(source.nu_cap, NU_CAP))
-    if rest == DIVERGENT:
-        return DIVERGENT
-    s1 += rest
+    s1 = top ** th * ((nu0 + 1) ** c1 - delta ** (-c1)) / c1 + far
     s2 = 0.0
     if nu0 > 1:
         nus = np.arange(1, nu0)
@@ -396,7 +397,7 @@ def _per_request_i(cp, delta, source):
     return (s1 + delta ** (cp.lam * th) * s2) ** (1.0 / th)
 
 
-# steep enough that every far sum closes within a few blocks of n + 1
+# steep: the sum past the table is a small part of every far sum
 STEEP = ClassParams(theta=2, r=0.5, lam=0.5, k=3, p=2)
 _HEAD_64 = CoefficientSequence(tuple(np.arange(1, 65, dtype=float) ** -2))
 
@@ -404,20 +405,20 @@ _HEAD_64 = CoefficientSequence(tuple(np.arange(1, 65, dtype=float) ** -2))
 @pytest.mark.parametrize("seq, make, cp, n_max", [
     (make_power_law(1, 5, 4096), CoreModulusSource, STEEP, 4096),
     (make_power_log(1, 5, 0.5, 4096), CoreModulusSource, STEEP, 4096),
-    # n >= 63 starts the far sums at or past nu_cap = 64: raised caps and
-    # omega refills up to 2^13
+    # n >= 64 starts the far sums past nu_cap = 64: omega refills up to 2^13
     (_HEAD_64, lambda s, p: DirectModulusSource(s, p, H=4, nu_cap=64), STEEP, 4096),
-    # far sums that run to the 2^17 cap
+    # far sums that the sum past the table dominates
     (make_power_law(1, 1.75, 4096), CoreModulusSource, CP, 24),
 ], ids=["core-power-law", "core-power-log", "direct-raised-cap", "core-to-cap"])
 def test_seminorms_equal_per_request_evaluation(seq, make, cp, n_max):
-    # the term tables change where the far-sum terms come from, not their
-    # values or the order in which they are summed
+    # a far sum is one lookup of a suffix table: the same terms and the
+    # same sum past the table as a per-call sum, in another order
     tabled, plain = make(seq, cp.smoothness), make(seq, cp.smoothness)
     for n in range(1, n_max + 1):
-        assert discrete_seminorm(seq, cp, n, tabled) == _per_request_j(cp, n, plain)
+        assert discrete_seminorm(seq, cp, n, tabled) \
+            == pytest.approx(_per_request_j(cp, n, plain), rel=1e-12)
         assert integral_seminorm(seq, cp, 1 / (n + 1), tabled) \
-            == _per_request_i(cp, 1 / (n + 1), plain)
+            == pytest.approx(_per_request_i(cp, 1 / (n + 1), plain), rel=1e-12)
 
 
 def test_seminorms_do_not_depend_on_request_order():
@@ -443,9 +444,10 @@ def test_seminorms_do_not_depend_on_request_order():
     for order in (grid, grid[::-1], shuffled):
         src, plain = make(), make()
         for n in order:
-            assert discrete_seminorm(seq, CP, n, src) == _per_request_j(CP, n, plain)
+            assert discrete_seminorm(seq, CP, n, src) \
+                == pytest.approx(_per_request_j(CP, n, plain), rel=1e-12)
             assert integral_seminorm(seq, CP, 1 / (n + 1), src) \
-                == _per_request_i(CP, 1 / (n + 1), plain)
+                == pytest.approx(_per_request_i(CP, 1 / (n + 1), plain), rel=1e-12)
         assert values(src) == want
 
 

@@ -174,6 +174,7 @@ def test_membership_json_verdict(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"] in ("bounded", "unbounded", "divergent")
+    assert doc["grid_disagrees"] == (doc["grid_verdict"] != doc["verdict"])
     assert doc["tool"]["name"] == "monosmooth"
     assert doc["config"]["task"] == "membership"
     assert "norm" in doc

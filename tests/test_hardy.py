@@ -10,12 +10,31 @@ from monosmooth.hardy import (
     LEMMA_IDS,
     HardyParams,
     estimate_constant,
-    hardy_head_pair,
-    hardy_tail_pair,
-    inner_tail,
     verify_lemma,
 )
 from monosmooth.sequences import CoefficientSequence, make_power_law, make_random_monotone
+
+
+# --- the tail sum and the two lp displays, as the oracles below use them ---
+
+def inner_tail(seq, lam, mu, n):
+    """sum_{nu=mu}^{n} a_nu nu^lam."""
+    if not (1 <= mu <= n):
+        raise ValueError("need 1 <= mu <= n")
+    nu = np.arange(mu, n + 1, dtype=float)
+    return float(np.sum(seq.values(mu, n) * nu ** lam))
+
+
+def hardy_tail_pair(seq, hp):
+    """(lhs, rhs) of the tail-type display lp_upper on [m, n]."""
+    r = verify_lemma("lp_upper", seq, hp)
+    return r.lhs, r.rhs
+
+
+def hardy_head_pair(seq, hp):
+    """(lhs, rhs) of the head-type display lp_lower on [m, n]."""
+    r = verify_lemma("lp_lower", seq, hp)
+    return r.lhs, r.rhs
 
 
 # --- independent naive oracles: literal nested loops, no shared code ---

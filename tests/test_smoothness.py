@@ -12,13 +12,32 @@ from monosmooth.smoothness import (
     bound_core,
     difference_norms,
     grid_size,
-    k_difference,
     lp_norm,
     modulus_direct,
-    synthesize,
 )
 
 ONE = CoefficientSequence((1.0,))
+
+
+# --- oracles: the series and its k-th difference, summed term by term ---
+
+def synthesize(seq, horizon, x):
+    """Partial cosine series sum_{nu=1}^{horizon} a_nu cos(nu x)."""
+    a = seq.values(1, horizon)
+    nu = np.arange(1, horizon + 1, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.cos(np.multiply.outer(x, nu)) @ a
+
+
+def k_difference(seq, horizon, k, h, x):
+    """k-th difference: sum_{j=0}^{k} (-1)^(k-j) C(k,j) f(x + j h)."""
+    if k < 1:
+        raise ValueError("difference order k must be >= 1")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=float)
+    for j in range(k + 1):
+        out += (-1) ** (k - j) * math.comb(k, j) * synthesize(seq, horizon, x + j * h)
+    return out if out.shape else float(out)
 
 
 def test_synthesize_single_harmonic():
