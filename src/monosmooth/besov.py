@@ -127,10 +127,9 @@ def _decay(x, y, order, power):
 def tail_decay(tail, params):
     """(x_E, y): the tail model's E(nu) decays like nu^-x_E (ln nu)^-y; E is
     _decay's F for g = a_nu nu^(1 - 1/p), order k and power p."""
-    if getattr(tail, "c", 0.0) == 0:
+    if tail.c == 0:
         return float(params.k), 0.0
-    return _decay(tail.beta - 1 + 1 / params.p, getattr(tail, "gamma", 0.0),
-                  params.k, params.p)
+    return _decay(tail.beta - 1 + 1 / params.p, tail.gamma, params.k, params.p)
 
 
 def _log_q(upper, scale, sign, g):
@@ -161,8 +160,7 @@ class _OmegaTable:
         self._omega = np.array([], dtype=float)
         self._sums = {}
         self._core = None
-        self._divergent = weighted_sum(
-            seq, WeightedSumSpec(q=params.p, s=params.p - 2, m=1)) == DIVERGENT
+        self._divergent = not seq.tail.converges(params.p, params.p - 2)
 
     def _grow(self, nu):
         top = max(self._omega.size, self.nu_cap)
@@ -290,10 +288,10 @@ class CoreModulusSource(_OmegaTable):
         near_top = weighted_sum(self.seq, WeightedSumSpec(q=p, s=(k + 1) * p - 2, m=1, n=top))
         with np.errstate(divide="ignore"):
             log_near = p * (xe - k) * ell + np.log(near_top)
-        if getattr(tail, "c", 0.0) == 0:
+        if tail.c == 0:
             log_e = log_near / p
         else:
-            g = p * getattr(tail, "gamma", 0.0)
+            g = p * tail.gamma
             delta = np.log1p(0.5 * np.exp(-ell))  # ln(x + 1/2) - l
             vy = 1.0 + ell + delta
             lc = math.log(tail.c)
@@ -334,17 +332,16 @@ class DirectModulusSource(_OmegaTable):
 
     batch = _OmegaTable.batch
     RULES = (("H", ("H",), positive_integer, "must be a positive integer"),)
+    nu_cap = 2048
 
-    def __init__(self, seq, params, H=16, nu_cap=2048):
+    def __init__(self, seq, params, H=16):
         self.H = H
         check_rules(self)
         super().__init__(seq, params)
-        self.nu_cap = nu_cap
 
     def _fill(self, top):
         k, p = self.params.k, self.params.p
-        tail_vanishes = getattr(self.seq.tail, "c", 0.0) == 0
-        horizon = min(8 * top, self.seq.horizon) if tail_vanishes else 8 * top
+        horizon = min(8 * top, self.seq.horizon) if self.seq.tail.c == 0 else 8 * top
         ends = 1.0 / np.arange(1, top + 1)
         steps = np.arange(math.ceil(self.H * math.log2(top)) + 1)
         hs = np.union1d(ends, 2.0 ** (-steps / self.H))
@@ -362,7 +359,7 @@ def extrapolated_tail_sum(term, start):
     return float(term(np.array([start]))[0])
 
 
-def integral_seminorm(seq, cp, delta, source):
+def integral_seminorm(cp, delta, source):
     """I(delta): cell-discretized weighted integral of omega^theta.
 
     The t-weight is integrated in closed form on each cell
@@ -396,7 +393,7 @@ def integral_seminorm(seq, cp, delta, source):
     return (s1 + delta ** (cp.lam * th) * s2) ** (1.0 / th)
 
 
-def discrete_seminorm(seq, cp, n, source):
+def discrete_seminorm(cp, n, source):
     """J(n): discrete seminorm built from omega(1/nu) samples; the far sum is
     a lookup in the source's suffix table (see _OmegaTable.far_sums)."""
     if n < 1:
@@ -475,9 +472,13 @@ def _grid_verdict(ratios):
     # bounded iff the running sup stabilized: either its growth over the
     # last doubling of n is already below tolerance, or that growth has
     # visibly decayed since the middle of the grid (slowly converging
-    # families such as the critical power laws)
+    # families such as the critical power laws).  A sup that stays at 0 has
+    # not grown; one that leaves 0 has grown without bound.
     run = np.maximum.accumulate(ratios)
-    growth = run[1:] / run[:-1] - 1.0 if len(run) > 1 else np.array([0.0])
+    prev, cur = run[:-1], run[1:]
+    growth = np.divide(cur, prev, out=np.where(cur > prev, np.inf, 1.0), where=prev > 0) - 1.0
+    if not growth.size:
+        growth = np.array([0.0])
     g_last = float(growth[-1])
     g_mid = float(growth[len(growth) // 2])
     return "bounded" if (
@@ -486,7 +487,7 @@ def _grid_verdict(ratios):
     ) else "unbounded"
 
 
-def membership_test(seq, cp, phi, functional="K", n_grid=None, source=None):
+def membership_test(seq, cp, phi, functional="K", n_grid=None):
     """Verdict on sup_n functional(n)/phi(1/n), with grid evidence.
 
     functional is one of "I", "J", "K"; for "I" the scale is
@@ -499,7 +500,7 @@ def membership_test(seq, cp, phi, functional="K", n_grid=None, source=None):
     if n_grid is None:
         n_grid = [2 ** j for j in range(1, 13)]
     n_grid = sorted(int(n) for n in n_grid)
-    if functional in ("I", "J") and source is None:
+    if functional in ("I", "J"):
         source = CoreModulusSource(seq, cp.smoothness)
     if phi.variant == "power" and phi.alpha >= cp.lam:
         raise ValueError("power phi needs alpha < lambda")
@@ -510,9 +511,9 @@ def membership_test(seq, cp, phi, functional="K", n_grid=None, source=None):
         if functional == "K":
             v = coefficient_functional(seq, cp, n)
         elif functional == "J":
-            v = discrete_seminorm(seq, cp, n, source)
+            v = discrete_seminorm(cp, n, source)
         else:
-            v = integral_seminorm(seq, cp, 1.0 / (n + 1), source)
+            v = integral_seminorm(cp, 1.0 / (n + 1), source)
         if v == DIVERGENT:
             return MembershipReport(functional, n_grid, values + [DIVERGENT],
                                     [], None, verdict, "divergent")
@@ -557,8 +558,8 @@ def equivalence_report(seq, cp, n_grid, source=None):
     ji, kj, we = [], [], []
     values = {"n": n_grid, "I": [], "J": [], "K": [], "omega": [], "E": []}
     for n in n_grid:
-        jv = discrete_seminorm(seq, cp, n, source)
-        iv = integral_seminorm(seq, cp, 1.0 / (n + 1), source)
+        jv = discrete_seminorm(cp, n, source)
+        iv = integral_seminorm(cp, 1.0 / (n + 1), source)
         kv = coefficient_functional(seq, cp, n)
         ev = bound_core(seq, cp.smoothness, n)
         wv = float(source.batch(np.array([n]))[0])

@@ -187,7 +187,7 @@ def _phi_from_spec(spec):
         raise ConfigError([f"phi: {err}"]) from None
 
 
-def _header_lines(cfg, extra=()):
+def _header_lines(extra=()):
     lines = [
         f"# monosmooth {__version__}",
         f"# norm: {NORM_CONVENTION}",
@@ -254,7 +254,7 @@ def run_experiment(cfg):
             om = modulus_direct(seq, horizon, params, t, quad)
             n = max(1, round(1.0 / t))
             rows.append((t, om, bound_core(seq, params, n)))
-        lines = _header_lines(cfg, [
+        lines = _header_lines([
             f"k={params.k} p={_fmt(params.p)} M={quad.M} H={quad.H} horizon={horizon}",
         ])
         lines.append("t,omega_direct,E_core")
@@ -265,7 +265,7 @@ def run_experiment(cfg):
         hp = HardyParams(alpha=opt["alpha"], lam=opt["lam"], p=opt["p"],
                          m=opt["m"], n=opt["n"])
         rep = verify_lemma(opt["lemma"], seq, hp)
-        lines = _header_lines(cfg)
+        lines = _header_lines()
         lines.append("lemma_id,alpha,lam,p,m,n,lhs,rhs,ratio")
         lines.append(",".join(_fmt(v) for v in (
             rep.lemma_id, hp.alpha, hp.lam, hp.p, hp.m, hp.n,
@@ -284,8 +284,8 @@ def run_experiment(cfg):
             source = CoreModulusSource(seq, cp.smoothness)
         values = {"n": list(n_grid), "I": [], "J": [], "K": []}
         for n in n_grid:
-            values["I"].append(integral_seminorm(seq, cp, 1.0 / (n + 1), source))
-            values["J"].append(discrete_seminorm(seq, cp, n, source))
+            values["I"].append(integral_seminorm(cp, 1.0 / (n + 1), source))
+            values["J"].append(discrete_seminorm(cp, n, source))
             values["K"].append(coefficient_functional(seq, cp, n))
         payload = {"values": values, "source": opt.get("source", "core")}
         return _write(_out_path(cfg, "seminorm.json"), _json_report(cfg, payload))
@@ -372,7 +372,7 @@ def build_parser():
     m.add_argument("--p", type=float, required=True)
     m.add_argument("--t-grid", type=_float_list, required=True)
     m.add_argument("--M", type=int, help="p != 2 grid (default: from the horizon)")
-    m.add_argument("--H", type=int, default=64, help="shift samples on (0, t]")
+    m.add_argument("--H", type=int, help="shift samples on (0, t] (default 64)")
     m.add_argument("--out")
 
     v = sub.add_parser("verify-lemma", help="one inequality instance as CSV")

@@ -134,7 +134,7 @@ def _sides(lemma_id, a, hp, power):
     return lhs, float(np.sum(weight[hi - 1:] * point))
 
 
-def _sweep(lemma_id, cases, jensen_exponents=None):
+def _sweep(lemma_id, cases):
     """evaluate(seq, hp) -> RatioReport for the (seq, hp) pairs of cases.
 
     The evaluations share one table of nu^x over nu = 1 .. max n, one
@@ -160,13 +160,9 @@ def _sweep(lemma_id, cases, jensen_exponents=None):
     def evaluate(seq, hp):
         if lemma_id not in LEMMA_IDS:
             raise ValueError(f"unknown lemma id: {lemma_id!r}")
-        if lemma_id == "jensen":
-            lo, hi = jensen_exponents if jensen_exponents else (1.0, 2.0)
-            if not 0 < lo < hi:
-                raise ValueError("jensen needs exponents 0 < alpha < beta")
+        if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
             a = head(seq)[:hp.n]
-            lhs = float(np.sum(a ** hi) ** (1.0 / hi))
-            rhs = float(np.sum(a ** lo) ** (1.0 / lo))
+            lhs, rhs = float(np.sum(a ** 2.0) ** 0.5), float(np.sum(a))
             return _report(lemma_id, lhs, rhs, "upper")
         if lemma_id in _MONOTONE:
             if id(seq) not in monotone:
@@ -180,7 +176,7 @@ def _sweep(lemma_id, cases, jensen_exponents=None):
     return evaluate
 
 
-def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):
+def verify_lemma(lemma_id, seq, hp):
     """Evaluate one inequality instance and return its RatioReport.
 
     Side conditions (n >= c m for the converse bounds, monotone
@@ -188,7 +184,7 @@ def verify_lemma(lemma_id, seq, hp, jensen_exponents=None):
     a sweep of one case: estimate_constant evaluates each of its cases
     the same way.
     """
-    return _sweep(lemma_id, [(seq, hp)], jensen_exponents)(seq, hp)
+    return _sweep(lemma_id, [(seq, hp)])(seq, hp)
 
 
 def _report(lemma_id, lhs, rhs, bound):
@@ -198,7 +194,7 @@ def _report(lemma_id, lhs, rhs, bound):
     return RatioReport(lemma_id, lhs, rhs, None, bound, ok=(lhs == 0))
 
 
-def estimate_constant(lemma_id, cases, jensen_exponents=None):
+def estimate_constant(lemma_id, cases):
     """Evaluate lemma_id on every (seq, hp) case, as verify_lemma would, and
     collect ratio statistics.
 
@@ -206,7 +202,7 @@ def estimate_constant(lemma_id, cases, jensen_exponents=None):
     fail are counted as skipped.
     """
     cases = list(cases)
-    evaluate = _sweep(lemma_id, cases, jensen_exponents)
+    evaluate = _sweep(lemma_id, cases)
     report = SweepReport(lemma_id=lemma_id, bound="")
     for seq, hp in cases:
         try:

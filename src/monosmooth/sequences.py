@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +82,8 @@ def check_rules(obj):
 class ZeroTail:
     """Coefficients vanish beyond the stored horizon."""
 
+    c = 0.0  # the other tails' scale; unannotated, so not a dataclass field
+
     def value(self, nu):
         return np.zeros_like(np.asarray(nu, dtype=float))
 
@@ -101,6 +103,7 @@ class PowerLawTail:
 
     c: float
     beta: float
+    gamma = 0.0  # PowerLogTail's log exponent; unannotated, so not a dataclass field
 
     def __post_init__(self):
         if self.c < 0:
@@ -206,13 +209,6 @@ class CoefficientSequence:
     def horizon(self):
         return len(self.head)
 
-    def value(self, nu):
-        if nu < 1:
-            raise ValueError("indices start at nu = 1")
-        if nu <= self.horizon:
-            return self.head[nu - 1]
-        return float(self.tail.value(nu))
-
     def values(self, m, n):
         """Array of a_m .. a_n (inclusive, 1-based)."""
         if m < 1 or n < m:
@@ -227,11 +223,7 @@ class CoefficientSequence:
         if s < 0:
             raise ValueError("scale factor must be nonnegative")
         head = tuple(s * a for a in self.head)
-        tail = self.tail
-        if isinstance(tail, PowerLawTail):
-            tail = PowerLawTail(c=s * tail.c, beta=tail.beta)
-        elif isinstance(tail, PowerLogTail):
-            tail = PowerLogTail(c=s * tail.c, beta=tail.beta, gamma=tail.gamma)
+        tail = replace(self.tail, c=s * self.tail.c) if self.tail.c else self.tail
         return CoefficientSequence(head=head, tail=tail)
 
     def to_json(self):
@@ -244,31 +236,23 @@ class CoefficientSequence:
         return cls(head=tuple(doc["head"]), tail=tail_from_json(doc["tail"]))
 
 
-def make_power_law(c, beta, horizon):
-    """Sequence a_nu = c * nu**(-beta) with an analytic power-law tail."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+def _sampled(tail, horizon):
+    """Sequence with the head tail.value(1..horizon), continued by the tail
+    unless it vanishes."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    nu = np.arange(1, horizon + 1, dtype=float)
-    head = tuple(c * nu ** (-beta))
-    if c == 0:
-        return CoefficientSequence(head=head, tail=ZeroTail())
-    return CoefficientSequence(head=head, tail=PowerLawTail(c=c, beta=beta))
+    head = tuple(tail.value(np.arange(1, horizon + 1)))
+    return CoefficientSequence(head=head, tail=tail if tail.c else ZeroTail())
+
+
+def make_power_law(c, beta, horizon):
+    """Sequence a_nu = c * nu**(-beta) with an analytic power-law tail."""
+    return _sampled(PowerLawTail(c=c, beta=beta), horizon)
 
 
 def make_power_log(c, beta, gamma, horizon):
     """Sequence a_nu = c * nu**(-beta) * (1 + ln nu)**(-gamma)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    tail = PowerLogTail(c=c, beta=beta, gamma=gamma)
-    nu = np.arange(1, horizon + 1)
-    head = tuple(tail.value(nu))
-    if c == 0:
-        return CoefficientSequence(head=head, tail=ZeroTail())
-    return CoefficientSequence(head=head, tail=tail)
+    return _sampled(PowerLogTail(c=c, beta=beta, gamma=gamma), horizon)
 
 
 def make_random_monotone(rng, size, scale=1.0):
@@ -329,11 +313,11 @@ class WeightedSumSpec:
             raise ValueError("empty range")
 
 
-def weighted_sum(seq, spec, rel_tol=_SUM_REL_TOL):
+def weighted_sum(seq, spec):
     """Evaluate sum over [m, n] of a_nu**q * nu**s.
 
     Infinite ranges are summed directly until an integral-comparison
-    remainder drops below `rel_tol`, then closed with the tail model's
+    remainder drops below _SUM_REL_TOL, then closed with the tail model's
     analytic integral.  Divergent series return DIVERGENT (math.inf).
     """
     q, s, m, n = spec.q, spec.s, spec.m, spec.n
@@ -352,7 +336,7 @@ def weighted_sum(seq, spec, rel_tol=_SUM_REL_TOL):
         nu = np.arange(m, horizon + 1, dtype=float)
         total += float(np.sum(seq.values(m, horizon) ** q * nu ** s))
     start = max(m, horizon + 1)
-    if isinstance(tail, ZeroTail) or tail.c == 0:
+    if tail.c == 0:
         return total
 
     def block(lo, hi):
@@ -367,7 +351,7 @@ def weighted_sum(seq, spec, rel_tol=_SUM_REL_TOL):
         hi = min(lo + width, _SUM_NU_CAP)
         total += block(lo, hi)
         prev, est = est, total + tail.integral(q, s, hi - 0.5)
-        if prev is not None and abs(est - prev) <= rel_tol * abs(est):
+        if prev is not None and abs(est - prev) <= _SUM_REL_TOL * abs(est):
             return est
         if hi >= _SUM_NU_CAP:
             return est

@@ -69,7 +69,7 @@ def grid_size(horizon):
     return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
 
 
-def _half_angles(hs, n, out=None, cos=True):
+def _half_angles(hs, n, out, cos=True):
     """sin(nu h/2) and cos(nu h/2) for h in the array hs, nu = 1..n, each
     of shape (hs.size, n).
 
@@ -82,8 +82,6 @@ def _half_angles(hs, n, out=None, cos=True):
     block = min(_BLOCK, n)
     blocks = -(-n // block)
     size = hs.size * blocks * block
-    if out is None:
-        out = np.empty((2, size))
     s, c = (buf[:size].reshape(hs.size, blocks, block) for buf in out)
     coarse = np.multiply.outer(hs, 0.5 * block * np.arange(blocks))
     fine = np.multiply.outer(hs, 0.5 * np.arange(1, block + 1))
@@ -215,11 +213,11 @@ def _grid_kernel(a, k, p, M, shifts):
     return rows, norms
 
 
-def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto"):
+def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
 
-    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)).  Other p
-    (or method="grid"): the sum over the uniform M-point grid, one inverse
+    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)).  Other p:
+    the sum over the uniform M-point grid (_grid_kernel), one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
     when M > 2 * horizon.  sin(nu h/2) and cos(nu h/2) come from angle
     addition (_half_angles), and |v|^3 from multiplication.  A row whose
@@ -231,7 +229,7 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
     SmoothnessParams(k=k, p=p)  # raises if k or p breaks a rule
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
-    if p == 2 and method == "auto":
+    if p == 2:
         return np.sqrt(math.pi * _parseval_sums(hs, a, k)[0])
     rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
     out = np.empty(hs.size)
@@ -240,18 +238,18 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec(), method="auto
     return out
 
 
-def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec(), method="auto"):
+def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec()):
     """L^p norm of the k-th difference at one shift h (see difference_norms)."""
-    return float(difference_norms(seq, horizon, k, [h], p, quad, method)[0])
+    return float(difference_norms(seq, horizon, k, [h], p, quad)[0])
 
 
-def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec(), method="auto"):
+def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
     """omega(f; t)_p: max of ||Delta_h^k f||_p over h in {t i/H, i=1..H}.
 
     Only positive shifts are sampled: the series is even, so the norm is
     invariant under h -> -h (checked numerically in the test suite).
 
-    p = 2 (method "auto"): the max of the Parseval norms.  Otherwise a
+    p = 2: the max of the Parseval norms.  Otherwise a
     branch-and-bound max: _norm_bounds bounds every shift's grid norm
     without an FFT, and shifts are visited in descending bound, the top
     one alone and then CHUNK_ELEMENTS // M at a time, skipping those whose
@@ -264,8 +262,8 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec(), method="auto"
         raise ValueError("t must be positive")
     hs = t * np.arange(1, quad.H + 1, dtype=float) / quad.H
     k, p = params.k, params.p
-    if p == 2 and method == "auto":
-        return float(np.max(difference_norms(seq, horizon, k, hs, p, quad, method)))
+    if p == 2:
+        return float(np.max(difference_norms(seq, horizon, k, hs, p, quad)))
     a = seq.values(1, horizon)
     bound = _norm_bounds(hs, a, k, p) * (1.0 + 1e-9)
     rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)

@@ -200,10 +200,10 @@ def test_criterion_10_homogeneity():
     src_a = CoreModulusSource(seq, params)
     src_b = CoreModulusSource(scaled, params)
     pairs = {
-        "I": (integral_seminorm(seq, CP, 1.0 / 17, src_a),
-              integral_seminorm(scaled, CP, 1.0 / 17, src_b)),
-        "J": (discrete_seminorm(seq, CP, 16, src_a),
-              discrete_seminorm(scaled, CP, 16, src_b)),
+        "I": (integral_seminorm(CP, 1.0 / 17, src_a),
+              integral_seminorm(CP, 1.0 / 17, src_b)),
+        "J": (discrete_seminorm(CP, 16, src_a),
+              discrete_seminorm(CP, 16, src_b)),
         "K": (coefficient_functional(seq, CP, 16),
               coefficient_functional(scaled, CP, 16)),
         "E": (bound_core(seq, params, 16), bound_core(scaled, params, 16)),

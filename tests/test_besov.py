@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from monosmooth.besov import (
     integral_seminorm,
     membership_test,
     phi_eval,
+    _grid_verdict,
     _OmegaTable,
 )
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
@@ -37,6 +39,13 @@ class FakeSource(_OmegaTable):
 
     def _fill(self, top):
         return np.arange(1, top + 1, dtype=float) ** -self.decay
+
+
+class SmallDirect(DirectModulusSource):
+    """A direct source whose first table stops at nu = 64, so that a test
+    reaches the doubling cheaply."""
+
+    nu_cap = 64
 
 
 def phi_validate(phi, grid):
@@ -162,7 +171,7 @@ def test_discrete_seminorm_fake_source_oracle():
     far = float(np.sum(nu[4:] ** -2.5))
     near = float(np.sum(nu[:4] ** -2.0))
     want = far + 4 ** -0.5 * near
-    got = discrete_seminorm(None, CP, 4, src)
+    got = discrete_seminorm(CP, 4, src)
     assert got == pytest.approx(want, rel=2e-4)
 
 
@@ -173,7 +182,7 @@ def test_discrete_seminorm_single_harmonic_direct():
     nu = np.arange(1, 2 * 10 ** 5, dtype=float)
     om = (2 * np.sin(0.5 / nu)) ** 2 * math.sqrt(math.pi)
     want = float(np.sum(om[1:] * nu[1:] ** -0.5)) + om[0]
-    got = discrete_seminorm(seq, CP, 1, src)
+    got = discrete_seminorm(CP, 1, src)
     assert got == pytest.approx(want, rel=5e-4)
 
 
@@ -194,7 +203,7 @@ def test_integral_seminorm_fake_source_oracle():
             w = ((v + 1) ** c2 - v ** c2) / c2
         s2 += src(v) ** th * w
     want = (s1 + delta ** (CP.lam * th) * s2) ** (1 / th)
-    got = integral_seminorm(None, CP, delta, src)
+    got = integral_seminorm(CP, delta, src)
     assert got == pytest.approx(want, rel=2e-4)
 
 
@@ -205,16 +214,16 @@ def test_integral_seminorm_zero():
         def _fill(self, top):
             return np.zeros(top)
 
-    assert integral_seminorm(None, CP, 0.3, Zero(2.0)) == 0.0
-    assert integral_seminorm(None, CP, 0.3, src) > 0
+    assert integral_seminorm(CP, 0.3, Zero(2.0)) == 0.0
+    assert integral_seminorm(CP, 0.3, src) > 0
 
 
 def test_seminorms_of_the_zero_sequence():
     zero = CoefficientSequence((0.0, 0.0))
     for src in (CoreModulusSource(zero, CP.smoothness),
-                DirectModulusSource(zero, CP.smoothness, H=4, nu_cap=64)):
-        assert discrete_seminorm(zero, CP, 4, src) == 0.0
-        assert integral_seminorm(zero, CP, 0.2, src) == 0.0
+                SmallDirect(zero, CP.smoothness, H=4)):
+        assert discrete_seminorm(CP, 4, src) == 0.0
+        assert integral_seminorm(CP, 0.2, src) == 0.0
 
 
 def test_integral_seminorm_ratio_to_closed_form_stabilizes():
@@ -227,7 +236,7 @@ def test_integral_seminorm_ratio_to_closed_form_stabilizes():
     for n in (64, 128, 256, 512):
         delta = 1.0 / n
         closed = delta ** 1.5 / 1.5 + delta ** 0.5 * (1 - delta)
-        ratios.append(integral_seminorm(None, CP, delta, src) / closed)
+        ratios.append(integral_seminorm(CP, delta, src) / closed)
     for a, b in zip(ratios, ratios[1:]):
         assert abs(b / a - 1) < 0.01
 
@@ -238,16 +247,16 @@ def test_integral_seminorm_divergent_small_t():
     seq = make_power_law(1, 0.8, 64)
     src = CoreModulusSource(seq, CP.smoothness)
     assert math.isfinite(src(5))
-    assert integral_seminorm(seq, CP, 0.25, src) == DIVERGENT
-    assert discrete_seminorm(seq, CP, 4, src) == DIVERGENT
+    assert integral_seminorm(CP, 0.25, src) == DIVERGENT
+    assert discrete_seminorm(CP, 4, src) == DIVERGENT
 
 
 def test_seminorm_input_validation():
     src = FakeSource(2.0)
     with pytest.raises(ValueError):
-        integral_seminorm(None, CP, 1.5, src)
+        integral_seminorm(CP, 1.5, src)
     with pytest.raises(ValueError):
-        discrete_seminorm(None, CP, 0, src)
+        discrete_seminorm(CP, 0, src)
     with pytest.raises(ValueError):
         coefficient_functional(make_power_law(1, 2, 4), CP, 0)
 
@@ -306,8 +315,7 @@ def test_direct_source_power_law_oracle(k):
 
 
 def test_direct_source_extends_past_nu_cap():
-    src = DirectModulusSource(make_power_law(1, 2, 64), SmoothnessParams(1, 2),
-                              H=16, nu_cap=64)
+    src = SmallDirect(make_power_law(1, 2, 64), SmoothnessParams(1, 2), H=16)
     nu = np.array([3, 64, 100, 200])
     assert src(3) == pytest.approx(_power_law_omega(1, 3), rel=1e-3)
     assert np.allclose(src.batch(nu), _power_law_omega(1, nu), rtol=1e-3, atol=0)
@@ -318,7 +326,8 @@ def test_direct_source_zero_tail_is_exact():
     nu = np.arange(1, 300)
     one = CoefficientSequence((1.0,))
     for k, p, norm in ((2, 2, math.sqrt(math.pi)), (1, 3, (8 / 3) ** (1 / 3))):
-        src = DirectModulusSource(one, SmoothnessParams(k, p), H=16, nu_cap=256)
+        # nu up to 299 fills one table of 512, as from a first table of 256
+        src = SmallDirect(one, SmoothnessParams(k, p), H=16)
         want = (2 * np.sin(0.5 / nu)) ** k * norm
         assert np.allclose(src.batch(nu), want, rtol=1e-9, atol=0)
 
@@ -326,31 +335,32 @@ def test_direct_source_zero_tail_is_exact():
 def test_seminorms_past_the_direct_source_cap():
     # n = 64 starts the far sums at or past nu_cap = 64; the table doubles
     seq = make_power_law(1, 2, 4096)
-    small = DirectModulusSource(seq, CP.smoothness, H=16, nu_cap=64)
+    small = SmallDirect(seq, CP.smoothness, H=16)
     full = DirectModulusSource(seq, CP.smoothness, H=16)
-    j = discrete_seminorm(seq, CP, 64, small)
+    j = discrete_seminorm(CP, 64, small)
     assert math.isfinite(j) and j > 0
-    assert j == pytest.approx(discrete_seminorm(seq, CP, 64, full), rel=1e-3)
-    i = integral_seminorm(seq, CP, 1 / 65, small)
-    assert i == pytest.approx(integral_seminorm(seq, CP, 1 / 65, full), rel=1e-3)
+    assert j == pytest.approx(discrete_seminorm(CP, 64, full), rel=1e-3)
+    i = integral_seminorm(CP, 1 / 65, small)
+    assert i == pytest.approx(integral_seminorm(CP, 1 / 65, full), rel=1e-3)
 
 
 def test_direct_source_takes_sup_over_shifts():
     # ||Delta_h cos(4 .)||_2 = 2 |sin(2h)| sqrt(pi) peaks at h = pi/4 < 1
     seq = CoefficientSequence((0.0, 0.0, 0.0, 1.0))
-    src = DirectModulusSource(seq, SmoothnessParams(1, 2), H=16, nu_cap=64)
+    src = SmallDirect(seq, SmoothnessParams(1, 2), H=16)
     peak = 2 * math.sqrt(math.pi)
     assert 0.99 * peak < src(1) <= peak * (1 + 1e-12)
     assert src(1) > 1.05 * 2 * math.sin(2.0) * math.sqrt(math.pi)
 
 
 def test_direct_source_divergent():
-    # sum a_nu^2 = sum 1/nu diverges: f is not in L^2
+    # sum a_nu^2 = sum 1/nu diverges: f is not in L^2, on either source
     seq = make_power_law(1, 0.5, 64)
-    src = DirectModulusSource(seq, CP.smoothness, H=16)
-    assert np.all(src.batch(np.array([1, 5, 4000])) == DIVERGENT)
-    assert discrete_seminorm(seq, CP, 4, src) == DIVERGENT
-    assert integral_seminorm(seq, CP, 0.2, src) == DIVERGENT
+    for src in (DirectModulusSource(seq, CP.smoothness, H=16),
+                CoreModulusSource(seq, CP.smoothness)):
+        assert np.all(src.batch(np.array([1, 5, 4000])) == DIVERGENT)
+        assert discrete_seminorm(CP, 4, src) == DIVERGENT
+        assert integral_seminorm(CP, 0.2, src) == DIVERGENT
 
 
 def _far_sum(source, start, theta, c, cell):
@@ -406,7 +416,7 @@ _HEAD_64 = CoefficientSequence(tuple(np.arange(1, 65, dtype=float) ** -2))
     (make_power_law(1, 5, 4096), CoreModulusSource, STEEP, 4096),
     (make_power_log(1, 5, 0.5, 4096), CoreModulusSource, STEEP, 4096),
     # n >= 64 starts the far sums past nu_cap = 64: omega refills up to 2^13
-    (_HEAD_64, lambda s, p: DirectModulusSource(s, p, H=4, nu_cap=64), STEEP, 4096),
+    (_HEAD_64, lambda s, p: SmallDirect(s, p, H=4), STEEP, 4096),
     # far sums that the sum past the table dominates
     (make_power_law(1, 1.75, 4096), CoreModulusSource, CP, 24),
 ], ids=["core-power-law", "core-power-log", "direct-raised-cap", "core-to-cap"])
@@ -415,9 +425,9 @@ def test_seminorms_equal_per_request_evaluation(seq, make, cp, n_max):
     # same sum past the table as a per-call sum, in another order
     tabled, plain = make(seq, cp.smoothness), make(seq, cp.smoothness)
     for n in range(1, n_max + 1):
-        assert discrete_seminorm(seq, cp, n, tabled) \
+        assert discrete_seminorm(cp, n, tabled) \
             == pytest.approx(_per_request_j(cp, n, plain), rel=1e-12)
-        assert integral_seminorm(seq, cp, 1 / (n + 1), tabled) \
+        assert integral_seminorm(cp, 1 / (n + 1), tabled) \
             == pytest.approx(_per_request_i(cp, 1 / (n + 1), plain), rel=1e-12)
 
 
@@ -431,11 +441,11 @@ def test_seminorms_do_not_depend_on_request_order():
     assert shuffled not in (grid, grid[::-1])
 
     def make():
-        return DirectModulusSource(seq, CP.smoothness, H=4, nu_cap=64)
+        return SmallDirect(seq, CP.smoothness, H=4)
 
     def values(src):
-        return [(discrete_seminorm(seq, CP, n, src),
-                 integral_seminorm(seq, CP, 1 / (n + 1), src)) for n in grid]
+        return [(discrete_seminorm(CP, n, src),
+                 integral_seminorm(CP, 1 / (n + 1), src)) for n in grid]
 
     settled = make()
     settled.batch([4 * 64])
@@ -444,9 +454,9 @@ def test_seminorms_do_not_depend_on_request_order():
     for order in (grid, grid[::-1], shuffled):
         src, plain = make(), make()
         for n in order:
-            assert discrete_seminorm(seq, CP, n, src) \
+            assert discrete_seminorm(CP, n, src) \
                 == pytest.approx(_per_request_j(CP, n, plain), rel=1e-12)
-            assert integral_seminorm(seq, CP, 1 / (n + 1), src) \
+            assert integral_seminorm(CP, 1 / (n + 1), src) \
                 == pytest.approx(_per_request_i(CP, 1 / (n + 1), plain), rel=1e-12)
         assert values(src) == want
 
@@ -478,6 +488,19 @@ def test_membership_report_shape():
     assert isinstance(rep, MembershipReport)
     assert rep.grid == [2, 4, 8, 16, 32]
     assert len(rep.values) == len(rep.ratios) == 5
+
+
+@pytest.mark.parametrize("functional", ["K", "J", "I"])
+def test_membership_of_the_zero_sequence(functional):
+    # every ratio is 0: a running sup that stays at 0 has not grown
+    zero = CoefficientSequence((0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = membership_test(zero, CP, PhiSpec.constant(), functional,
+                              n_grid=[2, 4, 8, 16, 32])
+    assert (rep.verdict, rep.grid_verdict) == ("bounded", "bounded")
+    # one that leaves 0 has grown without bound
+    assert _grid_verdict([0.0, 0.0, 0.0, 1.0]) == "unbounded"
 
 
 def test_band_spread():

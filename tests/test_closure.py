@@ -129,8 +129,8 @@ def reference(head, tail, cp, ns):
 def _assert_matches_reference(seq, tail, cp, ns=(1, 100, 4096)):
     src = CoreModulusSource(seq, cp.smoothness)
     for n, (j, i) in zip(ns, reference(seq.head, tail, cp, ns)):
-        assert discrete_seminorm(seq, cp, n, src) == pytest.approx(j, rel=REF_RTOL)
-        assert integral_seminorm(seq, cp, 1 / (n + 1), src) == pytest.approx(i, rel=REF_RTOL)
+        assert discrete_seminorm(cp, n, src) == pytest.approx(j, rel=REF_RTOL)
+        assert integral_seminorm(cp, 1 / (n + 1), src) == pytest.approx(i, rel=REF_RTOL)
 
 
 # (class parameters, alpha of phi = delta^alpha): beta* = r + alpha + 1 - 1/p
@@ -175,8 +175,8 @@ def test_divergent_only_where_the_model_far_sum_diverges():
                 make_power_law(1, 0.9, 4096)):
         src = CoreModulusSource(seq, CP.smoothness)
         assert math.isfinite(src(10))
-        assert discrete_seminorm(seq, CP, 10, src) == math.inf
-        assert integral_seminorm(seq, CP, 1 / 11, src) == math.inf
+        assert discrete_seminorm(CP, 10, src) == math.inf
+        assert integral_seminorm(CP, 1 / 11, src) == math.inf
 
 
 def test_direct_source_far_sums_are_finite_up_to_its_table():
@@ -184,7 +184,7 @@ def test_direct_source_far_sums_are_finite_up_to_its_table():
     # n = 256..2046, where the far sum starts less than 16x below the table's end
     seq = make_power_law(1, 2, 4096)
     src = DirectModulusSource(seq, CP.smoothness)
-    js = [discrete_seminorm(seq, CP, n, src) for n in range(128, 2101)]
+    js = [discrete_seminorm(CP, n, src) for n in range(128, 2101)]
     assert all(math.isfinite(j) and j > 0 for j in js)
     assert all(b < a for a, b in zip(js, js[1:]))
 
@@ -256,8 +256,8 @@ def test_functionals_are_homogeneous(s, beta, gamma, n):
     assert isinstance(scaled.tail, PowerLogTail if gamma else PowerLawTail)
     a, b = CoreModulusSource(seq, CP.smoothness), CoreModulusSource(scaled, CP.smoothness)
     delta = 1 / (n + 1)
-    pairs = [(integral_seminorm(seq, CP, delta, a), integral_seminorm(scaled, CP, delta, b)),
-             (discrete_seminorm(seq, CP, n, a), discrete_seminorm(scaled, CP, n, b)),
+    pairs = [(integral_seminorm(CP, delta, a), integral_seminorm(CP, delta, b)),
+             (discrete_seminorm(CP, n, a), discrete_seminorm(CP, n, b)),
              (coefficient_functional(seq, CP, n), coefficient_functional(scaled, CP, n)),
              (bound_core(seq, CP.smoothness, n), bound_core(scaled, CP.smoothness, n))]
     for base, got in pairs:

@@ -156,8 +156,7 @@ def test_hardy_head_pair_two_terms():
 
 def test_jensen_three_four_five():
     hp = HardyParams(alpha=1, lam=0, p=1, m=1, n=2)
-    rep = verify_lemma("jensen", CoefficientSequence((3, 4)), hp,
-                       jensen_exponents=(1, 2))
+    rep = verify_lemma("jensen", CoefficientSequence((3, 4)), hp)
     assert rep.lhs == pytest.approx(5.0)
     assert rep.rhs == pytest.approx(7.0)
     assert rep.ratio == pytest.approx(5.0 / 7.0)

@@ -19,6 +19,14 @@ from monosmooth.smoothness import (
 ONE = CoefficientSequence((1.0,))
 
 
+def grid_norms(seq, horizon, k, hs, p, M=QuadratureSpec.M):
+    """The M-point grid norms of _grid_kernel, chunk by chunk; difference_norms
+    takes them at p != 2, and Parseval at p = 2."""
+    hs = np.asarray(hs, dtype=float)
+    rows, norms = smoothness._grid_kernel(seq.values(1, horizon), k, p, M, hs.size)
+    return np.concatenate([norms(hs[lo:lo + rows]) for lo in range(0, hs.size, rows)])
+
+
 # --- oracles: the series and its k-th difference, summed term by term ---
 
 def synthesize(seq, horizon, x):
@@ -88,8 +96,7 @@ def test_single_harmonic_amplitude_law(nu, k):
     seq = CoefficientSequence(tuple(head))
     for h in np.linspace(0.05, 3.0, 7):
         want = (2 * abs(math.sin(nu * h / 2))) ** k * math.sqrt(math.pi)
-        for method in ("auto", "grid"):
-            got = lp_norm(seq, nu, k, h, 2, method=method)
+        for got in (lp_norm(seq, nu, k, h, 2), grid_norms(seq, nu, k, [h], 2)[0]):
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -103,7 +110,7 @@ def test_grid_matches_pointwise_difference(monkeypatch):
     xs = np.arange(256) * (2 * math.pi / 256)
     for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 64.0):
         for k in (1, 2, 3):
-            got = difference_norms(seq, 20, k, hs, p, quad, method="grid")
+            got = grid_norms(seq, 20, k, hs, p, quad.M)
             for h, norm in zip(hs, got):
                 vals = np.abs(k_difference(seq, 20, k, h, xs))
                 scale = vals.max()  # keeps |v|^p in range at p = 64
@@ -115,7 +122,7 @@ def test_parseval_matches_grid_for_p2():
     seq = make_power_law(1, 1.5, 50)
     for h in (0.05, 0.9, 2.7):
         auto = lp_norm(seq, 50, 3, h, 2)
-        grid = lp_norm(seq, 50, 3, h, 2, method="grid")
+        grid = grid_norms(seq, 50, 3, [h], 2)[0]
         assert auto == pytest.approx(grid, rel=1e-12)
 
 
@@ -125,8 +132,7 @@ def test_lp_norm_rejections():
     with pytest.raises(ValueError):
         lp_norm(ONE, 1, 0, 0.1, 2)
     with pytest.raises(ValueError):
-        lp_norm(make_power_law(1, 2, 5000), 5000, 1, 0.1, 1,
-                quad=QuadratureSpec(M=8192), method="grid")
+        lp_norm(make_power_law(1, 2, 5000), 5000, 1, 0.1, 1, quad=QuadratureSpec(M=8192))
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0])
@@ -146,7 +152,7 @@ def test_difference_norms_parseval_matches_grid(monkeypatch):
     seq = make_power_law(1, 1.5, 50)
     hs = np.linspace(0.01, 3.0, 11)
     auto = difference_norms(seq, 50, 3, hs, 2)
-    grid = difference_norms(seq, 50, 3, hs, 2, method="grid")
+    grid = grid_norms(seq, 50, 3, hs, 2)
     assert np.allclose(auto, grid, rtol=1e-12, atol=0)
 
 
@@ -156,7 +162,7 @@ def test_half_angles_match_direct_trig(n):
     hs = np.concatenate([rng.uniform(0, 2 * math.pi, 6), [1e-6, math.pi, 2 * math.pi]])
     hs = hs[hs > 0]
     args = np.multiply.outer(hs, np.arange(1, n + 1) / 2.0)
-    s, c = smoothness._half_angles(hs, n)
+    s, c = smoothness._half_angles(hs, n, np.empty((2, hs.size * (n + smoothness._BLOCK))))
     assert s.shape == c.shape == (hs.size, n)
     # angle addition rounds the block and offset angles once each, so an
     # error of a few ulp of the argument is as exact as np.sin of it
@@ -204,15 +210,15 @@ def _shifts(t, H):
 def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
     # three shifts per chunk, so the visited shifts span several chunks; at
     # t = 3 and 6 the largest norm lies inside the shift range, not at h = t.
-    # On the grid at p = 2 the bound is the norm itself, up to rounding.
+    # p = 2 takes the Parseval norms, unpruned, on both sides.
     monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 1024)
     quad = QuadratureSpec(M=1024, H=64)
     big = make_power_law(1, 2, 300)
     tiny = CoefficientSequence(tuple(1e-200 * np.array(big.head)))
     for seq in (big, tiny):
         for t in (0.05, 0.5, 2.0, 3.0, 6.0):
-            want = np.max(difference_norms(seq, 300, k, _shifts(t, 64), p, quad, "grid"))
-            got = modulus_direct(seq, 300, SmoothnessParams(k, p), t, quad, "grid")
+            want = np.max(difference_norms(seq, 300, k, _shifts(t, 64), p, quad))
+            got = modulus_direct(seq, 300, SmoothnessParams(k, p), t, quad)
             assert got == want
 
 
@@ -259,8 +265,8 @@ def test_grid_size():
 
 def test_grid_quadrature_converges_for_p1():
     seq = make_power_law(1, 2, 30)
-    vals = [lp_norm(seq, 30, 2, 0.5, 1, quad=QuadratureSpec(M=M, H=16),
-                    method="grid") for M in (2048, 4096, 8192)]
+    vals = [lp_norm(seq, 30, 2, 0.5, 1, quad=QuadratureSpec(M=M, H=16))
+            for M in (2048, 4096, 8192)]
     assert abs(vals[2] - vals[1]) < 1e-6 * vals[2]
 
 
