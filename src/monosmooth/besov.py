@@ -22,8 +22,8 @@ import numpy as np
 
 from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, WeightedSumSpec,
                         _exp_quadrature, check_rules, positive_integer, weighted_sum)
-from .smoothness import (K_RULE, QuadratureSpec, SmoothnessParams, bound_core,
-                         difference_norms, grid_size)
+from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, QuadratureSpec, SmoothnessParams,
+                         bound_core, difference_norms, grid_size, shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
@@ -322,9 +322,10 @@ class CoreModulusSource(_OmegaTable):
 class DirectModulusSource(_OmegaTable):
     """Direct moduli omega(1/nu), nu = 1..top, from one ascending shift grid.
 
-    The grid holds the endpoints 1/nu and H geometric points per octave of
-    (1/top, 1]; the running max of ||Delta_h^k f||_p over it gives every
-    omega(1/nu) = sup_{0 < h <= 1/nu} at once.  The series stops at 8 * top
+    The grid holds the endpoints 1/nu and shift_grid(1, 1/top, H), H
+    geometric points per octave of [1/top, 1]; the running max of
+    ||Delta_h^k f||_p over it gives every omega(1/nu) = sup_{0 < h <= 1/nu}
+    at once.  The series stops at 8 * top
     harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
     of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
     when a larger nu is asked for, which refills omega at every nu.
@@ -334,7 +335,7 @@ class DirectModulusSource(_OmegaTable):
     RULES = (("H", ("H",), positive_integer, "must be a positive integer"),)
     nu_cap = 2048
 
-    def __init__(self, seq, params, H=16):
+    def __init__(self, seq, params, H=SHIFTS_PER_OCTAVE):
         self.H = H
         check_rules(self)
         super().__init__(seq, params)
@@ -343,13 +344,13 @@ class DirectModulusSource(_OmegaTable):
         k, p = self.params.k, self.params.p
         horizon = min(8 * top, self.seq.horizon) if self.seq.tail.c == 0 else 8 * top
         ends = 1.0 / np.arange(1, top + 1)
-        steps = np.arange(math.ceil(self.H * math.log2(top)) + 1)
-        hs = np.union1d(ends, 2.0 ** (-steps / self.H))
+        hs = np.union1d(ends, shift_grid(1.0, 1.0 / top, self.H))
         norms = difference_norms(self.seq, horizon, k, hs, p,
                                  QuadratureSpec(M=grid_size(horizon)))
         if p == 2:
             rest = weighted_sum(self.seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
-            norms = np.sqrt(norms ** 2 + math.pi * math.comb(2 * k, k) * rest)
+            if rest:  # skipped at 0, where norms ** 2 could leave the float range
+                norms = np.sqrt(norms ** 2 + math.pi * math.comb(2 * k, k) * rest)
         return np.maximum.accumulate(norms)[np.searchsorted(hs, ends)]
 
 

@@ -40,6 +40,7 @@ from .sequences import (
 )
 from .smoothness import (
     NORM_CONVENTION,
+    SHIFTS_PER_OCTAVE,
     QuadratureSpec,
     SmoothnessParams,
     bound_core,
@@ -56,14 +57,12 @@ _CLASS_KEYS = {"sequence", "theta", "r", "lam", "k", "p"}
 #: the task builds); sequences.broken_rules reads the rule rows
 _TASKS = {
     "gen": ({"family"}, {"c", "beta", "gamma", "horizon", "size", "scale"}, ()),
-    "modulus": ({"sequence", "k", "p", "t_grid"}, {"M", "H", "horizon"},
+    "modulus": ({"sequence", "k", "p", "t_grid"}, {"M", "horizon"},
                 SmoothnessParams.RULES + QuadratureSpec.RULES),
-    "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source", "H"},
-                 ClassParams.RULES + DirectModulusSource.RULES),
+    "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source"}, ClassParams.RULES),
     "verify-lemma": ({"lemma", "sequence", "alpha", "lam", "p", "m", "n"}, set(),
                      HardyParams.RULES),
-    "equivalence": (_CLASS_KEYS | {"n_grid"}, {"H"},
-                    ClassParams.RULES + DirectModulusSource.RULES),
+    "equivalence": (_CLASS_KEYS | {"n_grid"}, set(), ClassParams.RULES),
     "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ClassParams.RULES),
 }
 #: rules on the keys of a family sequence (gen's keys, or a "sequence"
@@ -247,15 +246,16 @@ def run_experiment(cfg):
         params = SmoothnessParams(k=opt["k"], p=opt["p"])
         horizon = int(opt.get("horizon", min(seq.horizon, HORIZON)))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
-        M = opt.get("M", QuadratureSpec.M if params.p == 2 else grid_size(horizon))
-        quad = QuadratureSpec(M=M, H=opt.get("H", QuadratureSpec.H))
+        quad = QuadratureSpec(M=opt.get("M", grid_size(horizon)))
         rows = []
         for t in opt["t_grid"]:
             om = modulus_direct(seq, horizon, params, t, quad)
             n = max(1, round(1.0 / t))
             rows.append((t, om, bound_core(seq, params, n)))
+        grid = f" M={quad.M}" if params.p != 2 else ""
         lines = _header_lines([
-            f"k={params.k} p={_fmt(params.p)} M={quad.M} H={quad.H} horizon={horizon}",
+            f"k={params.k} p={_fmt(params.p)}{grid} horizon={horizon}",
+            f"omega: max over {SHIFTS_PER_OCTAVE} shifts per octave on [t/64, t]",
         ])
         lines.append("t,omega_direct,E_core")
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -274,12 +274,11 @@ def run_experiment(cfg):
 
     cp = ClassParams(theta=opt["theta"], r=opt["r"], lam=opt["lam"],
                      k=opt["k"], p=opt["p"])
-    direct = {"H": opt["H"]} if "H" in opt else {}
 
     if cfg.task == "seminorm":
         n_grid = opt["n_grid"]
         if opt.get("source", "core") == "direct":
-            source = DirectModulusSource(seq, cp.smoothness, **direct)
+            source = DirectModulusSource(seq, cp.smoothness)
         else:
             source = CoreModulusSource(seq, cp.smoothness)
         values = {"n": list(n_grid), "I": [], "J": [], "K": []}
@@ -291,7 +290,7 @@ def run_experiment(cfg):
         return _write(_out_path(cfg, "seminorm.json"), _json_report(cfg, payload))
 
     if cfg.task == "equivalence":
-        source = DirectModulusSource(seq, cp.smoothness, **direct)
+        source = DirectModulusSource(seq, cp.smoothness)
         rep = equivalence_report(seq, cp, opt["n_grid"], source=source)
         payload = {
             "values": rep["values"],
@@ -344,7 +343,30 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
+#: the type of a key's flag; any other key's flag takes text
+_FLAG_TYPES = {
+    **dict.fromkeys(("k", "m", "n", "M", "horizon", "size", "seed"), int),
+    **dict.fromkeys(("c", "beta", "gamma", "theta", "r", "lam", "p", "alpha"), float),
+    "t_grid": _float_list,
+    "n_grid": _int_list,
+}
+#: task -> the defaults of its flags, so that a flag-form document has these keys
+_FLAG_DEFAULTS = {
+    "gen": {"family": "power_law", "c": 1.0, "beta": 1.0, "gamma": 0.0, "horizon": HORIZON,
+            "size": 64, "seed": 0},
+    "seminorm": {"source": "core"},
+    "membership": {"functional": "K"},
+}
+_FLAG_HELP = {"M": "p != 2 grid (default: from the horizon)",
+              "phi": "power:A | constant:C | power_log:A,G"}
+_TASK_HELP = {"gen": "emit a sequence JSON file", "modulus": "omega(t) sweep as CSV",
+              "verify-lemma": "one inequality instance as CSV"}
+
+
 def build_parser():
+    """One subcommand per task of _TASKS and one flag per key, except gen's
+    scale, the seed outside gen and modulus's series cut horizon: outside
+    gen, _add_sequence_flags (--horizon the length) stand for sequence."""
     parser = argparse.ArgumentParser(
         prog="monosmooth",
         description="Moduli of smoothness, Hardy-type sums, and "
@@ -354,57 +376,19 @@ def build_parser():
                         version=f"monosmooth {__version__}")
     parser.add_argument("--config", help="JSON config file (overrides flags)")
     sub = parser.add_subparsers(dest="task")
-
-    g = sub.add_parser("gen", help="emit a sequence JSON file")
-    g.add_argument("--family", choices=["power_law", "power_log", "random"],
-                   default="power_law")
-    g.add_argument("--c", type=float, default=1.0)
-    g.add_argument("--beta", type=float, default=1.0)
-    g.add_argument("--gamma", type=float, default=0.0)
-    g.add_argument("--horizon", type=int, default=HORIZON)
-    g.add_argument("--size", type=int, default=64)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out")
-
-    m = sub.add_parser("modulus", help="omega(t) sweep as CSV")
-    _add_sequence_flags(m)
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--p", type=float, required=True)
-    m.add_argument("--t-grid", type=_float_list, required=True)
-    m.add_argument("--M", type=int, help="p != 2 grid (default: from the horizon)")
-    m.add_argument("--H", type=int, help="shift samples on (0, t] (default 64)")
-    m.add_argument("--out")
-
-    v = sub.add_parser("verify-lemma", help="one inequality instance as CSV")
-    _add_sequence_flags(v)
-    v.add_argument("--lemma", choices=list(LEMMA_IDS), required=True)
-    v.add_argument("--alpha", type=float, required=True)
-    v.add_argument("--lam", type=float, required=True)
-    v.add_argument("--p", type=float, required=True)
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--out")
-
-    for name in ("seminorm", "equivalence", "membership"):
-        s = sub.add_parser(name)
-        _add_sequence_flags(s)
-        s.add_argument("--theta", type=float, required=True)
-        s.add_argument("--r", type=float, required=True)
-        s.add_argument("--lam", type=float, required=True)
-        s.add_argument("--k", type=int, required=True)
-        s.add_argument("--p", type=float, required=True)
-        if name != "membership":
-            s.add_argument("--n-grid", type=_int_list, required=True)
+    for task, (required, optional, _) in _TASKS.items():
+        s = sub.add_parser(task, help=_TASK_HELP.get(task))
+        keys = required | optional
+        if task == "gen":
+            keys = keys - {"scale"} | {"seed"}
         else:
-            s.add_argument("--n-grid", type=_int_list)
-            s.add_argument("--phi", required=True,
-                           help="power:A | constant:C | power_log:A,G")
-            s.add_argument("--functional", choices=["I", "J", "K"], default="K")
-        if name == "seminorm":
-            s.add_argument("--source", choices=["core", "direct"], default="core")
-        if name != "membership":
-            s.add_argument("--H", type=int,
-                           help="direct-source shift samples per octave (default 16)")
+            _add_sequence_flags(s)
+            keys = keys - {"sequence", "horizon"}
+        defaults = _FLAG_DEFAULTS.get(task, {})
+        for key in sorted(keys):
+            s.add_argument("--" + key.replace("_", "-"), type=_FLAG_TYPES.get(key),
+                           default=defaults.get(key), help=_FLAG_HELP.get(key),
+                           required=key in required and key not in defaults)
         s.add_argument("--out")
     return parser
 

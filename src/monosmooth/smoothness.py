@@ -38,21 +38,22 @@ class SmoothnessParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Uniform grids: M sample points on [0, 2pi), H shift samples on (0, t]."""
+    """Uniform quadrature grid: M sample points on [0, 2pi)."""
 
     M: int = 8192
-    H: int = 64
 
     RULES = (
         ("M", ("M",), lambda M: positive_integer(M) and M >= 2 and not int(M) & (int(M) - 1),
          "must be a power of two"),
-        ("H", ("H",), lambda H: positive_integer(H) and H >= 16, "must be an integer >= 16"),
     )
 
     def __post_init__(self):
         check_rules(self)
         object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "H", int(self.H))
+
+
+#: geometric shift samples per octave of the omega sup
+SHIFTS_PER_OCTAVE = 16
 
 
 #: elements per work buffer (shifts x harmonics or grid points): 2^17
@@ -67,6 +68,13 @@ def grid_size(horizon):
     """Quadrature grid for a series truncated at `horizon` when the caller
     chose none: the smallest power of two above 2 * horizon, at least 8192."""
     return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
+
+
+def shift_grid(hi, lo, per_octave=SHIFTS_PER_OCTAVE):
+    """Ascending shifts hi 2^(-j/per_octave), j = 0, 1, ..., down to lo or
+    the first point below it: the samples of an omega sup."""
+    steps = np.arange(math.ceil(per_octave * math.log2(hi / lo)) + 1)
+    return hi * 2.0 ** (-steps[::-1] / per_octave)
 
 
 def _half_angles(hs, n, out, cos=True):
@@ -216,7 +224,9 @@ def _grid_kernel(a, k, p, M, shifts):
 def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
 
-    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)).  Other p:
+    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)), with the
+    coefficients divided by their largest first only when its square, or
+    4^k horizon times it, would leave the normal float range.  Other p:
     the sum over the uniform M-point grid (_grid_kernel), one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
     when M > 2 * horizon.  sin(nu h/2) and cos(nu h/2) come from angle
@@ -230,7 +240,10 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
     if p == 2:
-        return np.sqrt(math.pi * _parseval_sums(hs, a, k)[0])
+        top = float(np.abs(a).max(initial=0.0))
+        e = 2.0 * math.log2(top) if top else 0.0
+        scale = top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
+        return scale * np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0])
     rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
     out = np.empty(hs.size)
     for lo in range(0, hs.size, rows):
@@ -244,7 +257,8 @@ def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec()):
 
 
 def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
-    """omega(f; t)_p: max of ||Delta_h^k f||_p over h in {t i/H, i=1..H}.
+    """omega(f; t)_p: max of ||Delta_h^k f||_p over h in shift_grid(t, t/64),
+    SHIFTS_PER_OCTAVE geometric points per octave of [t/64, t].
 
     Only positive shifts are sampled: the series is even, so the norm is
     invariant under h -> -h (checked numerically in the test suite).
@@ -260,7 +274,7 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    hs = t * np.arange(1, quad.H + 1, dtype=float) / quad.H
+    hs = shift_grid(t, t / 64)
     k, p = params.k, params.p
     if p == 2:
         return float(np.max(difference_norms(seq, horizon, k, hs, p, quad)))

@@ -332,6 +332,19 @@ def test_direct_source_zero_tail_is_exact():
         assert np.allclose(src.batch(nu), want, rtol=1e-9, atol=0)
 
 
+def test_direct_source_p2_scales_with_tiny_and_huge_coefficients():
+    # with a zero tail nothing is added past the cut, so the norms are not
+    # squared again: at 1e-200 they would underflow and at 1e200 overflow
+    head = np.arange(1.0, 65) ** -2
+    nu = np.arange(1, 65)
+    want = SmallDirect(CoefficientSequence(tuple(head)), SmoothnessParams(2, 2), H=4).batch(nu)
+    for c in (1e-200, 1e200):
+        src = SmallDirect(CoefficientSequence(tuple(c * head)), SmoothnessParams(2, 2), H=4)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = src.batch(nu)
+        assert np.allclose(got, c * want, rtol=1e-12, atol=0)
+
+
 def test_seminorms_past_the_direct_source_cap():
     # n = 64 starts the far sums at or past nu_cap = 64; the table doubles
     seq = make_power_law(1, 2, 4096)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -120,7 +122,7 @@ def test_modulus_grid_sized_from_horizon(tmp_path):
                "--t-grid", "0.125,0.25", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert "# k=2 p=1 M=16384 H=64 horizon=4096" in lines
+    assert "# k=2 p=1 M=16384 horizon=4096" in lines
     rows = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(rows) == 2 and all(float(r.split(",")[1]) > 0 for r in rows)
 
@@ -221,8 +223,17 @@ def test_exit_code_on_config_error(capsys):
      "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:"],
     ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
      "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power_log:0.25"],
+    # a bad flag value gets the line the same value gets in a config file
+    ["verify-lemma", "--power-law", "1", "1", "--lemma", "nope", "--alpha", "1",
+     "--lam", "0", "--p", "1", "--m", "1", "--n", "32"],
+    ["membership", "--power-law", "1", "1.25", "--theta", "1", "--r", "0.5",
+     "--lam", "0.5", "--k", "2", "--p", "2", "--phi", "power:0.25", "--functional", "X"],
+    ["seminorm", "--power-law", "1", "2", "--theta", "1", "--r", "0.5", "--lam", "0.5",
+     "--k", "2", "--p", "2", "--n-grid", "2,4", "--source", "dirct"],
+    ["gen", "--family", "nope"],
 ], ids=["lemma-side-condition", "modulus-coarse-M", "membership-alpha-ge-lam",
-        "phi-power-no-alpha", "phi-power-log-no-gamma"])
+        "phi-power-no-alpha", "phi-power-log-no-gamma", "flag-lemma", "flag-functional",
+        "flag-source", "flag-family"])
 def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "report")])
     err = capsys.readouterr().err
@@ -230,6 +241,25 @@ def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "report").exists()
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_README_COMMANDS = re.findall(r"^monosmooth (.*?(?:\\\n.*?)*)$",
+                              _README.read_text(), flags=re.M)
+
+
+@pytest.mark.parametrize("command", _README_COMMANDS,
+                         ids=[c.split()[0] for c in _README_COMMANDS])
+def test_readme_commands_run_as_written(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    assert capsys.readouterr().out == f"{out}\n" and (tmp_path / out).stat().st_size > 0
+
+
+def test_readme_has_four_commands():
+    assert len(_README_COMMANDS) == 4
 
 
 _SEMINORM = {"task": "seminorm", "sequence": {"family": "power_law", "beta": 2},
@@ -275,13 +305,17 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
      "sequence: tail: c: must be a real number"),
     ({**_SEMINORM, "sequence": {"head": 3, "tail": {"variant": "zero"}}},
      "sequence: head: must be a list of real numbers"),
+    ({**_MODULUS, "H": 16}, "unknown key: 'H'"),
+    ({**_SEMINORM, "H": 16}, "unknown key: 'H'"),
+    ({**_SEMINORM, "task": "equivalence", "H": 16}, "unknown key: 'H'"),
 ], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma",
         "family-no-beta", "gen-power-log-no-gamma", "sequence-not-object-or-path",
         "lemma-m-not-integer", "lemma-unknown-id", "unknown-source",
         "unknown-functional", "format-key", "gen-beta", "gen-c", "gen-gamma",
         "gen-horizon", "gen-size", "gen-scale", "lemma-lam", "modulus-M",
         "modulus-horizon", "sequence-beta", "sequence-tail-not-object",
-        "sequence-tail-c", "sequence-head-not-list"])
+        "sequence-tail-c", "sequence-head-not-list", "modulus-H", "seminorm-H",
+        "equivalence-H"])
 def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"

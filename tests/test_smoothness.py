@@ -14,6 +14,7 @@ from monosmooth.smoothness import (
     grid_size,
     lp_norm,
     modulus_direct,
+    shift_grid,
 )
 
 ONE = CoefficientSequence((1.0,))
@@ -105,7 +106,7 @@ def test_grid_matches_pointwise_difference(monkeypatch):
     # left in the reused buffers by an earlier chunk would change its norm
     monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 256)
     seq = make_power_law(1, 2, 20)
-    quad = QuadratureSpec(M=256, H=16)
+    quad = QuadratureSpec(M=256)
     hs = np.array([0.05, 0.3, 0.4, 0.7, 1.2, 2.0, 3.1, 5.5])
     xs = np.arange(256) * (2 * math.pi / 256)
     for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 64.0):
@@ -137,12 +138,12 @@ def test_lp_norm_rejections():
 
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_batched_modulus_matches_single_shift_loop(p, monkeypatch):
-    # five shifts per chunk, so the 16 shifts span four chunks
+    # five shifts per chunk, so the visited shifts span several chunks
     monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 5 * 1024)
     seq = make_power_law(1, 2, 300)
-    quad = QuadratureSpec(M=1024, H=16)
+    quad = QuadratureSpec(M=1024)
     for t in (0.05, 0.5, 2.0):
-        loop = max(lp_norm(seq, 300, 2, t * i / 16, p, quad) for i in range(1, 17))
+        loop = max(lp_norm(seq, 300, 2, h, p, quad) for h in shift_grid(t, t / 64))
         got = modulus_direct(seq, 300, SmoothnessParams(2, p), t, quad)
         assert got == pytest.approx(loop, rel=1e-12)
 
@@ -201,10 +202,6 @@ def test_grid_norm_scales_rows_out_of_float_range(c, p, k):
         assert norm == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def _shifts(t, H):
-    return t * np.arange(1, H + 1, dtype=float) / H
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 64.0])
 def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
@@ -212,12 +209,12 @@ def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
     # t = 3 and 6 the largest norm lies inside the shift range, not at h = t.
     # p = 2 takes the Parseval norms, unpruned, on both sides.
     monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 1024)
-    quad = QuadratureSpec(M=1024, H=64)
+    quad = QuadratureSpec(M=1024)
     big = make_power_law(1, 2, 300)
     tiny = CoefficientSequence(tuple(1e-200 * np.array(big.head)))
     for seq in (big, tiny):
         for t in (0.05, 0.5, 2.0, 3.0, 6.0):
-            want = np.max(difference_norms(seq, 300, k, _shifts(t, 64), p, quad))
+            want = np.max(difference_norms(seq, 300, k, shift_grid(t, t / 64), p, quad))
             got = modulus_direct(seq, 300, SmoothnessParams(k, p), t, quad)
             assert got == want
 
@@ -247,12 +244,38 @@ def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
 
     monkeypatch.setattr(smoothness, "_grid_sums", counting)
     seq = make_power_law(1, 2, 4096)
-    quad = QuadratureSpec(M=16384, H=64)
+    quad = QuadratureSpec(M=16384)
     got = modulus_direct(seq, 4096, SmoothnessParams(2, 3), 1 / 64, quad)
     assert sum(sent) <= 16
     assert sent[0] == 1  # the top shift goes alone
-    want = np.max(difference_norms(seq, 4096, 2, _shifts(1 / 64, 64), 3, quad))
+    want = np.max(difference_norms(seq, 4096, 2, shift_grid(1 / 64, 1 / 4096), 3, quad))
     assert got == want
+
+
+@pytest.mark.parametrize("top", [64, 2048])
+@pytest.mark.parametrize("H", [4, 16])
+def test_shift_grid_is_the_direct_source_grid(top, H):
+    # the grid DirectModulusSource built before it called shift_grid
+    ends = 1.0 / np.arange(1, top + 1)
+    steps = np.arange(math.ceil(H * math.log2(top)) + 1)
+    want = np.union1d(ends, 2.0 ** (-steps / H))
+    assert np.union1d(ends, shift_grid(1, 1 / top, H)).tobytes() == want.tobytes()
+
+
+def test_parseval_norms_scale_with_tiny_and_huge_coefficients():
+    # p = 2 squares the coefficients: unless divided by the largest first,
+    # the squares underflow to 0 at 1e-200 and overflow to inf at 1e200
+    base = make_power_law(1, 2, 300)
+    params = SmoothnessParams(2, 2)
+    hs = np.array([0.01, 0.5, 2.0])
+    want = difference_norms(base, 300, 2, hs, 2)
+    for c in (1e-200, 1e200):
+        seq = CoefficientSequence(tuple(c * np.array(base.head)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = difference_norms(seq, 300, 2, hs, 2)
+            omega = modulus_direct(seq, 300, params, 0.5)
+        assert np.allclose(got, c * want, rtol=1e-12, atol=0)
+        assert omega == pytest.approx(c * modulus_direct(base, 300, params, 0.5), rel=1e-12)
 
 
 def test_grid_size():
@@ -265,7 +288,7 @@ def test_grid_size():
 
 def test_grid_quadrature_converges_for_p1():
     seq = make_power_law(1, 2, 30)
-    vals = [lp_norm(seq, 30, 2, 0.5, 1, quad=QuadratureSpec(M=M, H=16))
+    vals = [lp_norm(seq, 30, 2, 0.5, 1, quad=QuadratureSpec(M=M))
             for M in (2048, 4096, 8192)]
     assert abs(vals[2] - vals[1]) < 1e-6 * vals[2]
 
@@ -318,8 +341,6 @@ def test_params_validation():
         SmoothnessParams(1, 0)
     with pytest.raises(ValueError):
         QuadratureSpec(M=100)  # not a power of two
-    with pytest.raises(ValueError):
-        QuadratureSpec(H=8)
 
 
 def test_bound_core_single_harmonic():
