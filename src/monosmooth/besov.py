@@ -23,7 +23,8 @@ import numpy as np
 from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, WeightedSumSpec,
                         _exp_quadrature, check_rules, positive_integer, weighted_sum)
 from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, QuadratureSpec, SmoothnessParams,
-                         bound_core, difference_norms, grid_size, shift_grid)
+                         bound_core, difference_norms, grid_size, parseval_scale,
+                         shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
@@ -348,9 +349,14 @@ class DirectModulusSource(_OmegaTable):
         norms = difference_norms(self.seq, horizon, k, hs, p,
                                  QuadratureSpec(M=grid_size(horizon)))
         if p == 2:
-            rest = weighted_sum(self.seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
+            # in units of the largest coefficient when the squares would
+            # leave the normal float range, as difference_norms does
+            scale = parseval_scale(self.seq.values(1, horizon), k)
+            seq = self.seq if scale == 1 else self.seq.scaled(1 / scale)
+            rest = weighted_sum(seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
             if rest:  # skipped at 0, where norms ** 2 could leave the float range
-                norms = np.sqrt(norms ** 2 + math.pi * math.comb(2 * k, k) * rest)
+                norms = scale * np.sqrt((norms / scale) ** 2
+                                        + math.pi * math.comb(2 * k, k) * rest)
         return np.maximum.accumulate(norms)[np.searchsorted(hs, ends)]
 
 

@@ -118,51 +118,77 @@ class SweepReport:
         return self.ratio_max / self.ratio_min
 
 
-def _sides(lemma_id, a, hp, power):
+def _sides(lemma_id, a, hp, tables, out):
     """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p, where a
-    holds a_1 .. a_N and power(x) holds nu^x for nu = 1 .. N, N >= hp.n."""
+    holds a_1 .. a_n, tables holds nu^x for nu = 1 .. N at x = lam, the
+    weight's exponent and lam + 1, and out is an N-long workspace,
+    N >= hp.n.  Each side runs the ufuncs of sum(weight * x ** p) in that
+    order, in place in out, so nothing is allocated."""
     inner, lo, hi, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
     p, m, n = hp.p, hp.m, hp.n
     if n < c * m:
         raise ValueError(f"{lemma_id} with p {'>=' if p >= 1 else '<'} 1 needs n >= {c}m")
     lo, hi = lo * m or 1, hi * m or 1
-    w = a[lo - 1:n] * power(hp.lam)[lo - 1:n]  # summands of the inner sums
-    sums = np.cumsum(w[::-1])[::-1] if inner == "tail" else np.cumsum(w)
-    weight = power(hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)[:n]
-    point = (a[hi - 1:n] * power(hp.lam + 1)[hi - 1:n]) ** p
-    lhs = float(np.sum(weight[lo - 1:] * sums ** p))
-    return lhs, float(np.sum(weight[hi - 1:] * point))
+    summand, weight, point = tables
+    # summands of the inner sums, then the sums themselves
+    sums = np.multiply(a[lo - 1:n], summand[lo - 1:n], out=out[:n - lo + 1])
+    if inner == "tail":
+        np.cumsum(sums[::-1], out=sums[::-1])
+    else:
+        np.cumsum(sums, out=sums)
+    sums **= p  # in place, ** picks the same ufunc (square, sqrt, ...) as sums ** p
+    lhs = float(np.sum(np.multiply(weight[lo - 1:n], sums, out=sums)))
+    terms = np.multiply(a[hi - 1:n], point[hi - 1:n], out=out[:n - hi + 1])
+    terms **= p
+    return lhs, float(np.sum(np.multiply(weight[hi - 1:n], terms, out=terms)))
 
 
 def _sweep(lemma_id, cases):
     """evaluate(seq, hp) -> RatioReport for the (seq, hp) pairs of cases.
 
-    The evaluations share one table of nu^x over nu = 1 .. max n, one
-    values() read and one monotonicity check per sequence object; all
-    three live as long as evaluate.  A rejected case raises ValueError.
+    The evaluations share one block of nu^x tables over nu = 1 .. max n,
+    one row for each exponent that a case passing its side condition
+    needs, and one workspace of that length.  Each sequence object is
+    read once, without a copy when its head covers the largest n asked of
+    it, and checked for monotonicity once.  All of this lives as long as
+    evaluate.  A rejected case raises ValueError; an unknown lemma_id
+    raises before any case.
     """
+    if lemma_id not in LEMMA_IDS:
+        raise ValueError(f"unknown lemma id: {lemma_id!r}")
     top = {}  # id(seq) -> largest n asked of it
+    exponents = {}  # x -> its row in the block of nu^x tables, in first-use order
+    rows = {}  # id(hp) -> the rows _sides reads, for a case that meets n >= c m
     for seq, hp in cases:
         top[id(seq)] = max(top.get(id(seq), 0), hp.n)
-    nu = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
-    powers, heads, monotone = {}, {}, {}
-
-    def power(x):
-        if x not in powers:
-            powers[x] = nu ** x
-        return powers[x]
+        if lemma_id != "jensen":
+            inner, _, _, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
+            if hp.n >= c * hp.m:
+                weight = hp.alpha - 1 if inner == "tail" else -hp.alpha - 1
+                rows[id(hp)] = [exponents.setdefault(x, len(exponents))
+                                for x in (hp.lam, weight, hp.lam + 1)]
+    # nu = 1 .. N fills the tables, then serves as the workspace
+    out = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
+    block = np.empty((len(exponents), out.size))
+    block[:] = out
+    for row, x in zip(block, exponents):
+        row **= x  # in place, the ufunc that nu ** x takes
+    heads, monotone = {}, {}
 
     def head(seq):
         if id(seq) not in heads:
-            heads[id(seq)] = seq.values(1, top[id(seq)])
+            n = top[id(seq)]
+            # the read-only head array, as validate_monotone reads it
+            heads[id(seq)] = seq._head_array if seq.horizon >= n else seq.values(1, n)
         return heads[id(seq)]
 
     def evaluate(seq, hp):
-        if lemma_id not in LEMMA_IDS:
-            raise ValueError(f"unknown lemma id: {lemma_id!r}")
         if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
             a = head(seq)[:hp.n]
-            lhs, rhs = float(np.sum(a ** 2.0) ** 0.5), float(np.sum(a))
+            squares = out[:hp.n]
+            squares[:] = a
+            squares **= 2.0
+            lhs, rhs = float(np.sum(squares) ** 0.5), float(np.sum(a))
             return _report(lemma_id, lhs, rhs, "upper")
         if lemma_id in _MONOTONE:
             if id(seq) not in monotone:
@@ -170,7 +196,8 @@ def _sweep(lemma_id, cases):
             res = monotone[id(seq)]
             if not res.ok:
                 raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
-        lhs, rhs = _sides(lemma_id, head(seq), hp, power)
+        tables = [block[i] for i in rows.get(id(hp), ())]
+        lhs, rhs = _sides(lemma_id, head(seq), hp, tables, out)
         return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
 
     return evaluate

@@ -221,6 +221,15 @@ def _grid_kernel(a, k, p, M, shifts):
     return rows, norms
 
 
+def parseval_scale(a, k):
+    """1, or the largest |a_nu| when its square, or 4^k len(a) times it,
+    would leave the normal float range: the divisor that keeps the
+    Parseval sum of a_nu^2 |2 sin(nu h/2)|^(2k) finite and normal."""
+    top = float(np.abs(a).max(initial=0.0))
+    e = 2.0 * math.log2(top) if top else 0.0
+    return top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
+
+
 def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
 
@@ -240,9 +249,7 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
     if p == 2:
-        top = float(np.abs(a).max(initial=0.0))
-        e = 2.0 * math.log2(top) if top else 0.0
-        scale = top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
+        scale = parseval_scale(a, k)
         return scale * np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0])
     rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
     out = np.empty(hs.size)

@@ -333,16 +333,21 @@ def test_direct_source_zero_tail_is_exact():
 
 
 def test_direct_source_p2_scales_with_tiny_and_huge_coefficients():
-    # with a zero tail nothing is added past the cut, so the norms are not
-    # squared again: at 1e-200 they would underflow and at 1e200 overflow
+    # a zero tail adds nothing past the cut, so the norms are not squared
+    # again; a power-law tail is added in units of the largest coefficient.
+    # Unscaled, the squares underflow at 1e-200 and overflow at 1e200.
     head = np.arange(1.0, 65) ** -2
     nu = np.arange(1, 65)
-    want = SmallDirect(CoefficientSequence(tuple(head)), SmoothnessParams(2, 2), H=4).batch(nu)
-    for c in (1e-200, 1e200):
-        src = SmallDirect(CoefficientSequence(tuple(c * head)), SmoothnessParams(2, 2), H=4)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = src.batch(nu)
-        assert np.allclose(got, c * want, rtol=1e-12, atol=0)
+    for make in (lambda c: CoefficientSequence(tuple(c * head)),
+                 lambda c: make_power_law(c, 2, 64)):
+        want = SmallDirect(make(1.0), SmoothnessParams(2, 2), H=4).batch(nu)
+        for c in (1e-200, 1e200):
+            src = SmallDirect(make(c), SmoothnessParams(2, 2), H=4)
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                        divide="raise"):
+                warnings.simplefilter("error")
+                got = src.batch(nu)
+            assert np.allclose(got, c * want, rtol=1e-12, atol=0)
 
 
 def test_seminorms_past_the_direct_source_cap():

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monosmooth import hardy
@@ -12,7 +13,8 @@ from monosmooth.hardy import (
     estimate_constant,
     verify_lemma,
 )
-from monosmooth.sequences import CoefficientSequence, make_power_law, make_random_monotone
+from monosmooth.sequences import (CoefficientSequence, PowerLawTail, make_power_law,
+                                  make_power_log, make_random_monotone, validate_monotone)
 
 
 # --- the tail sum and the two lp displays, as the oracles below use them ---
@@ -106,6 +108,49 @@ def naive_lemma(lemma_id, a, hp, jensen_exponents=(1.0, 2.0)):
                   for mu in range(1, n + 1))
         return lhs, rhs
     raise AssertionError(lemma_id)
+
+
+# --- the allocating evaluation, one temporary per ufunc, as the oracle of
+# the in-place sweep: a case at a time, with tables over its own 1 .. n ---
+
+def oracle_sides(lemma_id, a, hp, power):
+    inner, lo, hi, c, _ = hardy._DISPLAYS[lemma_id, hp.p >= 1]
+    p, m, n = hp.p, hp.m, hp.n
+    if n < c * m:
+        raise ValueError(f"{lemma_id} with p {'>=' if p >= 1 else '<'} 1 needs n >= {c}m")
+    lo, hi = lo * m or 1, hi * m or 1
+    w = a[lo - 1:n] * power(hp.lam)[lo - 1:n]
+    sums = np.cumsum(w[::-1])[::-1] if inner == "tail" else np.cumsum(w)
+    weight = power(hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)[:n]
+    point = (a[hi - 1:n] * power(hp.lam + 1)[hi - 1:n]) ** p
+    lhs = float(np.sum(weight[lo - 1:] * sums ** p))
+    return lhs, float(np.sum(weight[hi - 1:] * point))
+
+
+def oracle_sweep(lemma_id, cases):
+    """Ratios, skipped count and bound of estimate_constant, case by case."""
+    ratios, skipped, bound = [], 0, ""
+    for seq, hp in cases:
+        a = seq.values(1, hp.n)
+        nu = np.arange(1, hp.n + 1, dtype=float)
+        if lemma_id == "jensen":
+            lhs, rhs, rbound = float(np.sum(a ** 2.0) ** 0.5), float(np.sum(a)), "upper"
+        elif lemma_id in hardy._MONOTONE and not validate_monotone(seq).ok:
+            skipped += 1
+            continue
+        else:
+            try:
+                lhs, rhs = oracle_sides(lemma_id, a, hp, lambda x: nu ** x)
+            except ValueError:
+                skipped += 1
+                continue
+            rbound = hardy._DISPLAYS[lemma_id, hp.p >= 1][-1]
+        bound = rbound
+        if rhs > 0:
+            ratios.append(lhs / rhs)
+        else:
+            skipped += 1
+    return ratios, skipped, bound
 
 
 def test_inner_tail_counting():
@@ -365,3 +410,59 @@ def test_jensen_inequality_property(xs, lo, gap):
     assert lhs <= rhs * (1 + 1e-9)
     if sum(x > 0 for x in xs) <= 1:
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def _sequences(horizon):
+    """Sequences whose heads stop at horizon: three with a tail model, one
+    with a zero tail and one that rises."""
+    rng = np.random.default_rng(horizon)
+    return [make_power_law(1.0, 1.25, horizon),
+            make_power_log(2.0, 0.75, -0.5, horizon),
+            CoefficientSequence(tuple(np.linspace(1.0, 0.5, horizon)), PowerLawTail(0.4, 1.5)),
+            make_random_monotone(rng, horizon),
+            CoefficientSequence(tuple(np.linspace(0.1, 1.0, horizon)))]
+
+
+_SEQUENCES = {horizon: _sequences(horizon) for horizon in (8, 40, 256)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LEMMA_IDS),
+       st.lists(st.tuples(st.sampled_from(sorted(_SEQUENCES)), st.integers(0, 4),
+                          st.sampled_from([0.5, 1, 1.0, 1.5, 2, 2.0, 3]),
+                          st.sampled_from([-0.5, 0, 1, math.nan]),
+                          st.sampled_from([0.5, 1, 2.25]),
+                          st.sampled_from([16, 64, 256]), st.booleans()),
+                min_size=1, max_size=6))
+def test_sweep_equals_the_allocating_oracle(lemma, draws):
+    # heads of 8 and 40 are shorter than most n, so the tail is read; a NaN
+    # lam, which HardyParams accepts, gives NaN sides and a skipped case
+    cases = [(_SEQUENCES[horizon][i], HardyParams(alpha=alpha, lam=lam, p=p,
+                                                  m=n // 8 if eighth else 1, n=n))
+             for horizon, i, p, lam, alpha, n, eighth in draws]
+    rep = estimate_constant(lemma, cases)
+    assert (rep.ratios, rep.skipped, rep.bound) == oracle_sweep(lemma, cases)
+
+
+def test_unknown_lemma_id_raises_before_any_case():
+    case = (make_power_law(1, 1.5, 64), HardyParams(alpha=1, lam=0, p=1, m=1, n=64))
+    with pytest.raises(ValueError, match="^unknown lemma id: 'lp_uper'$"):
+        estimate_constant("lp_uper", [case] * 3)
+    with pytest.raises(ValueError, match="^unknown lemma id: 'lp_uper'$"):
+        verify_lemma("lp_uper", *case)
+
+
+def test_sweep_allocates_no_temporaries_per_case():
+    # the tables (three exponents), the workspace and nothing per case: the
+    # allocating evaluation peaks at ten n-long arrays here
+    n = 2 ** 14
+    seq = make_power_law(1, 1.5, n)
+    cases = [(seq, HardyParams(alpha=1.5, lam=0.25, p=p, m=m, n=n))
+             for p in (0.5, 1, 2, 3) for m in (1, n // 8)]
+    tracemalloc.start()
+    try:
+        estimate_constant("lp_upper", cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * n
