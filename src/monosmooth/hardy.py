@@ -121,24 +121,31 @@ class SweepReport:
 def _sides(lemma_id, a, hp, tables, out):
     """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p, where a
     holds a_1 .. a_n, tables holds nu^x for nu = 1 .. N at x = lam, the
-    weight's exponent and lam + 1, and out is an N-long workspace,
+    weight's exponent and lam + 1, and out holds two N-long workspaces,
     N >= hp.n.  Each side runs the ufuncs of sum(weight * x ** p) in that
-    order, in place in out, so nothing is allocated."""
+    order, with the strides that expression gives them, in out, so
+    nothing is allocated."""
     inner, lo, hi, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
     p, m, n = hp.p, hp.m, hp.n
     if n < c * m:
         raise ValueError(f"{lemma_id} with p {'>=' if p >= 1 else '<'} 1 needs n >= {c}m")
     lo, hi = lo * m or 1, hi * m or 1
     summand, weight, point = tables
-    # summands of the inner sums, then the sums themselves
-    sums = np.multiply(a[lo - 1:n], summand[lo - 1:n], out=out[:n - lo + 1])
+    work, spare = out
+    # summands of the inner sums, then the sums raised to p
+    sums = np.multiply(a[lo - 1:n], summand[lo - 1:n], out=work[:n - lo + 1])
     if inner == "tail":
-        np.cumsum(sums[::-1], out=sums[::-1])
+        # the suffix sums, last first, read backwards into the other
+        # workspace: numpy's power picks its loop by the strides, and this
+        # is the one (suffix sums)[::-1] ** p takes; a forward pass in
+        # place rounds some powers an ulp apart
+        tail = np.cumsum(sums[::-1], out=spare[:n - lo + 1])
+        np.power(tail[::-1], p, out=sums)
     else:
         np.cumsum(sums, out=sums)
-    sums **= p  # in place, ** picks the same ufunc (square, sqrt, ...) as sums ** p
+        sums **= p  # in place, ** picks the same ufunc (square, sqrt, ...) as sums ** p
     lhs = float(np.sum(np.multiply(weight[lo - 1:n], sums, out=sums)))
-    terms = np.multiply(a[hi - 1:n], point[hi - 1:n], out=out[:n - hi + 1])
+    terms = np.multiply(a[hi - 1:n], point[hi - 1:n], out=work[:n - hi + 1])
     terms **= p
     return lhs, float(np.sum(np.multiply(weight[hi - 1:n], terms, out=terms)))
 
@@ -148,7 +155,7 @@ def _sweep(lemma_id, cases):
 
     The evaluations share one block of nu^x tables over nu = 1 .. max n,
     one row for each exponent that a case passing its side condition
-    needs, and one workspace of that length.  Each sequence object is
+    needs, and two workspaces of that length.  Each sequence object is
     read once, without a copy when its head covers the largest n asked of
     it, and checked for monotonicity once.  All of this lives as long as
     evaluate.  A rejected case raises ValueError; an unknown lemma_id
@@ -167,12 +174,13 @@ def _sweep(lemma_id, cases):
                 weight = hp.alpha - 1 if inner == "tail" else -hp.alpha - 1
                 rows[id(hp)] = [exponents.setdefault(x, len(exponents))
                                 for x in (hp.lam, weight, hp.lam + 1)]
-    # nu = 1 .. N fills the tables, then serves as the workspace
-    out = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
-    block = np.empty((len(exponents), out.size))
-    block[:] = out
+    # nu = 1 .. N fills the tables, then serves as the first workspace
+    nu = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
+    block = np.empty((len(exponents), nu.size))
+    block[:] = nu
     for row, x in zip(block, exponents):
         row **= x  # in place, the ufunc that nu ** x takes
+    out = nu, np.empty(nu.size)
     heads, monotone = {}, {}
 
     def head(seq):
@@ -185,7 +193,7 @@ def _sweep(lemma_id, cases):
     def evaluate(seq, hp):
         if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
             a = head(seq)[:hp.n]
-            squares = out[:hp.n]
+            squares = out[0][:hp.n]
             squares[:] = a
             squares **= 2.0
             lhs, rhs = float(np.sum(squares) ** 0.5), float(np.sum(a))

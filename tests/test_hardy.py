@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monosmooth import hardy
@@ -434,6 +434,7 @@ _SEQUENCES = {horizon: _sequences(horizon) for horizon in (8, 40, 256)}
                           st.sampled_from([0.5, 1, 2.25]),
                           st.sampled_from([16, 64, 256]), st.booleans()),
                 min_size=1, max_size=6))
+@example("lp_upper", [(8, 1, 3, 0, 0.5, 64, True)])  # tail sums raised to p = 3
 def test_sweep_equals_the_allocating_oracle(lemma, draws):
     # heads of 8 and 40 are shorter than most n, so the tail is read; a NaN
     # lam, which HardyParams accepts, gives NaN sides and a skipped case
@@ -453,7 +454,7 @@ def test_unknown_lemma_id_raises_before_any_case():
 
 
 def test_sweep_allocates_no_temporaries_per_case():
-    # the tables (three exponents), the workspace and nothing per case: the
+    # the tables (three exponents), two workspaces and nothing per case: the
     # allocating evaluation peaks at ten n-long arrays here
     n = 2 ** 14
     seq = make_power_law(1, 1.5, n)
