@@ -15,6 +15,7 @@ lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -69,6 +70,10 @@ class HardyParams:
         ("alpha", ("alpha",), lambda v: v > 0, "must be positive"),
         ("lam", ("lam",), lambda v: isinstance(v, Real), "must be a real number"),
         ("p", ("p",), lambda v: v > 0, "must be positive"),
+        # finite, for values that pass the rows above (NaN fails v > 0)
+        ("alpha", ("alpha",), lambda v: v != math.inf, "must be finite"),
+        ("lam", ("lam",), lambda v: not isinstance(v, Real) or math.isfinite(v), "must be finite"),
+        ("p", ("p",), lambda v: v != math.inf, "must be finite"),
         ("m, n", ("m", "n"), lambda m, n: isinstance(m, Integral) and isinstance(n, Integral),
          "must be integers"),
         ("m, n", ("m", "n"), lambda m, n: 1 <= m < n, "need 1 <= m < n"),

@@ -29,7 +29,7 @@ class SmoothnessParams:
     k: int
     p: float
 
-    RULES = (K_RULE, ("p", ("p",), lambda p: p > 0, "must be positive"))
+    RULES = (K_RULE, ("p", ("p",), lambda p: 0 < p < math.inf, "must lie in (0, inf)"))
 
     def __post_init__(self):
         check_rules(self)
@@ -102,55 +102,138 @@ def _half_angles(hs, n, out, cos=True):
     return s.reshape(hs.size, -1)[:, :n], c.reshape(hs.size, -1)[:, :n]
 
 
-def _parseval_sums(hs, a, k, sup=False):
-    """Rows of sums over nu for each h in hs: sum a_nu^2 |2 sin(nu h/2)|^(2k),
-    which is ||Delta_h^k f||_2^2 / pi, and with sup also
-    sum |a_nu| |2 sin(nu h/2)|^k, which is at least max |Delta_h^k f|.
+def _parseval_sums(hs, a, k, p=2):
+    """Rows of sums over nu for each h in hs, with A_nu = a_nu (2 sin(nu h/2))^k:
+    sum A_nu^2, which is ||Delta_h^k f||_2^2 / pi; for p > 2 also
+    sum |A_nu|, which is at least max |Delta_h^k f|; for p < 2 also
+    sum A_nu A_(nu+1), the adjacent products of the weighted L1 bound.
 
-    Shifts go in chunks of CHUNK_ELEMENTS // horizon rows, so that a
-    chunk's work fits in L2; the half-angle buffers are allocated once and
-    reused by every chunk through out= arguments.
+    Shifts go in chunks of CHUNK_ELEMENTS // horizon rows (two thirds of
+    that at p < 2, which needs a third buffer), so that a chunk's work fits
+    in L2; the buffers are allocated once and reused by every chunk
+    through out= arguments.
     """
     n = a.size
-    rows = max(1, min(hs.size, CHUNK_ELEMENTS // n))
-    # room for _half_angles, whose last block may run past the horizon
-    halves = np.empty((2, rows * (n + _BLOCK)))
+    bufs = 2 + (p < 2)
+    rows = max(1, min(hs.size, 2 * CHUNK_ELEMENTS // (bufs * n)))
+    # room for _half_angles, whose last block may run past the horizon, and
+    # at p < 2 for the adjacent products
+    halves = np.empty((bufs, rows * (n + _BLOCK)))
     a2 = 4.0 ** k * a * a
     a1 = 2.0 ** k * np.abs(a)
-    out = np.empty((1 + sup, hs.size))
+    aa = 4.0 ** k * a[:-1] * a[1:] if p < 2 else None
+    out = np.empty((1 + (p != 2), hs.size))
     for lo in range(0, hs.size, rows):
         sl = slice(lo, lo + rows)
-        s, c = _half_angles(hs[sl], n, halves, cos=False)
+        s, c = _half_angles(hs[sl], n, halves[:2], cos=False)
+        if p < 2:
+            # (sin(nu h/2) sin((nu+1) h/2))^k, signed, with c as the base
+            adj = halves[2, :s.shape[0] * (n - 1)].reshape(s.shape[0], n - 1)
+            np.multiply(s[:, :-1], s[:, 1:], out=adj)
+            if k > 1:
+                np.copyto(c[:, :-1], adj)
+            for _ in range(k - 1):
+                adj *= c[:, :-1]
+            out[1, sl] = adj @ aa
         np.square(s, out=s)
         if k > 1:
             np.copyto(c, s)
         for _ in range(k - 1):
             s *= c
         out[0, sl] = s @ a2
-        if sup:
+        if p > 2:
             # |sin|^k is the root of the sin^(2k) just summed
             out[1, sl] = np.sqrt(s, out=s) @ a1
     return out
 
 
-def _norm_bounds(hs, a, k, p):
-    """Upper bounds on the grid norms ||g||_p, g = Delta_h^k f, for each h in
-    hs, from _parseval_sums and no FFT.
+def _lp_bound(l2, s, p):
+    # ||g||_p <= (2pi)^(1/p - 1/2) L for p <= 2, and S^(1 - 2/p) L^(2/p) for
+    # p > 2, from L = ||g||_2 and S >= max |g| (see _norm_bounds)
+    if p <= 2:
+        # a numpy power: it overflows to inf, never pruning, for tiny p
+        return np.float64(2.0 * math.pi) ** (1.0 / p - 0.5) * l2
+    return s ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+
+
+def _prefix_bounds(hs, a, k, p):
+    """Upper bounds on the grid norms ||Delta_h^k f||_p for each h in hs,
+    O(1) a shift: as _norm_bounds, from L and S bounded with
+    |2 sin(nu h/2)| <= min(nu h, 2).  With m the count of nu h < 2,
+
+        L^2 <= pi (h^2k sum_{nu<=m} a_nu^2 nu^2k + 4^k sum_{nu>m} a_nu^2),
+        S <= h^k sum_{nu<=m} |a_nu| nu^k + 2^k sum_{nu>m} |a_nu|,
+
+    from cumulative sums built once.  Where nu^2k or h^2k could leave the
+    float range, every bound is inf and prunes nothing.
+    """
+    n = a.size
+    if 2 * k * max(1.0, math.log2(n), math.log2(2.0 / hs[0])) >= 1000:
+        return np.full(hs.size, np.inf)
+    top = np.abs(a).max() or 1.0
+    a = np.abs(a) / top
+    nu = np.arange(1.0, n + 1)
+    m = np.clip(np.ceil(2.0 / hs) - 1, 0, n).astype(int)
+    hk = np.minimum(hs, 2.0) ** k
+
+    def split(q):
+        # h^qk sum_{nu<=m} a_nu^q nu^qk + 2^qk sum_{nu>m} a_nu^q
+        aq = a ** q
+        head = np.concatenate(([0.0], np.cumsum(aq * nu ** (q * k))))
+        tail = np.concatenate((np.cumsum(aq[::-1])[::-1], [0.0]))
+        return hk ** q * head[m] + 2.0 ** (q * k) * tail[m]
+
+    return top * _lp_bound(np.sqrt(math.pi * split(2)), split(1) if p > 2 else None, p)
+
+
+def _weight_sum(eps, M):
+    """(2pi/M) sum_j 1/w(x_j) over the M-point grid, w = eps + 1 - cos x:
+    (2pi/r) (1 + rho^M)/(1 - rho^M), r = sqrt(eps (2 + eps)), rho = 1 + eps - r,
+    from the Poisson kernel series of 1/w."""
+    r = np.sqrt(eps * (2.0 + eps))
+    gap = -np.expm1(M * np.log1p(eps - r))  # 1 - rho^M
+    return 2.0 * math.pi / r * (2.0 - gap) / gap
+
+
+def _norm_bounds(hs, a, k, p, M):
+    """Upper bounds on the M-point grid norms ||g||_p, g = Delta_h^k f, for
+    each h in hs, from _parseval_sums and no FFT.
 
     L = ||g||_2 is exact on the grid when M > 2 * horizon.  p <= 2: the
     power mean of |g|^p over the grid is at most that of g^2, so
     ||g||_p <= (2pi)^(1/p - 1/2) L.  p > 2: sum |g|^p <= max|g|^(p-2) sum g^2
     and max|g| <= S = sum |a_nu| |2 sin(nu h/2)|^k, so
-    ||g||_p <= S^(1 - 2/p) L^(2/p).  The coefficients are divided by their
-    largest first, so that neither sum underflows for tiny amplitudes.
+    ||g||_p <= S^(1 - 2/p) L^(2/p).
+
+    p < 2 also takes the smaller of that and a weighted Cauchy-Schwarz
+    bound, tight where g is concentrated: with w = eps + 1 - cos x,
+    ||g||_1 <= B1 = (W(eps) (eps L^2 + Q))^(1/2), W = _weight_sum, and
+    Q = int (1 - cos x) g^2 = pi (sum A_nu^2 - cos(kh/2) sum A_nu A_(nu+1)),
+    exact on the grid since w g^2 has degree below M; eps = Q/L^2.  Q is
+    raised by a rounding allowance, since its two sums nearly cancel at
+    small h.  Then ||g||_p <= B1^(2/p - 1) L^(2 - 2/p) for 1 <= p < 2 (log-
+    convexity) and (2pi)^(1/p - 1) B1 for p < 1 (power mean).
+
+    The coefficients are divided by their largest first, so that no sum
+    underflows for tiny amplitudes.
     """
     top = np.abs(a).max() or 1.0
-    sums = _parseval_sums(hs, a / top, k, sup=p > 2)
+    sums = _parseval_sums(hs, a / top, k, p)
     l2 = np.sqrt(math.pi * sums[0])
-    if p <= 2:
-        # a numpy power: it overflows to inf, never pruning, for tiny p
-        return top * np.float64(2.0 * math.pi) ** (1.0 / p - 0.5) * l2
-    return top * sums[1] ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+    bound = _lp_bound(l2, sums[1], p)
+    if p < 2:
+        # Q/pi and its rounding allowance: each of the two sums errs by up to
+        # about n eps sum A^2 (which bounds sum |A A'| by Cauchy-Schwarz),
+        # and each term by about k eps of itself
+        slack = 4 * (a.size + k) * np.finfo(float).eps
+        q = sums[0] - np.cos(0.5 * k * hs) * sums[1] + slack * sums[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b1 = np.sqrt(_weight_sum(q / sums[0], M) * 2.0 * math.pi * q)
+            b1 = (b1 ** (2.0 / p - 1.0) * l2 ** (2.0 - 2.0 / p) if p >= 1
+                  else np.float64(2.0 * math.pi) ** (1.0 / p - 1.0) * b1)
+        # fmin: a NaN weighted bound (a zero row) keeps the other
+        bound = np.fmin(bound, b1)
+    return top * bound
 
 
 def _power_sums(v, p):
@@ -270,14 +353,18 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
     Only positive shifts are sampled: the series is even, so the norm is
     invariant under h -> -h (checked numerically in the test suite).
 
-    p = 2: the max of the Parseval norms.  Otherwise a
-    branch-and-bound max: _norm_bounds bounds every shift's grid norm
-    without an FFT, and shifts are visited in descending bound, the top
-    one alone and then CHUNK_ELEMENTS // M at a time, skipping those whose
-    bound times 1 + 1e-9 (a margin for rounding in the bound and the norm)
-    cannot beat the largest norm found.  Each visited norm is the float
-    difference_norms gives, and every skipped one is below the max, so the
-    result is the max of difference_norms, bit for bit.
+    p = 2: the max of the Parseval norms.  Otherwise a two-stage
+    branch-and-bound max, no shift skipped unless its bound times 1 + 1e-9
+    (a margin for rounding in the bound and the norm) cannot beat the
+    largest norm found:
+    1. _prefix_bounds bounds every shift in O(1), and the grid norm of the
+       shift with the top pre-bound, alone, is the first incumbent.
+    2. _norm_bounds gives the exact bounds of the shifts whose pre-bound
+       beats it, and these are visited in descending bound,
+       CHUNK_ELEMENTS // M at a time, until a chunk has none left to visit.
+    Each visited norm is the float difference_norms gives, and every
+    skipped one is below the max, so the result is the max of
+    difference_norms, bit for bit.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -286,19 +373,24 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
     if p == 2:
         return float(np.max(difference_norms(seq, horizon, k, hs, p, quad)))
     a = seq.values(1, horizon)
-    bound = _norm_bounds(hs, a, k, p) * (1.0 + 1e-9)
-    rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
-    order = np.argsort(-bound, kind="stable")
+    margin = 1.0 + 1e-9
+    pre = _prefix_bounds(hs, a, k, p) * margin
+    first = np.argmax(pre)
     norms = np.full(hs.size, -np.inf)
-    lo, size = 0, 1
-    while lo < hs.size:
-        chunk = order[lo:lo + size]
-        # "not <=" keeps a NaN bound, which can then never be skipped
-        chunk = chunk[~(bound[chunk] <= norms.max())]
+    # a one-row kernel, freed before the bound pass allocates its buffers
+    norms[first] = _grid_kernel(a, k, p, quad.M, 1)[1](hs[first:first + 1])[0]
+    # "not <=" keeps a NaN bound, which can then never be skipped
+    live = np.flatnonzero(~(pre <= norms[first]))
+    live = live[live != first]
+    bound = _norm_bounds(hs[live], a, k, p, quad.M) * margin
+    rank = np.argsort(-bound, kind="stable")
+    live, bound = live[rank], bound[rank]
+    rows, grid_norms = _grid_kernel(a, k, p, quad.M, live.size)
+    for lo in range(0, live.size, rows):
+        chunk = live[lo:lo + rows][~(bound[lo:lo + rows] <= norms.max())]
         if not chunk.size:
             break
         norms[chunk] = grid_norms(hs[chunk])
-        lo, size = lo + size, rows
     return float(norms.max())
 
 

@@ -243,6 +243,26 @@ def test_domain_error_is_one_line_exit_2(argv, tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+_LEMMA_FLAGS = ["verify-lemma", "--power-law", "1", "1", "--lemma", "lp_upper", "--m", "1",
+                "--n", "16"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["modulus", "--power-law", "1", "2", "--k", "2", "--p", "inf",
+      "--t-grid", "0.125,0.5"], "p: must lie in (0, inf)"),
+    (_LEMMA_FLAGS + ["--alpha", "1", "--lam", "nan", "--p", "1"], "lam: must be finite"),
+    (_LEMMA_FLAGS + ["--alpha", "inf", "--lam", "0", "--p", "1"], "alpha: must be finite"),
+    (_LEMMA_FLAGS + ["--alpha", "1", "--lam", "0", "--p", "inf"], "p: must be finite"),
+], ids=["modulus-p-inf", "lemma-lam-nan", "lemma-alpha-inf", "lemma-p-inf"])
+def test_non_finite_value_is_one_line_exit_2(argv, line, tmp_path, capsys):
+    # inf passes "positive" and NaN passes "real number", so finiteness is
+    # a rule of its own
+    rc = main(argv + ["--out", str(tmp_path / "report")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not (tmp_path / "report").exists()
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 _README_COMMANDS = re.findall(r"^monosmooth (.*?(?:\\\n.*?)*)$",
                               _README.read_text(), flags=re.M)

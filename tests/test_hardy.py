@@ -266,6 +266,20 @@ def test_hardy_params_validation():
         HardyParams(alpha=1, lam=0, p=1, m=3, n=2)
 
 
+@pytest.mark.parametrize("key, value, line", [
+    ("alpha", math.inf, "alpha: must be finite"),
+    ("lam", math.nan, "lam: must be finite"),
+    ("lam", -math.inf, "lam: must be finite"),
+    ("p", math.inf, "p: must be finite"),
+    ("alpha", math.nan, "alpha: must be positive"),
+])
+def test_hardy_params_must_be_finite(key, value, line):
+    # each non-finite value breaks one rule; NaN already fails "positive"
+    args = {"alpha": 1, "lam": 0, "p": 1, "m": 1, "n": 16, key: value}
+    with pytest.raises(ValueError, match=f"^{line}$"):
+        HardyParams(**args)
+
+
 def test_hardy_params_need_integer_range():
     with pytest.raises(ValueError, match="^m, n: must be integers$"):
         HardyParams(alpha=1, lam=0, p=1, m=1.5, n=4)
@@ -426,18 +440,17 @@ def _sequences(horizon):
 _SEQUENCES = {horizon: _sequences(horizon) for horizon in (8, 40, 256)}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=settings().max_examples * 3 // 5, deadline=None)
 @given(st.sampled_from(LEMMA_IDS),
        st.lists(st.tuples(st.sampled_from(sorted(_SEQUENCES)), st.integers(0, 4),
                           st.sampled_from([0.5, 1, 1.0, 1.5, 2, 2.0, 3]),
-                          st.sampled_from([-0.5, 0, 1, math.nan]),
+                          st.sampled_from([-0.5, 0, 1]),
                           st.sampled_from([0.5, 1, 2.25]),
                           st.sampled_from([16, 64, 256]), st.booleans()),
                 min_size=1, max_size=6))
 @example("lp_upper", [(8, 1, 3, 0, 0.5, 64, True)])  # tail sums raised to p = 3
 def test_sweep_equals_the_allocating_oracle(lemma, draws):
-    # heads of 8 and 40 are shorter than most n, so the tail is read; a NaN
-    # lam, which HardyParams accepts, gives NaN sides and a skipped case
+    # heads of 8 and 40 are shorter than most n, so the tail is read
     cases = [(_SEQUENCES[horizon][i], HardyParams(alpha=alpha, lam=lam, p=p,
                                                   m=n // 8 if eighth else 1, n=n))
              for horizon, i, p, lam, alpha, n, eighth in draws]

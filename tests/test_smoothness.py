@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosmooth import smoothness
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
@@ -219,22 +221,92 @@ def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
             assert got == want
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_grid_norms_within_their_bounds(seed):
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 200))
-    seq = make_random_monotone(rng, size, scale=float(rng.uniform(0.1, 10)))
+_BOUND_CASES = [*range(4), *((beta, c) for beta in (1.2, 1.66, 2.9) for c in (1.0, 1e-200, 1e200))]
+
+
+@pytest.mark.parametrize("case", _BOUND_CASES,
+                         ids=[str(c) if isinstance(c, int) else "beta=%g-c=%g" % c
+                              for c in _BOUND_CASES])
+def test_grid_norms_within_their_bounds(case):
+    # a seed draws a random monotone sequence and shifts; (beta, c) is a
+    # power law on shifts down to 1e-5, where Q of the weighted bound is a
+    # small difference of two sums
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        size = int(rng.integers(1, 200))
+        seq = make_random_monotone(rng, size, scale=float(rng.uniform(0.1, 10)))
+        hs = rng.uniform(0.001, 2 * math.pi, size=32)
+    else:
+        size = 200
+        seq = make_power_law(case[1], case[0], size)
+        hs = np.geomspace(1e-5, 2 * math.pi, 32)
     quad = QuadratureSpec(M=grid_size(size) // 16)
-    hs = rng.uniform(0.001, 2 * math.pi, size=32)
+    a = seq.values(1, size)
     for k in (1, 2, 3):
         for p in (0.5, 1.0, 1.5, 3.0, 4.0, 64.0):
             norms = difference_norms(seq, size, k, hs, p, quad)
-            bounds = smoothness._norm_bounds(hs, seq.values(1, size), k, p)
-            assert np.all(norms <= bounds), (k, p)
+            for bounds in (smoothness._norm_bounds(hs, a, k, p, quad.M),
+                           smoothness._prefix_bounds(hs, a, k, p)):
+                assert np.all(norms <= bounds), (k, p)
 
 
-def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
-    # at h = t the norm is largest; the others' bounds fall below it fast
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weighted_bound_from_grid_sums(k):
+    # the p = 1 bound is min((2pi)^(1/2) L, (W(eps) (eps L^2 + Q))^(1/2)),
+    # eps = Q/L^2, with L^2, Q and W summed over the grid from the
+    # pointwise difference; h up to 4 puts sign changes of sin(nu h/2),
+    # which odd k keeps, among the harmonics
+    seq = make_power_law(1, 1.2, 40)
+    M = 128
+    xs = np.arange(M) * (2 * math.pi / M)
+    wave = 2.0 * np.sin(xs / 2) ** 2  # 1 - cos x
+    for h in (0.01, 0.05, 0.3, 1.0, 2.5, 4.0):
+        g = k_difference(seq, 40, k, h, xs)
+        l2 = 2 * math.pi / M * np.sum(g * g)
+        q = 2 * math.pi / M * np.sum(wave * g * g)
+        eps = q / l2
+        w = 2 * math.pi / M * np.sum(1.0 / (eps + wave))
+        want = min(math.sqrt(w * (eps * l2 + q)), math.sqrt(2 * math.pi * l2))
+        got = smoothness._norm_bounds(np.array([h]), seq.values(1, 40), k, 1.0, M)[0]
+        assert got == pytest.approx(want, rel=1e-9), h
+
+
+@pytest.mark.parametrize("M", [4, 1024, 16384])
+def test_weight_sum_is_the_grid_sum(M):
+    # (2pi/M) sum_j 1/(eps + 1 - cos x_j), with 1 - cos x = 2 sin^2(x/2)
+    # free of cancellation near x = 0
+    xs = np.arange(M) * (2 * math.pi / M)
+    for eps in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 2.0):
+        want = 2 * math.pi / M * np.sum(1.0 / (eps + 2.0 * np.sin(xs / 2) ** 2))
+        assert smoothness._weight_sum(eps, M) == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=settings().max_examples // 2, deadline=None)
+@given(beta=st.floats(1.1, 3.5), exponent=st.floats(-200, 200),
+       k=st.sampled_from([1, 2, 3]), p=st.sampled_from([0.5, 1.0, 1.5, 3.0, 4.0]),
+       t=st.floats(1e-3, 6.0), horizon=st.integers(2, 512), finer=st.booleans())
+def test_two_stage_search_is_the_max_of_all_norms(beta, exponent, k, p, t, horizon, finer):
+    # horizon 1 is left out: there a grid norm can move by an ulp with the
+    # number of rows in its kernel call
+    seq = make_power_law(10.0 ** exponent, beta, horizon)
+    quad = QuadratureSpec(M=1 << (2 * horizon).bit_length() + 2 * finer)
+    want = np.max(difference_norms(seq, horizon, k, shift_grid(t, t / 64), p, quad))
+    assert modulus_direct(seq, horizon, SmoothnessParams(k, p), t, quad) == want
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5])
+def test_two_stage_search_at_large_k(t):
+    # nu^2k overflows at k = 100: the pre-bounds are all inf and prune
+    # nothing, with no overflow warning, and the exact bounds still prune
+    seq = make_power_law(1, 2, 300)
+    quad = QuadratureSpec(M=1024)
+    want = np.max(difference_norms(seq, 300, 100, shift_grid(t, t / 64), 1.0, quad))
+    assert modulus_direct(seq, 300, SmoothnessParams(100, 1.0), t, quad) == want
+
+
+def _rows_sent_to_the_fft(monkeypatch, p):
+    # the modulus of nu^-2 at t = 1/64 (k = 2, horizon 4096, M = 16384), and
+    # the row count of each _grid_sums call it made
     sent = []
     grid_sums = smoothness._grid_sums
 
@@ -245,11 +317,26 @@ def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
     monkeypatch.setattr(smoothness, "_grid_sums", counting)
     seq = make_power_law(1, 2, 4096)
     quad = QuadratureSpec(M=16384)
-    got = modulus_direct(seq, 4096, SmoothnessParams(2, 3), 1 / 64, quad)
+    got = modulus_direct(seq, 4096, SmoothnessParams(2, p), 1 / 64, quad)
+    rows = list(sent)
+    want = np.max(difference_norms(seq, 4096, 2, shift_grid(1 / 64, 1 / 4096), p, quad))
+    assert got == want
+    return rows
+
+
+def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
+    # at h = t the norm is largest; the others' bounds fall below it fast
+    sent = _rows_sent_to_the_fft(monkeypatch, 3)
     assert sum(sent) <= 16
     assert sent[0] == 1  # the top shift goes alone
-    want = np.max(difference_norms(seq, 4096, 2, shift_grid(1 / 64, 1 / 4096), 3, quad))
-    assert got == want
+
+
+def test_pruning_at_p1_sends_few_shifts_to_the_fft(monkeypatch):
+    # the weighted L1 bound keeps p = 1 within the same limit: the power-mean
+    # bound alone sends 33 rows
+    sent = _rows_sent_to_the_fft(monkeypatch, 1)
+    assert sum(sent) <= 16
+    assert sent[0] == 1
 
 
 @pytest.mark.parametrize("top", [64, 2048])
