@@ -148,11 +148,12 @@ def _log_q(upper, scale, sign, g):
 class _OmegaTable:
     """omega(1/nu), nu = 1..top, looked up in one table that _fill(top) builds.
 
-    top starts at nu_cap and doubles when a larger nu is asked for.  All
-    DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it are the
-    far-sum suffix tables of I and J (far_sums).  A modulus source is a
-    subclass with nu_cap and _fill(top); it names batch in its own class
-    body, so that it can be wrapped per class.
+    The first top is the smallest power of two that is at least nu_cap and
+    the first nu asked for; a later request past top doubles it until it
+    fits.  All DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it
+    are the far-sum suffix tables of I and J (far_sums).  A modulus source
+    is a subclass with nu_cap and _fill(top); it names batch in its own
+    class body, so that it can be wrapped per class.
     """
 
     def __init__(self, seq, params):
@@ -326,20 +327,30 @@ class DirectModulusSource(_OmegaTable):
     The grid holds the endpoints 1/nu and shift_grid(1, 1/top, H), H
     geometric points per octave of [1/top, 1]; the running max of
     ||Delta_h^k f||_p over it gives every omega(1/nu) = sup_{0 < h <= 1/nu}
-    at once.  The series stops at 8 * top
-    harmonics; at p = 2 the rest adds C(2k, k) sum_{mu > N} a_mu^2, the mean
-    of |2 sin(x/2)|^(2k) being C(2k, k).  top starts at nu_cap and doubles
-    when a larger nu is asked for, which refills omega at every nu.
+    at once.  The series stops at N = 8 * top harmonics; at p = 2 the rest
+    adds C(2k, k) sum_{mu > N} a_mu^2, the mean of |2 sin(x/2)|^(2k) being
+    C(2k, k).
+
+    The first top is the smallest power of two >= 4 nu, nu the first one
+    asked for (the largest n of a grid, when a report sizes the source
+    first), and at least nu_cap = 256; a larger nu doubles top, which
+    refills omega at every nu.  The fill costs top * 8 top, so the factor
+    counts squared: for a_nu = nu^-2, k = 2 and n <= 64, 4 is the smallest
+    that keeps every I, J and omega within 1e-4 of a 2048 table at p = 1.5,
+    2 and 3 (2 moves them by up to 2.6e-4).
     """
 
     batch = _OmegaTable.batch
     RULES = (("H", ("H",), positive_integer, "must be a positive integer"),)
-    nu_cap = 2048
+    nu_cap = 256
 
     def __init__(self, seq, params, H=SHIFTS_PER_OCTAVE):
         self.H = H
         check_rules(self)
         super().__init__(seq, params)
+
+    def _grow(self, nu):
+        super()._grow(nu if self._omega.size else 4 * nu)
 
     def _fill(self, top):
         k, p = self.params.k, self.params.p
@@ -557,11 +568,14 @@ def equivalence_report(seq, cp, n_grid, source=None):
     """Ratio bands J(n)/I(1/(n+1)), K(n)/J(n), omega(1/n)/E(n) over a grid.
 
     Each band's spread (max/min) is the empirical stand-in for the
-    two-sided equivalence constants.  Divergent entries are skipped.
+    two-sided equivalence constants.  Divergent entries are skipped.  The
+    source is first asked for the largest n, which sizes a fresh one, so
+    that every value comes from one omega table.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if source is None:
         source = DirectModulusSource(seq, cp.smoothness)
+    source.batch(n_grid[-1:])
     ji, kj, we = [], [], []
     values = {"n": n_grid, "I": [], "J": [], "K": [], "omega": [], "E": []}
     for n in n_grid:

@@ -279,6 +279,7 @@ def run_experiment(cfg):
         n_grid = opt["n_grid"]
         if opt.get("source", "core") == "direct":
             source = DirectModulusSource(seq, cp.smoothness)
+            source.batch(n_grid[-1:])  # one table for every n, as in equivalence_report
         else:
             source = CoreModulusSource(seq, cp.smoothness)
         values = {"n": list(n_grid), "I": [], "J": [], "K": []}

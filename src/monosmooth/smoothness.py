@@ -103,10 +103,12 @@ def _half_angles(hs, n, out, cos=True):
 
 
 def _parseval_sums(hs, a, k, p=2):
-    """Rows of sums over nu for each h in hs, with A_nu = a_nu (2 sin(nu h/2))^k:
-    sum A_nu^2, which is ||Delta_h^k f||_2^2 / pi; for p > 2 also
-    sum |A_nu|, which is at least max |Delta_h^k f|; for p < 2 also
-    sum A_nu A_(nu+1), the adjacent products of the weighted L1 bound.
+    """Rows of sums over nu for each h in hs, with A_nu = a_nu (2 sin(nu h/2))^k,
+    in units of 4^k (2^k for sum |A_nu|), so that no power of 2 leaves the
+    float range at large k: sum A_nu^2, which is ||Delta_h^k f||_2^2 / pi;
+    for p > 2 also sum |A_nu|, which is at least max |Delta_h^k f|; for
+    p < 2 also sum A_nu A_(nu+1), the adjacent products of the weighted L1
+    bound.  A unit is a power of two, so it scales every sum exactly.
 
     Shifts go in chunks of CHUNK_ELEMENTS // horizon rows (two thirds of
     that at p < 2, which needs a third buffer), so that a chunk's work fits
@@ -119,9 +121,9 @@ def _parseval_sums(hs, a, k, p=2):
     # room for _half_angles, whose last block may run past the horizon, and
     # at p < 2 for the adjacent products
     halves = np.empty((bufs, rows * (n + _BLOCK)))
-    a2 = 4.0 ** k * a * a
-    a1 = 2.0 ** k * np.abs(a)
-    aa = 4.0 ** k * a[:-1] * a[1:] if p < 2 else None
+    a2 = a * a
+    a1 = np.abs(a)
+    aa = a[:-1] * a[1:] if p < 2 else None
     out = np.empty((1 + (p != 2), hs.size))
     for lo in range(0, hs.size, rows):
         sl = slice(lo, lo + rows)
@@ -215,7 +217,8 @@ def _norm_bounds(hs, a, k, p, M):
     convexity) and (2pi)^(1/p - 1) B1 for p < 1 (power mean).
 
     The coefficients are divided by their largest first, so that no sum
-    underflows for tiny amplitudes.
+    underflows for tiny amplitudes, and the bound is taken in units of 2^k
+    (see _parseval_sums).
     """
     top = np.abs(a).max() or 1.0
     sums = _parseval_sums(hs, a / top, k, p)
@@ -233,7 +236,8 @@ def _norm_bounds(hs, a, k, p, M):
                   else np.float64(2.0 * math.pi) ** (1.0 / p - 1.0) * b1)
         # fmin: a NaN weighted bound (a zero row) keeps the other
         bound = np.fmin(bound, b1)
-    return top * bound
+    with np.errstate(over="ignore"):  # an inf bound prunes nothing
+        return np.ldexp(top * bound, k)
 
 
 def _power_sums(v, p):
@@ -268,13 +272,17 @@ def _grid_sums(hs, a, k, p, M, spec, work):
     z.real *= -2.0
     np.multiply(s, c, out=z.imag)
     z.imag *= 2.0
+    # row by row: a multiply over all rows at once can round a row
+    # differently with the number of rows in the call
     if k > 1:
         # the half angles are spent: their buffers hold the base of the power
         base = work[:rows * n].reshape(rows, n)
         np.copyto(base, z)
         for _ in range(k - 1):
-            z *= base
-    z *= a
+            for zr, br in zip(z, base):
+                zr *= br
+    for zr in z:
+        zr *= a
     return _power_sums(np.fft.irfft(spec[:rows], n=M, axis=1), p)
 
 
@@ -333,7 +341,7 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     a = seq.values(1, horizon)
     if p == 2:
         scale = parseval_scale(a, k)
-        return scale * np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0])
+        return scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0]), k)
     rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
     out = np.empty(hs.size)
     for lo in range(0, hs.size, rows):
@@ -398,15 +406,18 @@ def bound_core(seq, params, n):
     """Coefficient core E(n) of the two-sided modulus estimate.
 
     E(n) = n^{-k} (sum_{nu<=n} a_nu^p nu^{(k+1)p-2})^{1/p}
-         + (sum_{nu>n} a_nu^p nu^{p-2})^{1/p}.
+         + (sum_{nu>n} a_nu^p nu^{p-2})^{1/p},
 
-    Returns DIVERGENT when the infinite tail sum diverges.
+    the near sum taken as sum a_nu^p nu^(p-2) (nu/n)^(kp), whose factors
+    stay in the float range at any k.  Returns DIVERGENT when the infinite
+    tail sum diverges.
     """
     k, p = params.k, params.p
     if n < 1:
         raise ValueError("n must be >= 1")
-    near = weighted_sum(seq, WeightedSumSpec(q=p, s=(k + 1) * p - 2, m=1, n=n))
+    nu = np.arange(1.0, n + 1)
+    near = float(np.sum(seq.values(1, n) ** p * nu ** (p - 2) * (nu / n) ** (k * p)))
     far = weighted_sum(seq, WeightedSumSpec(q=p, s=p - 2, m=n + 1))
     if far == DIVERGENT:
         return DIVERGENT
-    return n ** (-float(k)) * near ** (1.0 / p) + far ** (1.0 / p)
+    return near ** (1.0 / p) + far ** (1.0 / p)

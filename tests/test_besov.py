@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosmooth.besov import (
     Band,
@@ -20,9 +22,10 @@ from monosmooth.besov import (
     _grid_verdict,
     _OmegaTable,
 )
-from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
-                                  make_power_log)
-from monosmooth.smoothness import SmoothnessParams, bound_core
+from monosmooth.sequences import (CoefficientSequence, DIVERGENT, WeightedSumSpec,
+                                  make_power_law, make_power_log, weighted_sum)
+from monosmooth.smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
+                                   difference_norms, grid_size)
 
 CP = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
 
@@ -39,13 +42,6 @@ class FakeSource(_OmegaTable):
 
     def _fill(self, top):
         return np.arange(1, top + 1, dtype=float) ** -self.decay
-
-
-class SmallDirect(DirectModulusSource):
-    """A direct source whose first table stops at nu = 64, so that a test
-    reaches the doubling cheaply."""
-
-    nu_cap = 64
 
 
 def phi_validate(phi, grid):
@@ -221,7 +217,7 @@ def test_integral_seminorm_zero():
 def test_seminorms_of_the_zero_sequence():
     zero = CoefficientSequence((0.0, 0.0))
     for src in (CoreModulusSource(zero, CP.smoothness),
-                SmallDirect(zero, CP.smoothness, H=4)):
+                DirectModulusSource(zero, CP.smoothness, H=4)):
         assert discrete_seminorm(CP, 4, src) == 0.0
         assert integral_seminorm(CP, 0.2, src) == 0.0
 
@@ -308,6 +304,7 @@ def _power_law_omega(k, nu):
 @pytest.mark.parametrize("k", [1, 2])
 def test_direct_source_power_law_oracle(k):
     src = DirectModulusSource(make_power_law(1, 2, 4096), SmoothnessParams(k, 2), H=16)
+    src(512)  # the first table: 4 * 512 = 2048
     nu = np.arange(1, 2048)
     om = src.batch(nu)
     assert np.max(np.abs(om / _power_law_omega(k, nu) - 1)) < 1e-3
@@ -315,10 +312,48 @@ def test_direct_source_power_law_oracle(k):
 
 
 def test_direct_source_extends_past_nu_cap():
-    src = SmallDirect(make_power_law(1, 2, 64), SmoothnessParams(1, 2), H=16)
-    nu = np.array([3, 64, 100, 200])
+    # nu = 3 fills the first table, 256 (the floor above 4 * 3); nu = 300
+    # doubles it to 512
+    src = DirectModulusSource(make_power_law(1, 2, 64), SmoothnessParams(1, 2), H=16)
+    nu = np.array([3, 64, 200, 300])
     assert src(3) == pytest.approx(_power_law_omega(1, 3), rel=1e-3)
+    assert src._omega.size == 256
     assert np.allclose(src.batch(nu), _power_law_omega(1, nu), rtol=1e-3, atol=0)
+    assert src._omega.size == 512
+
+
+def _dropped_part_bound(seq, k, p, n):
+    """A bound, for every h, on ||Delta_h^k g||_p, g = sum_{nu > n} a_nu cos(nu x).
+
+    |2 sin(nu h/2)|^k <= 2^k.  p <= 2: Hoelder and Parseval,
+    (2pi)^(1/p - 1/2) (pi 4^k sum a_nu^2)^(1/2).  p > 2: Hausdorff-Young,
+    g's exponential coefficients being at most 2^(k-1) a_nu at +-nu,
+    (2pi)^(1/p) 2^(1/p') 2^(k-1) (sum a_nu^p')^(1/p').
+    """
+    if p <= 2:
+        rest = weighted_sum(seq, WeightedSumSpec(q=2, s=0, m=n + 1))
+        return (2 * math.pi) ** (1 / p - 0.5) * math.sqrt(math.pi * 4 ** k * rest)
+    q = p / (p - 1)
+    rest = weighted_sum(seq, WeightedSumSpec(q=q, s=0, m=n + 1))
+    return (2 * math.pi) ** (1 / p) * 2 ** (1 / q) * 2 ** (k - 1) * rest ** (1 / q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 1.5, 3, 4])
+def test_direct_source_truncation_is_within_its_bound(p, k):
+    # omega(1/top) of the first table, 256 (its series cut at N = 8 * 256),
+    # is the norm at its smallest shift, 1/top.  By Minkowski a norm at a
+    # cut moves from the full series' by at most the dropped part's bound,
+    # so it is within the sum of both cuts' bounds of the norm cut at 2^17
+    seq = make_power_law(1, 2, 4096)
+    src = DirectModulusSource(seq, SmoothnessParams(k, p), H=4)
+    src(64)
+    top = src._omega.size
+    assert top == 256
+    far = 2 ** 17
+    want = difference_norms(seq, far, k, [1 / top], p, QuadratureSpec(grid_size(far)))[0]
+    slack = _dropped_part_bound(seq, k, p, 8 * top) + _dropped_part_bound(seq, k, p, far)
+    assert abs(src(top) - want) <= slack
 
 
 def test_direct_source_zero_tail_is_exact():
@@ -326,8 +361,9 @@ def test_direct_source_zero_tail_is_exact():
     nu = np.arange(1, 300)
     one = CoefficientSequence((1.0,))
     for k, p, norm in ((2, 2, math.sqrt(math.pi)), (1, 3, (8 / 3) ** (1 / 3))):
-        # nu up to 299 fills one table of 512, as from a first table of 256
-        src = SmallDirect(one, SmoothnessParams(k, p), H=16)
+        # nu = 1 fills a first table of 256, and nu up to 299 doubles it to 512
+        src = DirectModulusSource(one, SmoothnessParams(k, p), H=16)
+        src(1)
         want = (2 * np.sin(0.5 / nu)) ** k * norm
         assert np.allclose(src.batch(nu), want, rtol=1e-9, atol=0)
 
@@ -340,9 +376,9 @@ def test_direct_source_p2_scales_with_tiny_and_huge_coefficients():
     nu = np.arange(1, 65)
     for make in (lambda c: CoefficientSequence(tuple(c * head)),
                  lambda c: make_power_law(c, 2, 64)):
-        want = SmallDirect(make(1.0), SmoothnessParams(2, 2), H=4).batch(nu)
+        want = DirectModulusSource(make(1.0), SmoothnessParams(2, 2), H=4).batch(nu)
         for c in (1e-200, 1e200):
-            src = SmallDirect(make(c), SmoothnessParams(2, 2), H=4)
+            src = DirectModulusSource(make(c), SmoothnessParams(2, 2), H=4)
             with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
                                                         divide="raise"):
                 warnings.simplefilter("error")
@@ -351,21 +387,26 @@ def test_direct_source_p2_scales_with_tiny_and_huge_coefficients():
 
 
 def test_seminorms_past_the_direct_source_cap():
-    # n = 64 starts the far sums at or past nu_cap = 64; the table doubles
+    # after a first table of 256, n = 256 starts the far sums past it, and
+    # the table doubles; against a first table of 2048
     seq = make_power_law(1, 2, 4096)
-    small = SmallDirect(seq, CP.smoothness, H=16)
+    small = DirectModulusSource(seq, CP.smoothness, H=16)
+    small(1)
     full = DirectModulusSource(seq, CP.smoothness, H=16)
-    j = discrete_seminorm(CP, 64, small)
+    full(512)
+    j = discrete_seminorm(CP, 256, small)
+    assert small._omega.size == 512
     assert math.isfinite(j) and j > 0
-    assert j == pytest.approx(discrete_seminorm(CP, 64, full), rel=1e-3)
-    i = integral_seminorm(CP, 1 / 65, small)
-    assert i == pytest.approx(integral_seminorm(CP, 1 / 65, full), rel=1e-3)
+    assert j == pytest.approx(discrete_seminorm(CP, 256, full), rel=1e-3)
+    i = integral_seminorm(CP, 1 / 257, small)
+    assert i == pytest.approx(integral_seminorm(CP, 1 / 257, full), rel=1e-3)
+    assert full._omega.size == 2048
 
 
 def test_direct_source_takes_sup_over_shifts():
     # ||Delta_h cos(4 .)||_2 = 2 |sin(2h)| sqrt(pi) peaks at h = pi/4 < 1
     seq = CoefficientSequence((0.0, 0.0, 0.0, 1.0))
-    src = SmallDirect(seq, SmoothnessParams(1, 2), H=16)
+    src = DirectModulusSource(seq, SmoothnessParams(1, 2), H=16)
     peak = 2 * math.sqrt(math.pi)
     assert 0.99 * peak < src(1) <= peak * (1 + 1e-12)
     assert src(1) > 1.05 * 2 * math.sin(2.0) * math.sqrt(math.pi)
@@ -433,8 +474,9 @@ _HEAD_64 = CoefficientSequence(tuple(np.arange(1, 65, dtype=float) ** -2))
 @pytest.mark.parametrize("seq, make, cp, n_max", [
     (make_power_law(1, 5, 4096), CoreModulusSource, STEEP, 4096),
     (make_power_log(1, 5, 0.5, 4096), CoreModulusSource, STEEP, 4096),
-    # n >= 64 starts the far sums past nu_cap = 64: omega refills up to 2^13
-    (_HEAD_64, lambda s, p: SmallDirect(s, p, H=4), STEEP, 4096),
+    # n = 1 fills the first table, 256; n >= 256 starts the far sums past
+    # it: omega refills up to 2^13
+    (_HEAD_64, lambda s, p: DirectModulusSource(s, p, H=4), STEEP, 4096),
     # far sums that the sum past the table dominates
     (make_power_law(1, 1.75, 4096), CoreModulusSource, CP, 24),
 ], ids=["core-power-law", "core-power-log", "direct-raised-cap", "core-to-cap"])
@@ -450,23 +492,26 @@ def test_seminorms_equal_per_request_evaluation(seq, make, cp, n_max):
 
 
 def test_seminorms_do_not_depend_on_request_order():
-    # n = 200 refills the omega table (horizon 8 * top changes every entry);
-    # each value must come from the omega table current when it is asked for
+    # after a first table of 256, n = 300 refills the omega table (horizon
+    # 8 * top changes every entry); each value must come from the omega
+    # table current when it is asked for
     seq = make_power_law(1, 2, 4096)
-    grid = [1, 3, 10, 40, 63, 64, 200]
+    grid = [1, 3, 10, 40, 255, 256, 300]
     shuffled = list(grid)
     np.random.default_rng(7).shuffle(shuffled)
     assert shuffled not in (grid, grid[::-1])
 
     def make():
-        return SmallDirect(seq, CP.smoothness, H=4)
+        src = DirectModulusSource(seq, CP.smoothness, H=4)
+        src(1)
+        return src
 
     def values(src):
         return [(discrete_seminorm(CP, n, src),
                  integral_seminorm(CP, 1 / (n + 1), src)) for n in grid]
 
     settled = make()
-    settled.batch([4 * 64])
+    settled.batch([2 * 256])
     assert values(make()) != values(settled)
     want = values(settled)
     for order in (grid, grid[::-1], shuffled):
@@ -477,6 +522,33 @@ def test_seminorms_do_not_depend_on_request_order():
             assert integral_seminorm(CP, 1 / (n + 1), src) \
                 == pytest.approx(_per_request_i(CP, 1 / (n + 1), plain), rel=1e-12)
         assert values(src) == want
+
+
+@settings(max_examples=max(1, settings().max_examples // 10), deadline=None)
+@given(beta=st.floats(1.5, 3.0), last=st.integers(65, 128),
+       rest=st.lists(st.integers(1, 128), max_size=4), order=st.randoms())
+def test_equivalence_report_does_not_depend_on_grid_order(beta, last, rest, order):
+    # the report sizes a fresh source from its largest n (past 64, a table
+    # above the floor of 256), so every value comes from that one table:
+    # the same floats for a shuffled grid as for the sorted one, and as
+    # for each n asked of a source sized first
+    seq = make_power_law(1, beta, 4096)
+    grid = sorted(set(rest) | {last})
+    shuffled = list(grid)
+    order.shuffle(shuffled)
+
+    def report(ns):
+        return equivalence_report(seq, CP, ns, DirectModulusSource(seq, CP.smoothness, H=4))
+
+    values = report(grid)["values"]
+    assert report(shuffled)["values"] == values
+    src = DirectModulusSource(seq, CP.smoothness, H=4)
+    src(grid[-1])
+    for n in shuffled:
+        i = grid.index(n)
+        assert values["J"][i] == discrete_seminorm(CP, n, src)
+        assert values["I"][i] == integral_seminorm(CP, 1 / (n + 1), src)
+        assert values["omega"][i] == src(n)
 
 
 def test_membership_constant_phi_bounded_vs_divergent():

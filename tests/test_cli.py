@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 import monosmooth
@@ -125,6 +127,37 @@ def test_modulus_grid_sized_from_horizon(tmp_path):
     assert "# k=2 p=1 M=16384 horizon=4096" in lines
     rows = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(rows) == 2 and all(float(r.split(",")[1]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("p", ["1", "2", "3"])
+def test_modulus_at_large_k(p, tmp_path):
+    # 4^k leaves the float range at k >= 512: the Parseval sums are taken in
+    # units of it, and E's near sum in powers of nu/n.  The p = 2 omega is
+    # the max over omega's shifts of 2^k (pi sum a^2 sin(nu h/2)^2k)^(1/2),
+    # summed in log space, and p = 1 and 3 keep Hoelder's side of it
+    out = tmp_path / "mod.csv"
+    rc = main(["modulus", "--power-law", "1", "2", "--k", "600", "--p", p,
+               "--t-grid", "0.5", "--horizon", "64", "--out", str(out)])
+    assert rc == 0
+    row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1]
+    omega, e_core = (float(x) for x in row.split(",")[1:])
+    nu = np.arange(1.0, 65)
+    hs = 0.5 * 2.0 ** (-np.arange(97) / 16)
+    logs = -4 * np.log(nu) + 1200 * np.log(np.abs(np.sin(np.multiply.outer(hs, nu) / 2)))
+    top = logs.max(axis=1)
+    lse = top + np.log(np.exp(logs - top[:, None]).sum(axis=1))
+    omega2 = float(np.exp(600 * math.log(2) + 0.5 * (math.log(math.pi) + lse.max())))
+    if p == "1":
+        assert omega <= math.sqrt(2 * math.pi) * omega2 * (1 + 1e-9)
+    elif p == "2":
+        assert omega == pytest.approx(omega2, rel=1e-9)
+    else:
+        assert omega >= (2 * math.pi) ** (-1 / 6) * omega2 * (1 - 1e-9)
+    # E(2) = 2^-600 (1 + 2^(599 p - 2))^(1/p) + (sum_{nu > 2} nu^(-p-2))^(1/p),
+    # the near part 2^(-1 - 2/p) to within 2^(-599 p)
+    q = int(p)
+    far = float(mpmath.zeta(q + 2)) - 1 - 2.0 ** (-q - 2)
+    assert e_core == pytest.approx(2.0 ** (-1 - 2 / q) + far ** (1 / q), rel=1e-9)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -405,10 +438,11 @@ def test_whole_float_k_runs_like_integer_k(tmp_path):
 
 
 def test_equivalence_past_the_direct_source_cap(tmp_path):
-    # n = 2048 starts the far sums past the default table of nu <= 2048
+    # n = 512 sizes the table at 2048 (4 n), past the floor of 256; every
+    # far sum ends in the closure past the table
     out = tmp_path / "eq.json"
     rc = main(["equivalence", "--power-law", "1", "2", "--theta", "1", "--r", "0.5",
-               "--lam", "0.5", "--k", "2", "--p", "2", "--n-grid", "4,2048",
+               "--lam", "0.5", "--k", "2", "--p", "2", "--n-grid", "4,512",
                "--out", str(out)])
     assert rc == 0
     values = json.loads(out.read_text())["values"]

@@ -180,11 +180,14 @@ def test_divergent_only_where_the_model_far_sum_diverges():
 
 
 def test_direct_source_far_sums_are_finite_up_to_its_table():
-    # a_nu = nu^-2 at the default table of 2048: J(n) was divergent for
-    # n = 256..2046, where the far sum starts less than 16x below the table's end
+    # a_nu = nu^-2: J(128) sizes the first table at 1024 (4 * 129, up to a
+    # power of two), and n = 1024 and 2048 double it.  Before the closure
+    # past the table, J(n) was divergent where the far sum starts less than
+    # 16x below the table's end
     seq = make_power_law(1, 2, 4096)
     src = DirectModulusSource(seq, CP.smoothness)
     js = [discrete_seminorm(CP, n, src) for n in range(128, 2101)]
+    assert src._omega.size == 4096
     assert all(math.isfinite(j) and j > 0 for j in js)
     assert all(b < a for a, b in zip(js, js[1:]))
 

@@ -284,14 +284,25 @@ def test_weight_sum_is_the_grid_sum(M):
 @settings(max_examples=settings().max_examples // 2, deadline=None)
 @given(beta=st.floats(1.1, 3.5), exponent=st.floats(-200, 200),
        k=st.sampled_from([1, 2, 3]), p=st.sampled_from([0.5, 1.0, 1.5, 3.0, 4.0]),
-       t=st.floats(1e-3, 6.0), horizon=st.integers(2, 512), finer=st.booleans())
+       t=st.floats(1e-3, 6.0), horizon=st.integers(1, 512), finer=st.booleans())
 def test_two_stage_search_is_the_max_of_all_norms(beta, exponent, k, p, t, horizon, finer):
-    # horizon 1 is left out: there a grid norm can move by an ulp with the
-    # number of rows in its kernel call
     seq = make_power_law(10.0 ** exponent, beta, horizon)
     quad = QuadratureSpec(M=1 << (2 * horizon).bit_length() + 2 * finer)
     want = np.max(difference_norms(seq, horizon, k, shift_grid(t, t / 64), p, quad))
     assert modulus_direct(seq, horizon, SmoothnessParams(k, p), t, quad) == want
+
+
+def test_grid_norm_does_not_depend_on_the_rows_in_its_call():
+    # at horizon 1 a multiply over all rows at once rounded this norm one ulp
+    # away from the same shift's in a call with other rows
+    seq = make_power_law(8.159486671566079e148, 2.8651251426824587, 1)
+    t = 1.9520476814488126
+    hs = shift_grid(t, t / 64)
+    alone = [grid_norms(seq, 1, 3, hs[i:i + 1], 1.5, M=16)[0] for i in range(hs.size)]
+    assert grid_norms(seq, 1, 3, hs, 1.5, M=16).tolist() == alone
+    quad = QuadratureSpec(M=16)
+    assert modulus_direct(seq, 1, SmoothnessParams(3, 1.5), t, quad) \
+        == np.max(difference_norms(seq, 1, 3, hs, 1.5, quad)) == 8.554276941237712e+149
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.5])
@@ -399,11 +410,23 @@ def test_modulus_zero_sequence():
     assert modulus_direct(z, 2, SmoothnessParams(1, 2), 1.0) == 0.0
 
 
-def test_modulus_monotone_in_t():
-    seq = make_power_law(1, 2, 40)
-    omega = [modulus_direct(seq, 40, SmoothnessParams(2, 2), t)
-             for t in np.linspace(0.05, 3.0, 12)]
-    assert np.all(np.diff(omega) >= -1e-12)
+@settings(max_examples=settings().max_examples // 2, deadline=None)
+@given(beta=st.floats(1.1, 3.5), exponent=st.floats(-100, 100),
+       k=st.sampled_from([1, 2, 3]), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+       ts=st.lists(st.floats(1e-3, 3.0), min_size=2, max_size=2), horizon=st.integers(1, 256))
+def test_modulus_monotone_in_t(beta, exponent, k, p, ts, horizon):
+    # omega samples [t/64, t], so a larger t need not reach the shifts of a
+    # smaller one; for power laws at p >= 1 and t < pi the sampled omega
+    # grows with t all the same.  Past that range it need not: of 3000
+    # draws with p down to 0.5 and t up to 6, 6 decreased (at p = 0.5, or
+    # past t = pi at horizon 1), and none of 12000 draws in this range did
+    # (the draw range is tested, not proven)
+    seq = make_power_law(10.0 ** exponent, beta, horizon)
+    quad = QuadratureSpec(M=grid_size(horizon))
+    params = SmoothnessParams(k, p)
+    lo, hi = sorted(ts)
+    assert modulus_direct(seq, horizon, params, lo, quad) \
+        <= modulus_direct(seq, horizon, params, hi, quad)
 
 
 def test_modulus_even_in_h():
