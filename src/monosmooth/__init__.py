@@ -9,7 +9,6 @@ from .sequences import (
     CoefficientSequence,
     PowerLawTail,
     PowerLogTail,
-    WeightedSumSpec,
     ZeroTail,
     make_power_law,
     make_power_log,
@@ -20,8 +19,6 @@ from .sequences import (
 from .hardy import (
     LEMMA_IDS,
     HardyParams,
-    RatioReport,
-    SweepReport,
     estimate_constant,
     verify_lemma,
 )
@@ -43,5 +40,4 @@ from .besov import (
     equivalence_report,
     integral_seminorm,
     membership_test,
-    phi_eval,
 )

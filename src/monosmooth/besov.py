@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, WeightedSumSpec,
-                        _exp_quadrature, check_rules, positive_integer, weighted_sum)
-from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, QuadratureSpec, SmoothnessParams,
-                         bound_core, difference_norms, grid_size, parseval_scale,
-                         shift_grid)
+from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, _exp_quadrature,
+                        check_rules, positive_integer, weighted_sum)
+from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
+                         difference_norms, parseval_scale, shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
@@ -72,7 +71,7 @@ class PhiSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.variant not in PHI_ARGS:
+        if not isinstance(self.variant, str) or self.variant not in PHI_ARGS:
             raise ValueError(f"unknown phi variant: {self.variant!r}")
         name, args = self.variant.replace("_", "-"), PHI_ARGS[self.variant]
         missing = [a for a in args if getattr(self, a) is None]
@@ -225,6 +224,7 @@ class CoreModulusSource(_OmegaTable):
     for): the near sum is one cumulative sum, the far sum one backward
     cumulative sum plus weighted_sum past the table's end.  A request past
     the end doubles the table.  Past T, _closure sums I's and J's far sums.
+    A table whose nu^((k+1)p - 2) would reach 2^1000 is refused (ValueError).
     """
 
     batch = _OmegaTable.batch
@@ -235,10 +235,14 @@ class CoreModulusSource(_OmegaTable):
 
     def _fill(self, top):
         k, p = self.params.k, self.params.p
+        e = (k + 1) * p - 2
+        if e * math.log2(top) >= 1000:
+            raise ValueError(f"k: nu^((k+1)p - 2) = nu^{e:g} leaves the float range "
+                             f"at nu = {top}, the end of the core table")
         nu = np.arange(1, top + 1, dtype=float)
         a_p = self.seq.values(1, top)
         a_p **= p
-        near = nu ** ((k + 1) * p - 2)
+        near = nu ** e
         near *= a_p
         np.cumsum(near, out=near)
         terms = nu ** (p - 2)
@@ -246,7 +250,7 @@ class CoreModulusSource(_OmegaTable):
         far = a_p
         far[-1] = 0.0
         np.cumsum(terms[:0:-1], out=far[-2::-1])
-        far += weighted_sum(self.seq, WeightedSumSpec(q=p, s=p - 2, m=top + 1))
+        far += weighted_sum(self.seq, p, p - 2, top + 1)
         far **= 1.0 / p
         near **= 1.0 / p
         nu **= -float(k)
@@ -287,7 +291,7 @@ class CoreModulusSource(_OmegaTable):
             ell = l0 + _EXP_NODES / q1
             log_jac = np.full(ell.shape, -q1 * l0 - math.log(q1))
             weights = _EXP_WEIGHTS
-        near_top = weighted_sum(self.seq, WeightedSumSpec(q=p, s=(k + 1) * p - 2, m=1, n=top))
+        near_top = weighted_sum(self.seq, p, (k + 1) * p - 2, 1, top)
         with np.errstate(divide="ignore"):
             log_near = p * (xe - k) * ell + np.log(near_top)
         if tail.c == 0:
@@ -357,17 +361,18 @@ class DirectModulusSource(_OmegaTable):
         horizon = min(8 * top, self.seq.horizon) if self.seq.tail.c == 0 else 8 * top
         ends = 1.0 / np.arange(1, top + 1)
         hs = np.union1d(ends, shift_grid(1.0, 1.0 / top, self.H))
-        norms = difference_norms(self.seq, horizon, k, hs, p,
-                                 QuadratureSpec(M=grid_size(horizon)))
+        norms = difference_norms(self.seq, horizon, k, hs, p)
         if p == 2:
             # in units of the largest coefficient when the squares would
-            # leave the normal float range, as difference_norms does
+            # leave the normal float range, as difference_norms does, and of
+            # 2^k (4^k for the squares), exact powers of two, so that neither
+            # the squares nor C(2k, k) leave it at large k
             scale = parseval_scale(self.seq.values(1, horizon), k)
             seq = self.seq if scale == 1 else self.seq.scaled(1 / scale)
-            rest = weighted_sum(seq, WeightedSumSpec(q=2, s=0, m=horizon + 1))
+            rest = weighted_sum(seq, 2, 0, horizon + 1)
             if rest:  # skipped at 0, where norms ** 2 could leave the float range
-                norms = scale * np.sqrt((norms / scale) ** 2
-                                        + math.pi * math.comb(2 * k, k) * rest)
+                norms = scale * np.ldexp(np.sqrt(np.ldexp(norms / scale, -k) ** 2 + math.pi
+                                                 * (math.comb(2 * k, k) / 4 ** k) * rest), k)
         return np.maximum.accumulate(norms)[np.searchsorted(hs, ends)]
 
 
@@ -433,10 +438,10 @@ def coefficient_functional(seq, cp, n):
     th, p = cp.theta, cp.p
     e_far = cp.r * th + th - th / p - 1
     e_near = e_far + cp.lam * th
-    far = weighted_sum(seq, WeightedSumSpec(q=th, s=e_far, m=n + 1))
+    far = weighted_sum(seq, th, e_far, n + 1)
     if far == DIVERGENT:
         return DIVERGENT
-    near = weighted_sum(seq, WeightedSumSpec(q=th, s=e_near, m=1, n=n))
+    near = weighted_sum(seq, th, e_near, 1, n)
     return (far + n ** (-cp.lam * th) * near) ** (1.0 / th)
 
 
@@ -449,10 +454,6 @@ class MembershipReport:
     sup_ratio: float | None
     verdict: str  # "bounded" | "unbounded" | "divergent"
     grid_verdict: str  # the stabilization rule's, on the grid
-
-    @property
-    def in_class(self):
-        return self.verdict == "bounded"
 
     @property
     def grid_disagrees(self):

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from numbers import Real
 
 import numpy as np
@@ -23,10 +23,7 @@ from .besov import (
     CoreModulusSource,
     DirectModulusSource,
     PhiSpec,
-    coefficient_functional,
-    discrete_seminorm,
     equivalence_report,
-    integral_seminorm,
     membership_test,
 )
 from .hardy import LEMMA_IDS, HardyParams, verify_lemma
@@ -103,16 +100,8 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
-class ExperimentConfig:
-    task: str
-    options: dict
-    out: str | None = None
-    seed: int = 0
-
-
 def parse_config(doc):
-    """Validate a config document (dict) into an ExperimentConfig.
+    """The validated config document (a dict), with seed defaulted to 0.
 
     Unknown keys are rejected to catch parameter-name typos.  The values
     present are checked against the rules of the parameter classes the
@@ -131,9 +120,7 @@ def parse_config(doc):
     bad += broken_rules(rules + _RULES, {k: v for k, v in doc.items() if k in allowed})
     if bad:
         raise ConfigError(bad)
-    options = {k: v for k, v in doc.items() if k not in _COMMON_KEYS}
-    return ExperimentConfig(task=task, options=options, out=doc.get("out"),
-                            seed=doc.get("seed", 0))
+    return {"seed": 0, **doc}
 
 
 def resolve_sequence(spec, seed=0):
@@ -177,9 +164,6 @@ def _phi_from_spec(spec):
         spec = {"variant": variant, **dict(zip(names, vals))}
     if not isinstance(spec, dict):
         raise ConfigError(["phi: must be a string or an object"])
-    variant = spec.get("variant")
-    if not isinstance(variant, str) or variant not in PHI_ARGS:
-        raise ConfigError([f"phi: unknown variant {variant!r}"])
     try:
         return PhiSpec(**spec)
     except TypeError as err:  # a key PhiSpec does not have, or a non-number
@@ -205,8 +189,8 @@ def _fmt(x):
 
 
 def _out_path(cfg, default_name):
-    if cfg.out:
-        return cfg.out
+    if cfg.get("out"):
+        return cfg["out"]
     out_dir = os.environ.get("MONOSMOOTH_OUT_DIR", ".")
     return os.path.join(out_dir, default_name)
 
@@ -221,7 +205,7 @@ def _json_report(cfg, payload):
     doc = {
         "tool": {"name": "monosmooth", "version": __version__},
         "norm": NORM_CONVENTION,
-        "config": {"task": cfg.task, "seed": cfg.seed, **cfg.options},
+        "config": {k: v for k, v in cfg.items() if k != "out"},
         **payload,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -230,25 +214,25 @@ def _json_report(cfg, payload):
 def run_experiment(cfg):
     """Dispatch a validated config and write its report file.
 
-    Returns the output path.  Mathematical verdicts (unbounded,
-    divergent) live in the report body; only config and IO problems
-    raise.
+    cfg is parse_config's document.  Returns the output path.
+    Mathematical verdicts (unbounded, divergent) live in the report body;
+    only config and IO problems raise.
     """
-    opt = cfg.options
-    if cfg.task == "gen":
-        seq = resolve_sequence(opt, seed=cfg.seed)
+    task = cfg["task"]
+    if task == "gen":
+        seq = resolve_sequence(cfg, seed=cfg["seed"])
         path = _out_path(cfg, "sequence.json")
         return _write(path, json.dumps(seq.to_json(), sort_keys=True, indent=2) + "\n")
 
-    seq = resolve_sequence(opt["sequence"], seed=cfg.seed)
+    seq = resolve_sequence(cfg["sequence"], seed=cfg["seed"])
 
-    if cfg.task == "modulus":
-        params = SmoothnessParams(k=opt["k"], p=opt["p"])
-        horizon = int(opt.get("horizon", min(seq.horizon, HORIZON)))
+    if task == "modulus":
+        params = SmoothnessParams(k=cfg["k"], p=cfg["p"])
+        horizon = int(cfg.get("horizon", min(seq.horizon, HORIZON)))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
-        quad = QuadratureSpec(M=opt.get("M", grid_size(horizon)))
+        quad = QuadratureSpec(M=cfg.get("M", grid_size(horizon)))
         rows = []
-        for t in opt["t_grid"]:
+        for t in cfg["t_grid"]:
             om = modulus_direct(seq, horizon, params, t, quad)
             n = max(1, round(1.0 / t))
             rows.append((t, om, bound_core(seq, params, n)))
@@ -261,10 +245,10 @@ def run_experiment(cfg):
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         return _write(_out_path(cfg, "modulus.csv"), "\n".join(lines) + "\n")
 
-    if cfg.task == "verify-lemma":
-        hp = HardyParams(alpha=opt["alpha"], lam=opt["lam"], p=opt["p"],
-                         m=opt["m"], n=opt["n"])
-        rep = verify_lemma(opt["lemma"], seq, hp)
+    if task == "verify-lemma":
+        hp = HardyParams(alpha=cfg["alpha"], lam=cfg["lam"], p=cfg["p"],
+                         m=cfg["m"], n=cfg["n"])
+        rep = verify_lemma(cfg["lemma"], seq, hp)
         lines = _header_lines()
         lines.append("lemma_id,alpha,lam,p,m,n,lhs,rhs,ratio")
         lines.append(",".join(_fmt(v) for v in (
@@ -272,51 +256,32 @@ def run_experiment(cfg):
             rep.lhs, rep.rhs, rep.ratio)))
         return _write(_out_path(cfg, "verify_lemma.csv"), "\n".join(lines) + "\n")
 
-    cp = ClassParams(theta=opt["theta"], r=opt["r"], lam=opt["lam"],
-                     k=opt["k"], p=opt["p"])
+    cp = ClassParams(theta=cfg["theta"], r=cfg["r"], lam=cfg["lam"],
+                     k=cfg["k"], p=cfg["p"])
 
-    if cfg.task == "seminorm":
-        n_grid = opt["n_grid"]
-        if opt.get("source", "core") == "direct":
-            source = DirectModulusSource(seq, cp.smoothness)
-            source.batch(n_grid[-1:])  # one table for every n, as in equivalence_report
-        else:
-            source = CoreModulusSource(seq, cp.smoothness)
-        values = {"n": list(n_grid), "I": [], "J": [], "K": []}
-        for n in n_grid:
-            values["I"].append(integral_seminorm(cp, 1.0 / (n + 1), source))
-            values["J"].append(discrete_seminorm(cp, n, source))
-            values["K"].append(coefficient_functional(seq, cp, n))
-        payload = {"values": values, "source": opt.get("source", "core")}
+    if task == "seminorm":
+        name = cfg.get("source", "core")
+        source = (CoreModulusSource if name == "core" else DirectModulusSource)(seq, cp.smoothness)
+        values = equivalence_report(seq, cp, cfg["n_grid"], source)["values"]
+        payload = {"values": {key: values[key] for key in ("n", "I", "J", "K")}, "source": name}
         return _write(_out_path(cfg, "seminorm.json"), _json_report(cfg, payload))
 
-    if cfg.task == "equivalence":
-        source = DirectModulusSource(seq, cp.smoothness)
-        rep = equivalence_report(seq, cp, opt["n_grid"], source=source)
+    if task == "equivalence":
+        rep = equivalence_report(seq, cp, cfg["n_grid"])
         payload = {
             "values": rep["values"],
             "bands": {k: b.to_json() for k, b in rep["bands"].items()},
         }
         return _write(_out_path(cfg, "equivalence.json"), _json_report(cfg, payload))
 
-    if cfg.task == "membership":
-        phi = _phi_from_spec(opt["phi"])
-        rep = membership_test(seq, cp, phi, functional=opt.get("functional", "K"),
-                              n_grid=opt.get("n_grid"))
-        payload = {
-            "phi": phi.to_json(),
-            "functional": rep.functional,
-            "grid": rep.grid,
-            "values": rep.values,
-            "ratios": rep.ratios,
-            "sup_ratio": rep.sup_ratio,
-            "verdict": rep.verdict,
-            "grid_verdict": rep.grid_verdict,
-            "grid_disagrees": rep.grid_disagrees,
-        }
+    if task == "membership":
+        phi = _phi_from_spec(cfg["phi"])
+        rep = membership_test(seq, cp, phi, functional=cfg.get("functional", "K"),
+                              n_grid=cfg.get("n_grid"))
+        payload = {"phi": phi.to_json(), **asdict(rep), "grid_disagrees": rep.grid_disagrees}
         return _write(_out_path(cfg, "membership.json"), _json_report(cfg, payload))
 
-    raise ConfigError([f"unhandled task: {cfg.task!r}"])
+    raise ConfigError([f"unhandled task: {task!r}"])
 
 
 def _add_sequence_flags(sub):

@@ -292,35 +292,20 @@ def validate_monotone(seq):
     return ValidationResult(True)
 
 
-@dataclass(frozen=True)
-class WeightedSumSpec:
-    """Parameters of the sum over nu in [m, n] of a_nu**q * nu**s.
-
-    n is None for an infinite upper limit.
-    """
-
-    q: float
-    s: float
-    m: int = 1
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("exponent q must be positive")
-        if self.m < 1:
-            raise ValueError("range must start at m >= 1")
-        if self.n is not None and self.n < self.m:
-            raise ValueError("empty range")
-
-
-def weighted_sum(seq, spec):
-    """Evaluate sum over [m, n] of a_nu**q * nu**s.
+def weighted_sum(seq, q, s, m=1, n=None):
+    """Evaluate sum over nu in [m, n] of a_nu**q * nu**s; n is None for an
+    infinite upper limit.
 
     Infinite ranges are summed directly until an integral-comparison
     remainder drops below _SUM_REL_TOL, then closed with the tail model's
     analytic integral.  Divergent series return DIVERGENT (math.inf).
     """
-    q, s, m, n = spec.q, spec.s, spec.m, spec.n
+    if q <= 0:
+        raise ValueError("exponent q must be positive")
+    if m < 1:
+        raise ValueError("range must start at m >= 1")
+    if n is not None and n < m:
+        raise ValueError("empty range")
     if n is not None:
         nu = np.arange(m, n + 1, dtype=float)
         vals = seq.values(m, n)

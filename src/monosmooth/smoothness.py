@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (DIVERGENT, WeightedSumSpec, check_rules, positive_integer,
-                        weighted_sum)
+from .sequences import DIVERGENT, check_rules, positive_integer, weighted_sum
 
 NORM_CONVENTION = "Lp integral over [0, 2pi), no 1/(2pi) normalization"
 
@@ -66,7 +65,8 @@ _BLOCK = 128
 
 def grid_size(horizon):
     """Quadrature grid for a series truncated at `horizon` when the caller
-    chose none: the smallest power of two above 2 * horizon, at least 8192."""
+    chose none (quad=None): the smallest power of two above 2 * horizon, at
+    least 8192."""
     return max(QuadratureSpec.M, 1 << (2 * horizon).bit_length())
 
 
@@ -321,7 +321,7 @@ def parseval_scale(a, k):
     return top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
 
 
-def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
+def difference_norms(seq, horizon, k, hs, p, quad=None):
     """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
 
     p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)), with the
@@ -329,9 +329,10 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     4^k horizon times it, would leave the normal float range.  Other p:
     the sum over the uniform M-point grid (_grid_kernel), one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
-    when M > 2 * horizon.  sin(nu h/2) and cos(nu h/2) come from angle
-    addition (_half_angles), and |v|^3 from multiplication.  A row whose
-    |v|^p would overflow or underflow is divided by its max first.
+    when M > 2 * horizon (M = quad.M, or grid_size(horizon) without quad).
+    sin(nu h/2) and cos(nu h/2) come from angle addition (_half_angles),
+    and |v|^3 from multiplication.  A row whose |v|^p would overflow or
+    underflow is divided by its max first.
 
     Shifts go in chunks of CHUNK_ELEMENTS // width rows, width being the
     horizon (Parseval) or M (grid), so that a chunk's work fits in L2.
@@ -342,19 +343,19 @@ def difference_norms(seq, horizon, k, hs, p, quad=QuadratureSpec()):
     if p == 2:
         scale = parseval_scale(a, k)
         return scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0]), k)
-    rows, grid_norms = _grid_kernel(a, k, p, quad.M, hs.size)
+    rows, grid_norms = _grid_kernel(a, k, p, quad.M if quad else grid_size(horizon), hs.size)
     out = np.empty(hs.size)
     for lo in range(0, hs.size, rows):
         out[lo:lo + rows] = grid_norms(hs[lo:lo + rows])
     return out
 
 
-def lp_norm(seq, horizon, k, h, p, quad=QuadratureSpec()):
+def lp_norm(seq, horizon, k, h, p, quad=None):
     """L^p norm of the k-th difference at one shift h (see difference_norms)."""
     return float(difference_norms(seq, horizon, k, [h], p, quad)[0])
 
 
-def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
+def modulus_direct(seq, horizon, params, t, quad=None):
     """omega(f; t)_p: max of ||Delta_h^k f||_p over h in shift_grid(t, t/64),
     SHIFTS_PER_OCTAVE geometric points per octave of [t/64, t].
 
@@ -381,19 +382,20 @@ def modulus_direct(seq, horizon, params, t, quad=QuadratureSpec()):
     if p == 2:
         return float(np.max(difference_norms(seq, horizon, k, hs, p, quad)))
     a = seq.values(1, horizon)
+    M = quad.M if quad else grid_size(horizon)
     margin = 1.0 + 1e-9
     pre = _prefix_bounds(hs, a, k, p) * margin
     first = np.argmax(pre)
     norms = np.full(hs.size, -np.inf)
     # a one-row kernel, freed before the bound pass allocates its buffers
-    norms[first] = _grid_kernel(a, k, p, quad.M, 1)[1](hs[first:first + 1])[0]
+    norms[first] = _grid_kernel(a, k, p, M, 1)[1](hs[first:first + 1])[0]
     # "not <=" keeps a NaN bound, which can then never be skipped
     live = np.flatnonzero(~(pre <= norms[first]))
     live = live[live != first]
-    bound = _norm_bounds(hs[live], a, k, p, quad.M) * margin
+    bound = _norm_bounds(hs[live], a, k, p, M) * margin
     rank = np.argsort(-bound, kind="stable")
     live, bound = live[rank], bound[rank]
-    rows, grid_norms = _grid_kernel(a, k, p, quad.M, live.size)
+    rows, grid_norms = _grid_kernel(a, k, p, M, live.size)
     for lo in range(0, live.size, rows):
         chunk = live[lo:lo + rows][~(bound[lo:lo + rows] <= norms.max())]
         if not chunk.size:
@@ -417,7 +419,7 @@ def bound_core(seq, params, n):
         raise ValueError("n must be >= 1")
     nu = np.arange(1.0, n + 1)
     near = float(np.sum(seq.values(1, n) ** p * nu ** (p - 2) * (nu / n) ** (k * p)))
-    far = weighted_sum(seq, WeightedSumSpec(q=p, s=p - 2, m=n + 1))
+    far = weighted_sum(seq, p, p - 2, n + 1)
     if far == DIVERGENT:
         return DIVERGENT
     return near ** (1.0 / p) + far ** (1.0 / p)

@@ -22,8 +22,8 @@ from monosmooth.besov import (
     _grid_verdict,
     _OmegaTable,
 )
-from monosmooth.sequences import (CoefficientSequence, DIVERGENT, WeightedSumSpec,
-                                  make_power_law, make_power_log, weighted_sum)
+from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
+                                  make_power_log, weighted_sum)
 from monosmooth.smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
                                    difference_norms, grid_size)
 
@@ -331,10 +331,10 @@ def _dropped_part_bound(seq, k, p, n):
     (2pi)^(1/p) 2^(1/p') 2^(k-1) (sum a_nu^p')^(1/p').
     """
     if p <= 2:
-        rest = weighted_sum(seq, WeightedSumSpec(q=2, s=0, m=n + 1))
+        rest = weighted_sum(seq, 2, 0, n + 1)
         return (2 * math.pi) ** (1 / p - 0.5) * math.sqrt(math.pi * 4 ** k * rest)
     q = p / (p - 1)
-    rest = weighted_sum(seq, WeightedSumSpec(q=q, s=0, m=n + 1))
+    rest = weighted_sum(seq, q, 0, n + 1)
     return (2 * math.pi) ** (1 / p) * 2 ** (1 / q) * 2 ** (k - 1) * rest ** (1 / q)
 
 
@@ -384,6 +384,33 @@ def test_direct_source_p2_scales_with_tiny_and_huge_coefficients():
                 warnings.simplefilter("error")
                 got = src.batch(nu)
             assert np.allclose(got, c * want, rtol=1e-12, atol=0)
+
+
+def test_direct_source_p2_tail_at_large_k():
+    # the tail past the cut is added in units of 4^k: at k = 600 the squared
+    # norms (near 2^1200) and C(2k, k) would leave the float range
+    k = 600
+    seq = make_power_law(1, 2, 64)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = DirectModulusSource(seq, SmoothnessParams(k, 2), H=4).batch(np.arange(1, 65))
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) <= 0)
+    # omega^2 holds the tail's pi C(2k, k) sum_{mu > N} a_mu^2, N = 8 * 256, and
+    # is at most pi 4^k sum_mu a_mu^2, the bound on ||Delta_h^k f||_2^2
+    log_tail = (math.log(math.pi * weighted_sum(seq, 2, 0, 8 * 256 + 1))
+                + math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1))
+    log_all = math.log(math.pi * weighted_sum(seq, 2, 0)) + 2 * k * math.log(2)
+    assert np.all(2 * np.log(got) >= log_tail - 1e-9)
+    assert np.all(2 * np.log(got) <= log_all + 1e-9)
+
+
+def test_core_source_refuses_a_table_past_the_float_range():
+    # nu^((k+1)p - 2) at the table's end must stay below 2^1000: at p = 3
+    # and a table of 2^13 that allows k = 25 and refuses k = 26
+    seq = make_power_law(1, 2, 64)
+    ok = CoreModulusSource(seq, SmoothnessParams(25, 3)).batch(np.arange(1, 65))
+    assert np.all(np.isfinite(ok)) and np.all(ok > 0)
+    with pytest.raises(ValueError, match="the end of the core table"):
+        CoreModulusSource(seq, SmoothnessParams(26, 3)).batch(np.array([4]))
 
 
 def test_seminorms_past_the_direct_source_cap():
@@ -558,8 +585,8 @@ def test_membership_constant_phi_bounded_vs_divergent():
                          functional="K", n_grid=grid)
     bad = membership_test(make_power_law(1, 0.8, 64), CP, phi,
                           functional="K", n_grid=grid)
-    assert ok.verdict == "bounded" and ok.in_class
-    assert bad.verdict == "divergent" and not bad.in_class
+    assert ok.verdict == "bounded"
+    assert bad.verdict == "divergent"
     assert ok.sup_ratio is not None and bad.sup_ratio is None
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import mpmath
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import monosmooth
+from monosmooth.besov import ClassParams, CoreModulusSource, MembershipReport, equivalence_report
 from monosmooth.cli import (
     _TASKS,
     ConfigError,
@@ -23,19 +25,18 @@ from monosmooth.cli import (
     resolve_sequence,
     run_experiment,
 )
-from monosmooth.sequences import CoefficientSequence, validate_monotone
+from monosmooth.sequences import CoefficientSequence, make_power_law, validate_monotone
 
 
 def test_parse_config_minimal_membership():
-    cfg = parse_config({
+    doc = {
         "task": "membership",
         "sequence": {"family": "power_law", "beta": 1.25},
         "theta": 1, "r": 0.5, "lam": 0.5, "k": 2, "p": 2,
         "phi": "power:0.25",
-    })
-    assert cfg.task == "membership"
-    assert cfg.seed == 0
-    assert "task" not in cfg.options
+    }
+    assert parse_config(doc) == {**doc, "seed": 0}
+    assert parse_config({**doc, "seed": 3})["seed"] == 3
 
 
 def test_parse_config_unknown_task():
@@ -210,6 +211,8 @@ def test_membership_json_verdict(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verdict"] in ("bounded", "unbounded", "divergent")
     assert doc["grid_disagrees"] == (doc["grid_verdict"] != doc["verdict"])
+    assert set(doc) == ({f.name for f in fields(MembershipReport)}
+                        | {"phi", "grid_disagrees", "tool", "norm", "config"})
     assert doc["tool"]["name"] == "monosmooth"
     assert doc["config"]["task"] == "membership"
     assert "norm" in doc
@@ -330,6 +333,8 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_MEMBERSHIP, "phi": {"variant": "power"}}, "power phi needs alpha"),
     ({**_MEMBERSHIP, "phi": {"variant": "power_log", "alpha": 0.25}},
      "power-log phi needs gamma"),
+    ({**_MEMBERSHIP, "phi": "bogus"}, "unknown phi variant: 'bogus'"),
+    ({**_MEMBERSHIP, "phi": {"variant": ["power"]}}, "unknown phi variant: ['power']"),
     ({**_SEMINORM, "sequence": {"family": "power_law"}}, "sequence: missing key 'beta'"),
     ({"task": "gen", "family": "power_log", "beta": 2}, "sequence: missing key 'gamma'"),
     ({**_SEMINORM, "sequence": 3}, "sequence: must be an object or a file path"),
@@ -361,8 +366,9 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_MODULUS, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "task": "equivalence", "H": 16}, "unknown key: 'H'"),
-], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma",
-        "family-no-beta", "gen-power-log-no-gamma", "sequence-not-object-or-path",
+], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma", "phi-unknown",
+        "phi-variant-not-a-string", "family-no-beta", "gen-power-log-no-gamma",
+        "sequence-not-object-or-path",
         "lemma-m-not-integer", "lemma-unknown-id", "unknown-source",
         "unknown-functional", "format-key", "gen-beta", "gen-c", "gen-gamma",
         "gen-horizon", "gen-size", "gen-scale", "lemma-lam", "modulus-M",
@@ -435,6 +441,39 @@ def test_whole_float_k_runs_like_integer_k(tmp_path):
         assert main(["--config", str(cfg)]) == 0
         values.append(json.loads(out.read_text())["values"])
     assert values[0] == values[1]
+
+
+_CLASS = ["--power-law", "1", "2", "--theta", "1", "--r", "0.5", "--lam", "0.5"]
+
+
+def test_seminorm_equals_equivalence_report_at_8191(tmp_path):
+    # seminorm writes equivalence_report's I, J and K: J(8191) comes from the
+    # table that the largest n sized, before I(1/8192) asks for nu = 8193
+    out = tmp_path / "semi.json"
+    assert main(["seminorm", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "16,8191",
+                 "--source", "core", "--out", str(out)]) == 0
+    seq = make_power_law(1, 2, 4096)
+    cp = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
+    want = equivalence_report(seq, cp, [16, 8191], CoreModulusSource(seq, cp.smoothness))
+    got = json.loads(out.read_text())["values"]
+    assert got == {key: want["values"][key] for key in ("n", "I", "J", "K")}
+    assert got["J"][-1] == 0.04070147308427338
+
+
+@pytest.mark.parametrize("argv", [
+    ["seminorm", *_CLASS, "--k", "40", "--p", "3", "--n-grid", "4,8", "--source", "core"],
+    ["seminorm", *_CLASS, "--k", "40", "--p", "3", "--n-grid", "4,8", "--source", "direct"],
+    ["membership", *_CLASS, "--k", "40", "--p", "3", "--phi", "power:0.25", "--functional", "J"],
+    ["equivalence", *_CLASS, "--k", "600", "--p", "2", "--n-grid", "4,8"],
+], ids=["seminorm-core", "seminorm-direct", "membership-J", "equivalence-k600"])
+def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
+    # nu^((k+1)p - 2) would leave the float range in the core table, which
+    # the direct source's closure builds too; a RuntimeWarning fails the test
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: k: nu^((k+1)p - 2) = ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_equivalence_past_the_direct_source_cap(tmp_path):

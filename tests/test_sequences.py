@@ -11,7 +11,6 @@ from monosmooth.sequences import (
     CoefficientSequence,
     PowerLawTail,
     PowerLogTail,
-    WeightedSumSpec,
     ZeroTail,
     broken_rules,
     make_power_law,
@@ -91,12 +90,12 @@ def test_validate_rejects_tail_jump():
 
 def test_weighted_sum_counting():
     seq = CoefficientSequence((1, 1, 1))
-    assert weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=1, n=3)) == 3.0
+    assert weighted_sum(seq, 1, 0, 1, 3) == 3.0
 
 
 def test_weighted_sum_hand_value():
     seq = CoefficientSequence((1, 0.5, 0.25))
-    got = weighted_sum(seq, WeightedSumSpec(q=2, s=1, m=1, n=3))
+    got = weighted_sum(seq, 2, 1, 1, 3)
     assert got == pytest.approx(1.6875, rel=1e-14)
 
 
@@ -106,26 +105,26 @@ def test_weighted_sum_basel():
     oracle = float(np.sum(nu ** -2.0)) + 1.0 / (10 ** 7 + 0.5)
     assert oracle == pytest.approx(math.pi ** 2 / 6, rel=1e-9)
     seq = make_power_law(1, 2, 50)
-    got = weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=1))
+    got = weighted_sum(seq, 1, 0, 1)
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_weighted_sum_divergent_is_value_not_error():
     seq = make_power_law(1, 1, 10)
-    assert weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=1)) == DIVERGENT
+    assert weighted_sum(seq, 1, 0, 1) == DIVERGENT
     # boundary: q*beta - s == 1 diverges for a pure power law
-    assert weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=5)) == DIVERGENT
+    assert weighted_sum(seq, 1, 0, 5) == DIVERGENT
     # also where q*beta - s rounds to 1 + 2e-16
     for q, beta, s in ((1, 2.2, 1.2), (1.5, 0.8, 0.2)):
         assert q * beta - s != 1
-        got = weighted_sum(make_power_law(1, beta, 10), WeightedSumSpec(q=q, s=s))
+        got = weighted_sum(make_power_law(1, beta, 10), q, s)
         assert got == DIVERGENT
         assert not PowerLogTail(c=1, beta=beta, gamma=0.5).converges(q, s)
 
 
 def test_weighted_sum_power_log_tail():
     seq = make_power_log(1, 1, 2, 32)
-    got = weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=1))
+    got = weighted_sum(seq, 1, 0, 1)
     nu = np.arange(1, 2 * 10 ** 6, dtype=float)
     direct = float(np.sum(nu ** -1.0 * (1 + np.log(nu)) ** -2.0))
     # crude upper remainder: integral of the summand from the cutoff
@@ -136,7 +135,7 @@ def test_weighted_sum_power_log_tail():
     critical = 1 / (1 + math.log(4096.5))
     assert tail.integral(1, 1.2, 4096.5) == pytest.approx(critical, rel=1e-12)
     seq = make_power_log(1, 2.2, 2, 32)
-    shifted = weighted_sum(seq, WeightedSumSpec(q=1, s=1.2, m=1))
+    shifted = weighted_sum(seq, 1, 1.2, 1)
     assert shifted == pytest.approx(got, rel=1e-9)
 
 
@@ -160,18 +159,19 @@ def test_power_log_integral_matches_incomplete_gamma():
 
 def test_weighted_sum_range_beyond_horizon_uses_tail():
     seq = make_power_law(1, 2, 4)
-    got = weighted_sum(seq, WeightedSumSpec(q=1, s=0, m=3, n=8))
+    got = weighted_sum(seq, 1, 0, 3, 8)
     want = sum(v ** -2.0 for v in range(3, 9))
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        WeightedSumSpec(q=0, s=0)
-    with pytest.raises(ValueError):
-        WeightedSumSpec(q=1, s=0, m=0)
-    with pytest.raises(ValueError):
-        WeightedSumSpec(q=1, s=0, m=5, n=4)
+    seq = make_power_law(1, 2, 8)
+    with pytest.raises(ValueError, match="exponent q must be positive"):
+        weighted_sum(seq, 0, 0)
+    with pytest.raises(ValueError, match="range must start at m >= 1"):
+        weighted_sum(seq, 1, 0, 0)
+    with pytest.raises(ValueError, match="empty range"):
+        weighted_sum(seq, 1, 0, 5, 4)
 
 
 def test_json_round_trip():
@@ -211,9 +211,8 @@ def test_weighted_sum_monotone_in_sequence(h1, h2):
     n = min(len(h1), len(h2))
     lo = tuple(min(a, b) for a, b in zip(h1[:n], h2[:n]))
     hi = tuple(max(a, b) for a, b in zip(h1[:n], h2[:n]))
-    spec = WeightedSumSpec(q=1.5, s=0.5, m=1, n=n)
-    assert weighted_sum(CoefficientSequence(lo), spec) \
-        <= weighted_sum(CoefficientSequence(hi), spec) + 1e-12
+    assert weighted_sum(CoefficientSequence(lo), 1.5, 0.5, 1, n) \
+        <= weighted_sum(CoefficientSequence(hi), 1.5, 0.5, 1, n) + 1e-12
 
 
 @given(monotone_heads, st.integers(min_value=1, max_value=19))
@@ -221,18 +220,16 @@ def test_weighted_sum_additivity(head, split):
     n = len(head)
     if split >= n:
         return
-    spec = WeightedSumSpec(q=2, s=1, m=1, n=n)
     seq = CoefficientSequence(head)
-    left = weighted_sum(seq, WeightedSumSpec(q=2, s=1, m=1, n=split))
-    right = weighted_sum(seq, WeightedSumSpec(q=2, s=1, m=split + 1, n=n))
-    whole = weighted_sum(seq, spec)
+    left = weighted_sum(seq, 2, 1, 1, split)
+    right = weighted_sum(seq, 2, 1, split + 1, n)
+    whole = weighted_sum(seq, 2, 1, 1, n)
     assert left + right == pytest.approx(whole, rel=1e-12, abs=1e-300)
 
 
 @settings(deadline=None)
 @given(st.floats(min_value=1.2, max_value=3), st.integers(min_value=4, max_value=64))
 def test_tail_consistency_across_horizons(beta, horizon):
-    spec = WeightedSumSpec(q=1, s=0, m=1)
-    a = weighted_sum(make_power_law(1, beta, horizon), spec)
-    b = weighted_sum(make_power_law(1, beta, 2 * horizon), spec)
+    a = weighted_sum(make_power_law(1, beta, horizon), 1, 0)
+    b = weighted_sum(make_power_law(1, beta, 2 * horizon), 1, 0)
     assert a == pytest.approx(b, rel=1e-8)

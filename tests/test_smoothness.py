@@ -138,6 +138,18 @@ def test_lp_norm_rejections():
         lp_norm(make_power_law(1, 2, 5000), 5000, 1, 0.1, 1, quad=QuadratureSpec(M=8192))
 
 
+def test_default_grid_is_sized_from_the_horizon():
+    # without quad, M = grid_size(horizon): 16384 at horizon 4096, where the
+    # 8192 of QuadratureSpec() is too coarse; below that the two agree
+    seq = make_power_law(1, 2, 4096)
+    quad = QuadratureSpec(M=grid_size(4096))
+    assert quad.M == 16384
+    assert lp_norm(seq, 4096, 2, 0.1, 1.0) == lp_norm(seq, 4096, 2, 0.1, 1.0, quad)
+    params = SmoothnessParams(k=2, p=3)
+    assert modulus_direct(seq, 4096, params, 0.1) == modulus_direct(seq, 4096, params, 0.1, quad)
+    assert lp_norm(seq, 4095, 2, 0.1, 1.0) == lp_norm(seq, 4095, 2, 0.1, 1.0, QuadratureSpec())
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_batched_modulus_matches_single_shift_loop(p, monkeypatch):
     # five shifts per chunk, so the visited shifts span several chunks
