@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, _exp_quadrature,
-                        check_rules, positive_integer, weighted_sum)
+from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, check_rules,
+                        positive_integer, weighted_sum)
 from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
                          difference_norms, parseval_scale, shift_grid)
 
@@ -132,16 +132,104 @@ def tail_decay(tail, params):
     return _decay(tail.beta - 1 + 1 / params.p, tail.gamma, params.k, params.p)
 
 
-def _log_q(upper, scale, sign, g):
-    """ln int_0^upper e^-t (1 + sign t/scale)^-g dt for arrays upper, scale."""
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_LOG_W = np.log(_GL_W)
+#: panels in t past the start of a sub-step: 16-point Gauss-Legendre follows
+#: e^-t to 2e-16 across 15, and past 45 lies e^-45
+_PANELS = np.array([0.0, 10.0, 25.0, 45.0])
+
+
+def _step_logs(frame, other, length, beta, g, sign):
+    """ln int_0^(beta length) e^-t (v/frame)^-g dt per step, t = beta |v - frame|,
+    as v runs from frame to other = frame + sign length (length is passed
+    too, being exact where other - frame is not).
+
+    Each step is cut into sub-steps over which v changes by a factor of at
+    most e^min(ln 2, 2/|g|), so that v^-g is smooth on them, and each
+    sub-step into the _PANELS past its start; nothing is taken past
+    t = 45 + ln max (v/frame)^-g, where the rest is below e^-45.
+    """
+    s = beta * frame
+    rise = np.log(other / frame)
+    t_end = np.minimum(beta * length, 45.0 + np.maximum(0.0, -g * rise))
+    with np.errstate(divide="ignore"):  # a cut at v = 0 is never used
+        u_end = np.where(t_end < beta * length, np.log1p(sign * t_end / s), rise)
+    m = np.ceil(np.abs(u_end) / min(math.log(2.0), 2.0 / abs(g))).astype(int)
+    m = np.maximum(m, 1)
+    row = np.repeat(np.arange(frame.size), m)
+    j = np.arange(row.size) - np.repeat(np.cumsum(m) - m, m)
+    u = (u_end / m)[row]
+    t_a = sign * s[row] * np.expm1(u * j)
+    edges = np.minimum(t_a[:, None] + _PANELS, (sign * s[row] * np.expm1(u * (j + 1)))[:, None])
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = np.flatnonzero(hi > lo)
+    row, lo, half = np.repeat(row, _PANELS.size - 1)[keep], lo[keep], (hi - lo)[keep] / 2
+    t = lo + half * (_GL_X[:, None] + 1)  # one column per panel
+    psi = _GL_LOG_W[:, None] - t - g * np.log1p(sign * t / s[row])
+    psi += np.log(half)
+    first = np.diff(row, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    top = np.maximum.reduceat(psi.max(axis=0), starts)
+    total = np.add.reduceat(np.exp(psi - top[np.cumsum(first) - 1]).sum(axis=0), starts)
+    out = np.full(frame.size, -np.inf)
+    out[row[starts]] = top + np.log(total)
+    return out
+
+
+def _log_scan(decay, s):
+    """x_i = logaddexp(x_{i-1} - decay_i, s_i), x_{-1} = -inf, by doubling:
+    each element composes the steps of a window ending at it, so that every
+    x_i is kept in the frame of step i."""
+    a, x = decay.copy(), s.copy()
+    k = 1
+    while k < x.size:
+        x[k:] = np.logaddexp(x[:-k] - a[k:], x[k:])
+        a[k:] = a[k:] + a[:-k]
+        k *= 2
+    return x
+
+
+def _log_q(beta, span, v0, g, where):
+    """ln int_0^upper e^-t (1 + sign t/scale)^-g dt at each outer node, as
+    running integrals over the nodes v = v0 + span, span ascending:
+
+    * "near":  upper = beta span, scale = beta v, sign -1 (frame at the node);
+    * "start": upper = beta span, scale = beta v0, sign +1 (frame at v0);
+    * "far":   upper = inf, scale = beta v, sign +1 (frame at the node).
+
+    The steps between consecutive nodes are _step_logs'; "start" adds them
+    up, "near" and "far" with the decay e^(-beta gap) of their frames over
+    a gap between nodes, and "far" also the integral past the last node, on
+    _EXP_NODES.  Only steps and sub-steps are allocated, never nodes x nodes.
+    """
     if g == 0:
+        upper = np.inf if where == "far" else beta * span
         return np.log(-np.expm1(-upper))
-    if np.all(np.isinf(upper)):
-        nodes, weights = _EXP_NODES, _EXP_WEIGHTS
-    else:
-        nodes, weights = _exp_quadrature(upper)
-    f = np.exp(-g * np.log1p(sign * nodes / scale[:, None]))
-    return np.log((f * weights).sum(axis=1))
+    if not span.size:  # every node of the q = 1 rule dropped
+        return span
+    v = v0 + span
+    prev = np.append(0.0, span[:-1])
+    gap = span - prev
+    if where == "near":
+        x = _log_scan(beta * gap, _step_logs(v, v0 + prev, gap, beta, g, -1.0) - g * np.log(v))
+        return x + g * np.log(v)
+    if where == "start":
+        frame = v0 + prev
+        x = np.logaddexp.accumulate(_step_logs(frame, v, gap, beta, g, 1.0) - g * np.log(frame)
+                                    - beta * prev)
+        return x + g * math.log(v0)
+    s = _step_logs(v[:-1], v[1:], gap[1:], beta, g, 1.0)
+    tail = np.log(_EXP_WEIGHTS @ np.exp(-g * np.log1p(_EXP_NODES / (beta * v[-1]))))
+    x = _log_scan(np.append(beta * gap[1:], 0.0)[::-1],
+                  (np.append(s, tail) - g * np.log(v))[::-1])[::-1]
+    return x + g * np.log(v)
+
+
+def _check_weight(c, nu):
+    """Refuse a weight nu^c of I or J that would reach 2^1000."""
+    if c * math.log2(nu) >= 1000:
+        raise ValueError(f"theta: nu^{c:g}, a weight of I or J, leaves the float range "
+                         f"at nu = {nu}")
 
 
 class _OmegaTable:
@@ -195,6 +283,7 @@ class _OmegaTable:
                 return np.full(starts.shape, DIVERGENT)
             self._grow(starts.max(initial=0))
             if key not in self._sums:
+                _check_weight(c, self._omega.size + 1)
                 rest = self._closure(cell, theta, c)
                 nu = np.arange(1, self._omega.size + 1, dtype=float)
                 w = ((nu + 1) ** c - nu ** c) / c if cell else nu ** (c - 1)
@@ -271,7 +360,8 @@ class CoreModulusSource(_OmegaTable):
         within _CRITICAL_TOL and theta y <= 1.  In log space, l = ln x and
         E = x^-x_E Et, w = (q - 1)(l - l0) maps the integral onto _EXP_NODES
         (at q = 1, w = (theta y - 1) ln(l/l0), and nodes past l0 e^700 are
-        dropped); the inner integrals are _log_q's.
+        dropped); the inner integrals are _log_q's, running integrals over
+        the sorted nodes.
         """
         tail, top = self.seq.tail, self._omega.size
         k, p = self.params.k, self.params.p
@@ -304,18 +394,17 @@ class CoreModulusSource(_OmegaTable):
             xf = tail.beta - 1 + 1 / p
             bf, b = p * xf, p * (k - xf)
             # grown: ln of x^(p (x_E - k)) int_{top+1/2}^y (a/c_t)^p u^((k+1)p-2) du
-            span = ell + delta - l0
+            span, v0 = ell + delta - l0, 1.0 + l0
             if b > -_CRITICAL_TOL:  # u = y e^(-t/b); a b near 0 counts as _CRITICAL_TOL
                 b = max(b, _CRITICAL_TOL)
                 grown = (p * (xe - xf) * ell + b * delta - g * np.log(vy) - math.log(b)
-                         + _log_q(b * span, b * vy, -1.0, g))
+                         + _log_q(b, span, v0, g, "near"))
             else:  # u = (top + 1/2) e^(t/|b|)
-                v0 = 1.0 + l0
                 grown = (b * l0 - g * math.log(v0) - math.log(-b)
-                         + _log_q(-b * span, np.full(ell.shape, -b * v0), 1.0, g))
+                         + _log_q(-b, span, v0, g, "start"))
             log_near = np.logaddexp(log_near, p * lc + grown)
             log_far = (lc + (xe - xf) * ell - xf * delta
-                       + (_log_q(np.inf, bf * vy, 1.0, g) - g * np.log(vy) - math.log(bf)) / p)
+                       + (_log_q(bf, span, v0, g, "far") - g * np.log(vy) - math.log(bf)) / p)
             log_e = np.logaddexp(log_near / p, log_far)
         log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
         terms = log_jac + theta * log_e + log_w
@@ -395,6 +484,7 @@ def integral_seminorm(cp, delta, source):
     th = cp.theta
     c1, c2 = cp.r * th, (cp.r + cp.lam) * th
     nu0 = math.ceil(1.0 / delta)
+    _check_weight(c2, nu0)
 
     # small-t piece: cells at and beyond nu0, top cell clipped at delta
     rest = extrapolated_tail_sum(source.far_sums(True, th, c1), nu0 + 1)
@@ -422,6 +512,7 @@ def discrete_seminorm(cp, n, source):
     if n < 1:
         raise ValueError("n must be >= 1")
     th = cp.theta
+    _check_weight((cp.r + cp.lam) * th, n)
     far = extrapolated_tail_sum(source.far_sums(False, th, cp.r * th), n + 1)
     if far == DIVERGENT:
         return DIVERGENT
@@ -570,13 +661,15 @@ def equivalence_report(seq, cp, n_grid, source=None):
 
     Each band's spread (max/min) is the empirical stand-in for the
     two-sided equivalence constants.  Divergent entries are skipped.  The
-    source is first asked for the largest n, which sizes a fresh one, so
-    that every value comes from one omega table.
+    source is first asked for the largest n, which sizes a fresh one, then
+    for n + 2, where the far sum of I(1/(n+1)) starts, so that every value
+    comes from one omega table.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if source is None:
         source = DirectModulusSource(seq, cp.smoothness)
     source.batch(n_grid[-1:])
+    source.batch([n_grid[-1] + 2])
     ji, kj, we = [], [], []
     values = {"n": n_grid, "I": [], "J": [], "K": [], "omega": [], "E": []}
     for n in n_grid:

@@ -26,22 +26,18 @@ _SUM_NU_CAP = 2 ** 23
 _CRITICAL_TOL = 1e-10
 
 
-def _exp_quadrature(upper=None):
+def _exp_quadrature():
     """Nodes W and weights for int_0^inf e^-w f(w) dw ~ weights @ f(W).
 
     16-point Gauss-Legendre on [0, 1e-9] and on 23 geometric panels of
     [1e-9, 90], e^-w folded into the weights; past 90 lies e^-90 ~ 1e-39.
-    The panels resolve f varying on scales down to about 1e-7.  With an
-    array upper, row i holds the same rule for int_0^upper[i]: the panels
-    are cut at upper[i], and those past it get zero weight.
+    The panels resolve f varying on scales down to about 1e-7.
     """
     x, w = np.polynomial.legendre.leggauss(16)
     edges = np.concatenate([[0.0], np.geomspace(1e-9, 90.0, 24)])
-    if upper is not None:
-        edges = np.minimum(edges, np.asarray(upper, dtype=float)[:, None])
-    lo, half = edges[..., :-1, None], np.diff(edges)[..., None] / 2
-    nodes = (lo + half * (x + 1)).reshape(edges.shape[:-1] + (-1,))
-    return nodes, (half * w).reshape(nodes.shape) * np.exp(-nodes)
+    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
+    nodes = (lo + half * (x + 1)).ravel()
+    return nodes, (half * w).ravel() * np.exp(-nodes)
 
 
 _EXP_NODES, _EXP_WEIGHTS = _exp_quadrature()

@@ -153,9 +153,19 @@ def _lp_bound(l2, s, p):
     # ||g||_p <= (2pi)^(1/p - 1/2) L for p <= 2, and S^(1 - 2/p) L^(2/p) for
     # p > 2, from L = ||g||_2 and S >= max |g| (see _norm_bounds)
     if p <= 2:
-        # a numpy power: it overflows to inf, never pruning, for tiny p
+        # past 2^1000 the factor prunes nothing, and so is inf
+        if (1.0 / p - 0.5) * math.log2(2.0 * math.pi) >= 1000:
+            return np.full(np.shape(l2), np.inf)
         return np.float64(2.0 * math.pi) ** (1.0 / p - 0.5) * l2
     return s ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+
+
+def _check_root(x, p, scale, what):
+    """Refuse scale * x^(1/p), x >= 0, where it would reach 2^1023."""
+    with np.errstate(divide="ignore"):
+        if np.any(np.log2(x) >= p * (1023.0 - np.log2(scale))):
+            raise ValueError(f"p: {what} (a sum to the power 1/p = {1 / p:g}) "
+                             "leaves the float range")
 
 
 def _prefix_bounds(hs, a, k, p):
@@ -307,7 +317,9 @@ def _grid_kernel(a, k, p, M, shifts):
 
     def norms(hs):
         sums, scale = _grid_sums(hs, a, k, p, M, spec, work)
-        return scale * (2.0 * math.pi / M * sums) ** (1.0 / p)
+        sums = 2.0 * math.pi / M * sums
+        _check_root(sums, p, scale, "an L^p norm")
+        return scale * sums ** (1.0 / p)
 
     return rows, norms
 
@@ -422,4 +434,5 @@ def bound_core(seq, params, n):
     far = weighted_sum(seq, p, p - 2, n + 1)
     if far == DIVERGENT:
         return DIVERGENT
+    _check_root([near, far], p, 2.0, f"E({n})")
     return near ** (1.0 / p) + far ** (1.0 / p)

@@ -625,6 +625,27 @@ def test_band_spread():
     assert b.lo == 1.0 and b.hi == 4.0 and b.spread == 4.0
 
 
+@pytest.mark.parametrize("make, n", [
+    (CoreModulusSource, 2 ** 13 - 1), (CoreModulusSource, 2 ** 13),
+    (DirectModulusSource, 63), (DirectModulusSource, 64),
+], ids=["core-T-1", "core-T", "direct-63", "direct-64"])
+def test_equivalence_report_reads_one_table(make, n):
+    # I(1/(n+1)) reads its far sum from n + 2; at n = T - 1 (T = 2^13, the
+    # core table) it once doubled the table after J(n) had been read from it.
+    # The direct source keeps its 4 n sizing: 256 for n <= 64
+    seq = make_power_law(1, 2, 4096)
+    sized = make(seq, CP.smoothness)
+    sized(n)
+    sized(n + 2)
+    src = make(seq, CP.smoothness)
+    values = equivalence_report(seq, CP, [4, n], src)["values"]
+    assert src._omega.size == sized._omega.size
+    if make is DirectModulusSource:
+        assert src._omega.size == 256
+    assert values["J"][-1] == discrete_seminorm(CP, n, sized)
+    assert values["I"][-1] == integral_seminorm(CP, 1 / (n + 1), sized)
+
+
 def test_equivalence_report_small_grid():
     rep = equivalence_report(make_power_law(1, 2, 64), CP, [4, 8, 16])
     bands = rep["bands"]

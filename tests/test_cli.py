@@ -448,7 +448,7 @@ _CLASS = ["--power-law", "1", "2", "--theta", "1", "--r", "0.5", "--lam", "0.5"]
 
 def test_seminorm_equals_equivalence_report_at_8191(tmp_path):
     # seminorm writes equivalence_report's I, J and K: J(8191) comes from the
-    # table that the largest n sized, before I(1/8192) asks for nu = 8193
+    # table that I(1/8192) needs, its far sum starting at nu = 8193
     out = tmp_path / "semi.json"
     assert main(["seminorm", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "16,8191",
                  "--source", "core", "--out", str(out)]) == 0
@@ -457,7 +457,7 @@ def test_seminorm_equals_equivalence_report_at_8191(tmp_path):
     want = equivalence_report(seq, cp, [16, 8191], CoreModulusSource(seq, cp.smoothness))
     got = json.loads(out.read_text())["values"]
     assert got == {key: want["values"][key] for key in ("n", "I", "J", "K")}
-    assert got["J"][-1] == 0.04070147308427338
+    assert got["J"][-1] == 0.04070147308399374
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,6 +473,23 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: k: nu^((k+1)p - 2) = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["equivalence", "--power-law", "1", "2", "--theta", "1e300", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--n-grid", "4,8"],
+     "theta: nu^1e+300, a weight of I or J, leaves the float range at nu = 4"),
+    (["modulus", "--power-law", "1", "2", "--k", "2", "--p", "1e-300", "--t-grid", "0.125",
+      "--horizon", "64"],
+     "p: an L^p norm (a sum to the power 1/p = 1e+300) leaves the float range"),
+], ids=["equivalence-theta-1e300", "modulus-p-1e-300"])
+def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
+    # both ended in an OverflowError traceback from a float power (the cell
+    # weight of I, and E's sum to the power 1/p)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monosmooth.besov import (
@@ -126,11 +126,11 @@ def reference(head, tail, cp, ns):
     return out
 
 
-def _assert_matches_reference(seq, tail, cp, ns=(1, 100, 4096)):
+def _assert_matches_reference(seq, tail, cp, ns=(1, 100, 4096), rtol=REF_RTOL):
     src = CoreModulusSource(seq, cp.smoothness)
     for n, (j, i) in zip(ns, reference(seq.head, tail, cp, ns)):
-        assert discrete_seminorm(cp, n, src) == pytest.approx(j, rel=REF_RTOL)
-        assert integral_seminorm(cp, 1 / (n + 1), src) == pytest.approx(i, rel=REF_RTOL)
+        assert discrete_seminorm(cp, n, src) == pytest.approx(j, rel=rtol)
+        assert integral_seminorm(cp, 1 / (n + 1), src) == pytest.approx(i, rel=rtol)
 
 
 # (class parameters, alpha of phi = delta^alpha): beta* = r + alpha + 1 - 1/p
@@ -167,6 +167,79 @@ CP = CLASS_SETS["A"][0]  # k = 2, p = 2, r = 0.5: x_E = min(2, beta - 1/2)
 def test_each_model_regime_matches_reference(seq, tail, regime):
     assert tail_decay(seq.tail, CP.smoothness) == pytest.approx(regime)
     _assert_matches_reference(seq, tail, CP)
+
+
+CLOSURE_RTOL = 1e-9
+
+
+def _small_q1(q1):
+    """a_nu = nu^-1.218 (1 + ln nu)^-0.708 with theta = 0.5, k = 2, p = 4, and
+    r placed so that q1 = theta x_E - r theta is q1: the steps between the
+    closure's outer nodes are wide, and e^(b v) changes fast across them."""
+    beta, theta, p = 1.218, 0.5, 4
+    r = beta - 1 + 1 / p - q1 / theta
+    return (make_power_log(1.0, beta, 0.708, 4096), (1.0, beta, 0.708),
+            ClassParams(theta=theta, r=r, lam=0.5, k=2, p=p))
+
+
+@pytest.mark.parametrize("seq, tail, cp", [
+    (make_power_log(1.3, 1.5, 0.7, 4096), (1.3, 1.5, 0.7), CP),
+    (make_power_log(1.3, 1.5, -0.7, 4096), (1.3, 1.5, -0.7), CP),
+    (make_power_log(1.3, 2.5, 0.3, 4096), (1.3, 2.5, 0.3), CP),
+    # b = p (k - x_f) = -8e-11: within _CRITICAL_TOL of 0
+    (make_power_log(1.3, 2.5 + 4e-11, 0.3, 4096), (1.3, 2.5 + 4e-11, 0.3), CP),
+    (make_power_log(1.3, 3.0, 0.3, 4096), (1.3, 3.0, 0.3), CP),
+    (make_power_log(1.3, 3.0, -0.6, 4096), (1.3, 3.0, -0.6), CP),
+    (make_power_log(1.3, 1.0, 2.3, 4096), (1.3, 1.0, 2.3), CP),
+    _small_q1(1e-3),
+    _small_q1(3e-3),
+], ids=["xE-below-k", "xE-below-k-gamma-neg", "xE-at-k", "b-within-tol", "xE-above-k",
+        "xE-above-k-gamma-neg", "q1-log", "q1-1e-3", "q1-3e-3"])
+def test_power_log_closure_matches_reference(seq, tail, cp):
+    # at n = 8191 J's far sum is one term and the closure past the 2^13 core
+    # table; I's starts at nu = 8193, and so reads the closure past 2^14
+    _assert_matches_reference(seq, tail, cp, ns=(100, 4096, 8191), rtol=CLOSURE_RTOL)
+
+
+@settings(max_examples=4, deadline=None)
+@given(beta=st.floats(1.3, 3.5), gamma=st.floats(-0.9, 2.0),
+       theta=st.sampled_from([0.5, 1.0, 2.0]), p=st.sampled_from([2.0, 3.0, 4.0]),
+       cell=st.booleans())
+def test_power_log_closure_matches_reference_anywhere(beta, gamma, theta, p, cell):
+    # x_f = beta - 1 + 1/p > r: the far sums converge; the reference's
+    # incomplete gamma functions take no integer gamma p
+    assume(abs(gamma * p - round(gamma * p)) > 1e-3)
+    cp = ClassParams(theta=theta, r=0.5, lam=0.5, k=2, p=p)
+    seq = make_power_log(1.0, beta, gamma, 4096)
+    src = CoreModulusSource(seq, cp.smoothness)
+    (j, i), = reference(seq.head, (1.0, beta, gamma), cp, [8191])
+    got = integral_seminorm(cp, 1 / 8192, src) if cell else discrete_seminorm(cp, 8191, src)
+    assert got == pytest.approx(i if cell else j, rel=CLOSURE_RTOL)
+
+
+# the class-sweep power-log closures past the 2^13 table, a_nu = nu^-beta
+# (1 + ln nu)^-gamma, beta = beta* + offset: (set, offset, J's, I's), as the
+# 384 x 384 inner quadratures gave them
+CLASS_SWEEP_SETS = {"B": (ClassParams(theta=1, r=0.5, lam=1, k=3, p=3), 0.5, 0.5),
+                    "D": (ClassParams(theta=1, r=0.75, lam=0.75, k=3, p=4), 0.4, -0.5)}
+CLASS_SWEEP_CLOSURES = [
+    ("B", -0.25, 0.1475659389361116, 0.14756493706662227),
+    ("B", 0.0, 0.007963760897383307, 0.007963675638196832),
+    ("B", 0.25, 0.0005618770627294941, 0.0005618694816329841),
+    ("D", -0.2, 4.1416619139253665, 4.141652855231129),
+    ("D", 0.0, 0.3094208582056757, 0.30941960411423763),
+    ("D", 0.25, 0.019091855525353862, 0.019091745318716397),
+]
+
+
+@pytest.mark.parametrize("name, offset, j_rest, i_rest", CLASS_SWEEP_CLOSURES)
+def test_class_sweep_closures_unchanged(name, offset, j_rest, i_rest):
+    cp, alpha, gamma = CLASS_SWEEP_SETS[name]
+    seq = make_power_log(1.0, cp.r + alpha + 1 - 1 / cp.p + offset, gamma, 4096)
+    src = CoreModulusSource(seq, cp.smoothness)
+    src(2 ** 13)
+    assert src._closure(False, cp.theta, cp.r * cp.theta) == pytest.approx(j_rest, rel=1e-12)
+    assert src._closure(True, cp.theta, cp.r * cp.theta) == pytest.approx(i_rest, rel=1e-12)
 
 
 def test_divergent_only_where_the_model_far_sum_diverges():
