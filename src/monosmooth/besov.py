@@ -27,6 +27,15 @@ from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
+#: the least normal float: a K(n)^theta below it has left the float range
+_TINY = np.finfo(float).tiny
+#: memory budget of a grid: K, J, I and E hold tables of max(n) floats, and
+#: the core table is the power of two past max(n) + 2, so n <= 2^19 keeps
+#: each table within 2^20 floats (8 MiB)
+N_GRID_MAX = 2 ** 19
+#: memory budget of the direct source: its series holds 8 top harmonics per
+#: array, 2^17 floats (1 MiB) at top = 2^14, and its fill grows as top^2
+DIRECT_TOP_MAX = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -226,10 +235,20 @@ def _log_q(beta, span, v0, g, where):
 
 
 def _check_weight(c, nu):
-    """Refuse a weight nu^c of I or J that would reach 2^1000."""
-    if c * math.log2(nu) >= 1000:
+    """Refuse a weight nu^c of I or J that would reach 2^1000, at an int nu
+    or the least such nu of an array."""
+    nu = np.asarray(nu)
+    bad = nu[c * np.log2(nu) >= 1000]
+    if bad.size:
         raise ValueError(f"theta: nu^{c:g}, a weight of I or J, leaves the float range "
-                         f"at nu = {nu}")
+                         f"at nu = {bad.min()}")
+
+
+def _shaped(n, values):
+    """values over the grid n as n was given: a float for a single n, whose
+    grid is the one-point array, so that its float comes from the same
+    array loops as a longer grid's."""
+    return float(values[0]) if np.ndim(n) == 0 else values
 
 
 class _OmegaTable:
@@ -334,6 +353,7 @@ class CoreModulusSource(_OmegaTable):
         near = nu ** e
         near *= a_p
         np.cumsum(near, out=near)
+        self._near_top = float(near[-1])  # N_top of _closure
         terms = nu ** (p - 2)
         terms *= a_p
         far = a_p
@@ -359,8 +379,9 @@ class CoreModulusSource(_OmegaTable):
         q = theta x_E - c + 1 (tail_decay): DIVERGENT when q < 1, or q = 1
         within _CRITICAL_TOL and theta y <= 1.  In log space, l = ln x and
         E = x^-x_E Et, w = (q - 1)(l - l0) maps the integral onto _EXP_NODES
-        (at q = 1, w = (theta y - 1) ln(l/l0), and nodes past l0 e^700 are
-        dropped); the inner integrals are _log_q's, running integrals over
+        (at q = 1, w = (theta y - 1) ln(l/l0), and a node past l0 e^700
+        takes the summand's asymptotic form, whose term is constant in w);
+        the inner integrals are _log_q's, running integrals over
         the sorted nodes.
         """
         tail, top = self.seq.tail, self._omega.size
@@ -371,19 +392,24 @@ class CoreModulusSource(_OmegaTable):
         if q1 < 0 or critical and theta * ye <= 1:
             return DIVERGENT
         l0 = math.log(top + 0.5)
+        limit = None
         if critical:
             rho = theta * ye - 1
-            keep = _EXP_NODES / rho <= 700
-            ell = l0 * np.exp(_EXP_NODES[keep] / rho)
-            log_jac = _EXP_NODES[keep] + np.log(ell) - math.log(rho)
-            weights = _EXP_WEIGHTS[keep]
+            cut = np.searchsorted(_EXP_NODES, 700 * rho, side="right")
+            ell = l0 * np.exp(_EXP_NODES[:cut] / rho)
+            log_jac = _EXP_NODES[:cut] + np.log(ell) - math.log(rho)
+            # past l0 e^700 the summand is its asymptotic form: E ~ c_t x^-x_f
+            # l^-gamma ((p x_f)^-1/p + (p (k - x_f))^-1/p), x_f = x_E = r < k,
+            # which makes every such term -rho ln l0 - ln rho + theta ln(E x^x_f l^gamma)
+            xf = tail.beta - 1 + 1 / p
+            limit = (theta * (math.log(tail.c) + np.logaddexp(-math.log(p * xf) / p,
+                                                               -math.log(p * (k - xf)) / p))
+                     - rho * math.log(l0) - math.log(rho))
         else:
             ell = l0 + _EXP_NODES / q1
             log_jac = np.full(ell.shape, -q1 * l0 - math.log(q1))
-            weights = _EXP_WEIGHTS
-        near_top = weighted_sum(self.seq, p, (k + 1) * p - 2, 1, top)
         with np.errstate(divide="ignore"):
-            log_near = p * (xe - k) * ell + np.log(near_top)
+            log_near = p * (xe - k) * ell + np.log(self._near_top)
         if tail.c == 0:
             log_e = log_near / p
         else:
@@ -408,10 +434,12 @@ class CoreModulusSource(_OmegaTable):
             log_e = np.logaddexp(log_near / p, log_far)
         log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
         terms = log_jac + theta * log_e + log_w
+        if limit is not None:
+            terms = np.append(terms, np.full(_EXP_NODES.size - terms.size, limit))
         top_term = terms.max(initial=-np.inf)
         if top_term == -np.inf:
             return 0.0
-        return math.exp(top_term) * float(weights @ np.exp(terms - top_term))
+        return math.exp(top_term) * float(_EXP_WEIGHTS @ np.exp(terms - top_term))
 
 
 class DirectModulusSource(_OmegaTable):
@@ -430,7 +458,8 @@ class DirectModulusSource(_OmegaTable):
     refills omega at every nu.  The fill costs top * 8 top, so the factor
     counts squared: for a_nu = nu^-2, k = 2 and n <= 64, 4 is the smallest
     that keeps every I, J and omega within 1e-4 of a 2048 table at p = 1.5,
-    2 and 3 (2 moves them by up to 2.6e-4).
+    2 and 3 (2 moves them by up to 2.6e-4).  A top past DIRECT_TOP_MAX
+    is refused (ValueError) before anything is allocated.
     """
 
     batch = _OmegaTable.batch
@@ -446,6 +475,9 @@ class DirectModulusSource(_OmegaTable):
         super()._grow(nu if self._omega.size else 4 * nu)
 
     def _fill(self, top):
+        if top > DIRECT_TOP_MAX:
+            raise ValueError(f"n_grid: the direct omega table would reach top = {top} "
+                             f"(4 max n), past its budget of {DIRECT_TOP_MAX}")
         k, p = self.params.k, self.params.p
         horizon = min(8 * top, self.seq.horizon) if self.seq.tail.c == 0 else 8 * top
         ends = 1.0 / np.arange(1, top + 1)
@@ -472,68 +504,86 @@ def extrapolated_tail_sum(term, start):
 
 
 def integral_seminorm(cp, delta, source):
-    """I(delta): cell-discretized weighted integral of omega^theta.
+    """I(delta), for one delta or an array of them: cell-discretized
+    weighted integral of omega^theta.
 
     The t-weight is integrated in closed form on each cell
     [1/(nu+1), 1/nu], with omega evaluated at 1/nu; partial end cells
-    are truncated at delta.  The far cells' sum, DIVERGENT or not, is a
-    lookup in the source's suffix table (see _OmegaTable.far_sums).
+    are truncated at delta.  The far cells' sums, DIVERGENT or not, are a
+    lookup in the source's suffix table (see _OmegaTable.far_sums), and
+    the near cells' sums are one cumulative sum over nu < max 1/delta,
+    read at each delta.
     """
-    if not 0 < delta < 1:
+    deltas = np.array(delta, dtype=float, ndmin=1)
+    if ((deltas <= 0) | (deltas >= 1)).any():
         raise ValueError("delta must lie in (0, 1)")
     th = cp.theta
     c1, c2 = cp.r * th, (cp.r + cp.lam) * th
-    nu0 = math.ceil(1.0 / delta)
+    nu0 = np.ceil(1.0 / deltas).astype(int)
     _check_weight(c2, nu0)
+    rest = source.far_sums(True, th, c1)(nu0 + 1)
+    if rest[0] == DIVERGENT:  # the tail model's: at every delta or at none
+        return _shaped(delta, rest)
+    nu = np.arange(1, nu0.max() + 1)
+    om = source.batch(nu) ** th
+    nu, n0 = nu.astype(float), nu0.astype(float)
 
     # small-t piece: cells at and beyond nu0, top cell clipped at delta
-    rest = extrapolated_tail_sum(source.far_sums(True, th, c1), nu0 + 1)
-    if rest == DIVERGENT:
-        return DIVERGENT
-    w_top = ((nu0 + 1) ** c1 - delta ** (-c1)) / c1
-    s1 = source.batch(np.array([nu0]))[0] ** th * w_top + rest
-
+    s1 = om[nu0 - 1] * (((n0 + 1) ** c1 - deltas ** (-c1)) / c1) + rest
     # large-t piece: cells 1 .. nu0-1, bottom cell clipped at delta
-    s2 = 0.0
-    if nu0 > 1:
-        nus = np.arange(1, nu0, dtype=int)
-        om = source.batch(nus)
-        nuf = nus.astype(float)
-        w2 = ((nuf + 1) ** c2 - nuf ** c2) / c2
-        w2[-1] = (delta ** (-c2) - (nu0 - 1) ** c2) / c2
-        s2 = float(np.sum(om ** th * w2))
-
-    return (s1 + delta ** (cp.lam * th) * s2) ** (1.0 / th)
+    cells = np.cumsum(om[:-1] * ((nu[1:] ** c2 - nu[:-1] ** c2) / c2))
+    s2 = (np.append(0.0, cells)[nu0 - 2]
+          + om[nu0 - 2] * ((deltas ** (-c2) - (n0 - 1) ** c2) / c2))
+    return _shaped(delta, (s1 + deltas ** (cp.lam * th) * s2) ** (1.0 / th))
 
 
 def discrete_seminorm(cp, n, source):
-    """J(n): discrete seminorm built from omega(1/nu) samples; the far sum is
-    a lookup in the source's suffix table (see _OmegaTable.far_sums)."""
-    if n < 1:
+    """J(n), for an int n or an array of them: discrete seminorm built from
+    omega(1/nu) samples.  The far sums are a lookup in the source's suffix
+    table (see _OmegaTable.far_sums), and the near sums one cumulative sum
+    of omega(1/nu)^theta nu^((r+lam) theta - 1) over nu <= max n, read at
+    each n."""
+    ns = np.array(n, ndmin=1)
+    if (ns < 1).any():
         raise ValueError("n must be >= 1")
     th = cp.theta
-    _check_weight((cp.r + cp.lam) * th, n)
-    far = extrapolated_tail_sum(source.far_sums(False, th, cp.r * th), n + 1)
-    if far == DIVERGENT:
-        return DIVERGENT
-    nus = np.arange(1, n + 1, dtype=int)
-    om = source.batch(nus)
-    near = float(np.sum(om ** th * nus.astype(float) ** ((cp.r + cp.lam) * th - 1)))
-    return (far + n ** (-cp.lam * th) * near) ** (1.0 / th)
+    c2 = (cp.r + cp.lam) * th
+    _check_weight(c2, ns)
+    far = source.far_sums(False, th, cp.r * th)(ns + 1)
+    if far[0] == DIVERGENT:  # the tail model's: at every n or at none
+        return _shaped(n, far)
+    nu = np.arange(1, ns.max() + 1)
+    near = np.cumsum(source.batch(nu) ** th * nu.astype(float) ** (c2 - 1))
+    return _shaped(n, (far + ns ** (-cp.lam * th) * near[ns - 1]) ** (1.0 / th))
 
 
 def coefficient_functional(seq, cp, n):
-    """K(n): the coefficient-based functional, via weighted sums."""
-    if n < 1:
+    """K(n), for an int n or an array of them: the coefficient-based
+    functional, K(n)^theta = sum_{nu>n} a_nu^theta nu^e + n^(-lam theta)
+    sum_{nu<=n} a_nu^theta nu^(e + lam theta), e = r theta + theta -
+    theta/p - 1.  Both are one weighted_sum over the grid: its far sums a
+    suffix table, its near sums a prefix one.  A K(n)^theta that leaves the
+    normal float range (an underflow of a positive sum included), or a K(n)
+    that would, is refused (ValueError).
+    """
+    ns = np.array(n, ndmin=1)
+    if min(ns.tolist()) < 1:
         raise ValueError("n must be >= 1")
     th, p = cp.theta, cp.p
     e_far = cp.r * th + th - th / p - 1
-    e_near = e_far + cp.lam * th
-    far = weighted_sum(seq, th, e_far, n + 1)
-    if far == DIVERGENT:
-        return DIVERGENT
-    near = weighted_sum(seq, th, e_near, 1, n)
-    return (far + n ** (-cp.lam * th) * near) ** (1.0 / th)
+    near = weighted_sum(seq, th, e_far + cp.lam * th, 1, ns)
+    far = weighted_sum(seq, th, e_far, ns + 1)
+    if far[0] == DIVERGENT:  # the tail model's: at every n or at none
+        return _shaped(n, far)
+    with np.errstate(over="ignore"):
+        total = far + ns ** (-cp.lam * th) * near
+        k = total ** (1.0 / th)
+    if not (k.max() < math.inf and total.min() >= _TINY):
+        bad = ~np.isfinite(k) | (total < _TINY) & (near > 0)
+        if bad.any():
+            raise ValueError(f"theta: K(n)^theta, a sum, or K(n) leaves the float range "
+                             f"at n = {ns[bad].min()}")
+    return _shaped(n, k)
 
 
 @dataclass
@@ -601,9 +651,11 @@ def membership_test(seq, cp, phi, functional="K", n_grid=None):
     """Verdict on sup_n functional(n)/phi(1/n), with grid evidence.
 
     functional is one of "I", "J", "K"; for "I" the scale is
-    delta_n = 1/(n+1).  The verdict is closed_form_verdict's.  The grid's
-    values stop at the first divergent one; the stabilization rule's
-    verdict on them is grid_verdict ("divergent" if a value diverged).
+    delta_n = 1/(n+1).  The functional and phi are each called once, on
+    the whole grid.  The verdict is closed_form_verdict's.  The
+    stabilization rule's verdict on the grid's values is grid_verdict; a
+    functional that diverges does so at every n, and then the values are
+    [DIVERGENT] and grid_verdict is "divergent".
     """
     if functional not in ("I", "J", "K"):
         raise ValueError("functional must be one of I, J, K")
@@ -616,21 +668,17 @@ def membership_test(seq, cp, phi, functional="K", n_grid=None):
         raise ValueError("power phi needs alpha < lambda")
 
     verdict = closed_form_verdict(seq, cp, phi)
-    values = []
-    for n in n_grid:
-        if functional == "K":
-            v = coefficient_functional(seq, cp, n)
-        elif functional == "J":
-            v = discrete_seminorm(cp, n, source)
-        else:
-            v = integral_seminorm(cp, 1.0 / (n + 1), source)
-        if v == DIVERGENT:
-            return MembershipReport(functional, n_grid, values + [DIVERGENT],
-                                    [], None, verdict, "divergent")
-        values.append(v)
-
-    ratios = [v / phi_eval(phi, 1.0 / n) for v, n in zip(values, n_grid)]
-    return MembershipReport(functional, n_grid, values, ratios, max(ratios), verdict,
+    ns = np.array(n_grid)
+    if functional == "K":
+        values = coefficient_functional(seq, cp, ns)
+    elif functional == "J":
+        values = discrete_seminorm(cp, ns, source)
+    else:
+        values = integral_seminorm(cp, 1.0 / (ns + 1), source)
+    if values[0] == DIVERGENT:
+        return MembershipReport(functional, n_grid, [DIVERGENT], [], None, verdict, "divergent")
+    ratios = (values / phi_eval(phi, 1.0 / ns)).tolist()
+    return MembershipReport(functional, n_grid, values.tolist(), ratios, max(ratios), verdict,
                             _grid_verdict(ratios))
 
 
@@ -660,40 +708,33 @@ def equivalence_report(seq, cp, n_grid, source=None):
     """Ratio bands J(n)/I(1/(n+1)), K(n)/J(n), omega(1/n)/E(n) over a grid.
 
     Each band's spread (max/min) is the empirical stand-in for the
-    two-sided equivalence constants.  Divergent entries are skipped.  The
+    two-sided equivalence constants.  Divergent entries are skipped.  Each
+    functional, E and omega are one call on the whole grid.  The
     source is first asked for the largest n, which sizes a fresh one, then
     for n + 2, where the far sum of I(1/(n+1)) starts, so that every value
     comes from one omega table.
     """
     n_grid = sorted(int(n) for n in n_grid)
+    ns = np.array(n_grid)
     if source is None:
         source = DirectModulusSource(seq, cp.smoothness)
     source.batch(n_grid[-1:])
     source.batch([n_grid[-1] + 2])
-    ji, kj, we = [], [], []
-    values = {"n": n_grid, "I": [], "J": [], "K": [], "omega": [], "E": []}
-    for n in n_grid:
-        jv = discrete_seminorm(cp, n, source)
-        iv = integral_seminorm(cp, 1.0 / (n + 1), source)
-        kv = coefficient_functional(seq, cp, n)
-        ev = bound_core(seq, cp.smoothness, n)
-        wv = float(source.batch(np.array([n]))[0])
-        values["I"].append(iv)
-        values["J"].append(jv)
-        values["K"].append(kv)
-        values["omega"].append(wv)
-        values["E"].append(ev)
-        if DIVERGENT not in (jv, iv) and iv > 0:
-            ji.append(jv / iv)
-        if DIVERGENT not in (kv, jv) and jv > 0:
-            kj.append(kv / jv)
-        if ev != DIVERGENT and ev > 0:
-            we.append(wv / ev)
+    jv = discrete_seminorm(cp, ns, source)
+    iv = integral_seminorm(cp, 1.0 / (ns + 1), source)
+    kv = coefficient_functional(seq, cp, ns)
+    ev = bound_core(seq, cp.smoothness, ns)
+    wv = source.batch(ns)
+
+    def band(name, num, den, keep):
+        return Band(name, (num[keep] / den[keep]).tolist())
+
     return {
-        "values": values,
+        "values": {"n": n_grid, "I": iv.tolist(), "J": jv.tolist(), "K": kv.tolist(),
+                   "omega": wv.tolist(), "E": ev.tolist()},
         "bands": {
-            "JI": Band("J/I", ji),
-            "KJ": Band("K/J", kj),
-            "wE": Band("omega/E", we),
+            "JI": band("J/I", jv, iv, (jv != DIVERGENT) & (iv != DIVERGENT) & (iv > 0)),
+            "KJ": band("K/J", kv, jv, (kv != DIVERGENT) & (jv != DIVERGENT) & (jv > 0)),
+            "wE": band("omega/E", wv, ev, (ev != DIVERGENT) & (ev > 0)),
         },
     }

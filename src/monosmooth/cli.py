@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .besov import (
+    N_GRID_MAX,
     PHI_ARGS,
     ClassParams,
     CoreModulusSource,
@@ -77,10 +78,11 @@ _SEQUENCE_RULES = tuple(
 )
 #: rules on the keys that only the CLI reads
 _RULES = _SEQUENCE_RULES + (
+    # N_GRID_MAX: the memory budget of the tables a grid fills
     ("n_grid", ("n_grid",),
-     lambda v: isinstance(v, list) and v and all(isinstance(x, int) and x >= 1 for x in v)
-     and v == sorted(v),
-     "must be an ascending list of integers >= 1"),
+     lambda v: isinstance(v, list) and v
+     and all(isinstance(x, int) and 1 <= x <= N_GRID_MAX for x in v) and v == sorted(v),
+     f"must be an ascending list of integers from 1 to {N_GRID_MAX}"),
     ("t_grid", ("t_grid",),
      lambda v: len(v) > 0 and all(x > 0 for x in v) and list(v) == sorted(v),
      "must be ascending positive values"),
@@ -231,11 +233,9 @@ def run_experiment(cfg):
         horizon = int(cfg.get("horizon", min(seq.horizon, HORIZON)))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
         quad = QuadratureSpec(M=cfg.get("M", grid_size(horizon)))
-        rows = []
-        for t in cfg["t_grid"]:
-            om = modulus_direct(seq, horizon, params, t, quad)
-            n = max(1, round(1.0 / t))
-            rows.append((t, om, bound_core(seq, params, n)))
+        oms = [modulus_direct(seq, horizon, params, t, quad) for t in cfg["t_grid"]]
+        es = bound_core(seq, params, np.array([max(1, round(1.0 / t)) for t in cfg["t_grid"]]))
+        rows = zip(cfg["t_grid"], oms, es.tolist())
         grid = f" M={quad.M}" if params.p != 2 else ""
         lines = _header_lines([
             f"k={params.k} p={_fmt(params.p)}{grid} horizon={horizon}",

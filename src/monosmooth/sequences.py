@@ -288,53 +288,90 @@ def validate_monotone(seq):
     return ValidationResult(True)
 
 
-def weighted_sum(seq, q, s, m=1, n=None):
-    """Evaluate sum over nu in [m, n] of a_nu**q * nu**s; n is None for an
-    infinite upper limit.
+def _powers(vals, nu, q, s):
+    """a^q nu^s for arrays of a >= 0 and nu >= 1, as exp(q (ln a + (s/q) ln nu)):
+    no intermediate leaves the float range unless the term itself does, and
+    a = 0 gives 0, never 0 * inf."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.exp(q * (np.log(vals) + (s / q) * np.log(nu)))
 
-    Infinite ranges are summed directly until an integral-comparison
-    remainder drops below _SUM_REL_TOL, then closed with the tail model's
-    analytic integral.  Divergent series return DIVERGENT (math.inf).
-    """
-    if q <= 0:
-        raise ValueError("exponent q must be positive")
-    if m < 1:
-        raise ValueError("range must start at m >= 1")
-    if n is not None and n < m:
-        raise ValueError("empty range")
-    if n is not None:
-        nu = np.arange(m, n + 1, dtype=float)
-        vals = seq.values(m, n)
-        return float(np.sum(vals ** q * nu ** s))
 
-    tail = seq.tail
-    if not tail.converges(q, s):
-        return DIVERGENT
-
-    total = 0.0
-    horizon = seq.horizon
-    if m <= horizon:
-        nu = np.arange(m, horizon + 1, dtype=float)
-        total += float(np.sum(seq.values(m, horizon) ** q * nu ** s))
-    start = max(m, horizon + 1)
-    if tail.c == 0:
-        return total
-
-    def block(lo, hi):
-        nu = np.arange(lo, hi, dtype=float)
-        return float(np.sum(tail.value(nu) ** q * nu ** s))
-
-    # partial sum to a growing cutoff plus the midpoint-corrected integral
-    lo = start
-    width = 1024
-    est = None
+def _tail_sum(tail, q, s, lo):
+    """sum_{nu >= lo} of the tail model's f(nu) = a_nu^q nu^s: blocks of
+    doubling width summed until the partial sum plus the rest, estimated
+    as int_{hi-1/2}^inf f + f'(hi - 1/2)/24 (the midpoint rule's
+    Euler-Maclaurin term), moves by at most _SUM_REL_TOL of itself, or
+    _SUM_NU_CAP is reached."""
+    total, width, est = 0.0, 256, None
     while True:
-        hi = min(lo + width, _SUM_NU_CAP)
-        total += block(lo, hi)
-        prev, est = est, total + tail.integral(q, s, hi - 0.5)
-        if prev is not None and abs(est - prev) <= _SUM_REL_TOL * abs(est):
-            return est
-        if hi >= _SUM_NU_CAP:
+        hi = min(lo + width, max(lo, _SUM_NU_CAP))
+        x = hi - 0.5
+        nu = np.append(np.arange(lo, hi, dtype=float), x)  # the block, then x
+        f = _powers(tail.value(nu), nu, q, s)
+        total += float(np.sum(f[:-1]))
+        # f'/f = (s - q (beta + gamma/(1 + ln x)))/x
+        slope = (s - q * (tail.beta + tail.gamma / (1 + math.log(x)))) / x
+        try:
+            prev, est = est, total + tail.integral(q, s, x) + float(f[-1]) * slope / 24
+        except OverflowError:  # c^q past the float range: so is the sum
+            return math.inf
+        if prev is not None and abs(est - prev) <= _SUM_REL_TOL * abs(est) or hi >= _SUM_NU_CAP:
             return est
         lo = hi
         width *= 2
+
+
+def weighted_sum(seq, q, s, m=1, n=None):
+    """Sum over nu in [m, n] of a_nu**q * nu**s; n is None for an infinite
+    upper limit.
+
+    Grids: with n None, m may be an array of starts, and with n given, n
+    may be an array of ends (m then a single start).  One table of terms
+    serves the whole grid: a reverse cumulative sum read at each start, or
+    a cumulative sum read at each end.  A scalar m and n give a float, the
+    one-point grid of the same path, computed as a one-element array.
+
+    An infinite range sums its table over the stored head and adds the
+    tail model's sum past the head (_tail_sum), one that every start
+    within the head shares; a start past the head takes the tail's sum
+    from itself.  No sum depends on the other starts of its grid.
+    Divergent series give DIVERGENT (math.inf) at every start.  Each term
+    is formed by _powers, so only a sum that itself leaves the float range
+    is refused (ValueError).
+    """
+    if q <= 0:
+        raise ValueError("exponent q must be positive")
+    single = np.ndim(m) == 0 and np.ndim(n) == 0
+    starts = np.array(m, ndmin=1)
+    if (starts < 1).any():
+        raise ValueError("range must start at m >= 1")
+    if n is not None:
+        ends = np.array(n, ndmin=1)
+        if (ends < m).any():
+            raise ValueError("empty range")
+        top = int(ends.max())
+        sums = np.cumsum(_powers(seq.values(m, top), np.arange(m, top + 1, dtype=float), q, s))
+        return _in_range(sums[ends - m], q, s, single)
+
+    tail, top = seq.tail, seq.horizon
+    if not tail.converges(q, s):
+        return DIVERGENT if single else np.full(starts.shape, DIVERGENT)
+    lo = int(min(starts.min(), top + 1))
+    sums = np.zeros(top - lo + 2)
+    if lo <= top:
+        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s)
+        np.cumsum(terms[::-1], out=sums[-2::-1])
+    sums = sums[np.minimum(starts, top + 1) - lo]
+    if tail.c:
+        past = np.maximum(starts, top + 1)
+        firsts = sorted(set(past.ravel().tolist()))
+        rest = np.array([_tail_sum(tail, q, s, first) for first in firsts])
+        sums = sums + rest[np.searchsorted(firsts, past)]
+    return _in_range(sums, q, s, single)
+
+
+def _in_range(sums, q, s, single):
+    """sums, or its one float if single; ValueError where one is not finite."""
+    if not np.isfinite(sums).all():
+        raise ValueError(f"a sum of a_nu^{q:g} nu^{s:g} leaves the float range")
+    return float(sums[0]) if single else sums

@@ -354,7 +354,11 @@ def difference_norms(seq, horizon, k, hs, p, quad=None):
     a = seq.values(1, horizon)
     if p == 2:
         scale = parseval_scale(a, k)
-        return scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0]), k)
+        with np.errstate(over="ignore"):
+            norms = scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0]), k)
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("an L^2 norm of Delta_h^k f leaves the float range")
+        return norms
     rows, grid_norms = _grid_kernel(a, k, p, quad.M if quad else grid_size(horizon), hs.size)
     out = np.empty(hs.size)
     for lo in range(0, hs.size, rows):
@@ -417,22 +421,30 @@ def modulus_direct(seq, horizon, params, t, quad=None):
 
 
 def bound_core(seq, params, n):
-    """Coefficient core E(n) of the two-sided modulus estimate.
+    """Coefficient core E(n) of the two-sided modulus estimate, for an int n
+    or a 1-d array of them (then an array).
 
     E(n) = n^{-k} (sum_{nu<=n} a_nu^p nu^{(k+1)p-2})^{1/p}
          + (sum_{nu>n} a_nu^p nu^{p-2})^{1/p},
 
-    the near sum taken as sum a_nu^p nu^(p-2) (nu/n)^(kp), whose factors
-    stay in the float range at any k.  Returns DIVERGENT when the infinite
-    tail sum diverges.
+    the near sum taken for each n as sum a_nu^p nu^(p-2) (nu/n)^(kp), its
+    terms formed in log space so that no factor leaves the float range at
+    any k or p; the far sums are one weighted_sum over the grid.  Returns
+    DIVERGENT when the infinite tail sum diverges.
     """
     k, p = params.k, params.p
-    if n < 1:
+    ns = np.array(n, ndmin=1)  # a single n: the one-point grid
+    if (ns < 1).any():
         raise ValueError("n must be >= 1")
-    nu = np.arange(1.0, n + 1)
-    near = float(np.sum(seq.values(1, n) ** p * nu ** (p - 2) * (nu / n) ** (k * p)))
-    far = weighted_sum(seq, p, p - 2, n + 1)
-    if far == DIVERGENT:
-        return DIVERGENT
-    _check_root([near, far], p, 2.0, f"E({n})")
-    return near ** (1.0 / p) + far ** (1.0 / p)
+    far = weighted_sum(seq, p, p - 2, ns + 1)
+    if far[0] == DIVERGENT:  # the tail model's: at every n or at none
+        return DIVERGENT if np.ndim(n) == 0 else far
+    top = int(ns.max())
+    ln_nu = np.log(np.arange(1.0, top + 1))
+    with np.errstate(divide="ignore", over="ignore"):  # a_nu = 0; a near sum past the range
+        base = p * np.log(seq.values(1, top)) + (p - 2) * ln_nu
+        near = np.array([np.sum(np.exp(base[:m] + k * p * (ln_nu[:m] - ln_nu[m - 1])))
+                         for m in ns.tolist()])
+    _check_root(np.append(near, far), p, 2.0, "E(n)")
+    e = near ** (1.0 / p) + far ** (1.0 / p)
+    return float(e[0]) if np.ndim(n) == 0 else e

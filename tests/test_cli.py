@@ -457,7 +457,7 @@ def test_seminorm_equals_equivalence_report_at_8191(tmp_path):
     want = equivalence_report(seq, cp, [16, 8191], CoreModulusSource(seq, cp.smoothness))
     got = json.loads(out.read_text())["values"]
     assert got == {key: want["values"][key] for key in ("n", "I", "J", "K")}
-    assert got["J"][-1] == 0.04070147308399374
+    assert got["J"][-1] == 0.0407014730839873
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,14 +483,70 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     (["modulus", "--power-law", "1", "2", "--k", "2", "--p", "1e-300", "--t-grid", "0.125",
       "--horizon", "64"],
      "p: an L^p norm (a sum to the power 1/p = 1e+300) leaves the float range"),
-], ids=["equivalence-theta-1e300", "modulus-p-1e-300"])
+    (["membership", "--power-law", "1", "2", "--theta", "1e300", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--functional", "K", "--phi", "power:0.25"],
+     "theta: K(n)^theta, a sum, or K(n) leaves the float range at n = 2"),
+    (["modulus", "--power-law", "1e308", "0.5", "--k", "2", "--p", "2", "--t-grid", "0.125",
+      "--horizon", "64"],
+     "an L^2 norm of Delta_h^k f leaves the float range"),
+], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
+        "modulus-c-1e308"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
-    # both ended in an OverflowError traceback from a float power (the cell
-    # weight of I, and E's sum to the power 1/p)
+    # the first two ended in an OverflowError traceback from a float power
+    # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =
+    # n^(-lam theta) sum ... underflows to 0 at theta = 1e300 (it was NaN, with
+    # RuntimeWarnings and verdict "bounded"), and omega(1/8) of
+    # a_nu = 1e308 nu^-1/2 overflows (a RuntimeWarning)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["equivalence", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "4,100000000"],
+     "n_grid: must be an ascending list of integers from 1 to 524288"),
+    (["equivalence", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "4,8192"],
+     "n_grid: the direct omega table would reach top = 32768 (4 max n), past its budget of "
+     "16384"),
+], ids=["n-1e8", "direct-n-8192"])
+def test_grid_past_its_memory_budget_is_one_config_error(argv, line, tmp_path, capsys):
+    # a grid of 1e8 tried to allocate 8 GiB; both stop before any table
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not out.exists()
+
+
+def test_large_theta_k_is_finite(tmp_path):
+    # a_nu = nu^-2, theta = 100: the far terms nu^-200 nu^99 and the near
+    # ones nu^-200 nu^149 each have a factor past the float range, but
+    # K(n)^100 = n^-50 (zeta(51) - ...) + O(n^-101), so K(n) = n^-1/2 to 1e-15
+    out = tmp_path / "k.json"
+    assert main(["membership", "--power-law", "1", "2", "--theta", "100", "--r", "0.5",
+                 "--lam", "0.5", "--k", "2", "--p", "2", "--functional", "K",
+                 "--phi", "power:0.25", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["values"] == pytest.approx([n ** -0.5 for n in rep["grid"]], rel=1e-12)
+    assert rep["verdict"] == "bounded"
+
+
+def test_large_p_modulus_is_finite(tmp_path):
+    # p = 300: a_nu^p nu^(p-2) = nu^-302, whose factors under- and overflow;
+    # E(n) = n^-2 (sum_{nu<=n} nu^298)^(1/300) + zeta(302, n + 1)^(1/300)
+    out = tmp_path / "mod.csv"
+    assert main(["modulus", "--power-law", "1", "2", "--k", "2", "--p", "300", "--t-grid",
+                 "0.125,0.25", "--horizon", "64", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[-2:]]
+    for t, omega, e in rows:
+        n = round(1 / float(t))
+        near = mpmath.fsum(mpmath.mpf(v) ** 298 for v in range(1, n + 1))
+        root = 1 / mpmath.mpf(300)
+        want = n ** -2 * near ** root + mpmath.zeta(302, n + 1) ** root
+        assert 0 < float(omega) < math.inf
+        assert float(e) == pytest.approx(float(want), rel=1e-11)
 
 
 def test_equivalence_past_the_direct_source_cap(tmp_path):

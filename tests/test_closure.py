@@ -103,10 +103,16 @@ def reference(head, tail, cp, ns):
 
         if q1 > 1e-9:
             total = mp.quad(f, [l0 + d / q1 for d in (0, 1, 4, 12, 40, 80)])
-        else:  # x^-1 (ln x)^(-theta gamma): integrate over ln ln x
+        else:  # x^-1 (ln x)^(-theta gamma): integrate over ln ln x up to
+            # ln x = l0 e^30, and past it take f(l) = f(lw) (lw/l)^(1 + rho),
+            # which holds to O(1/lw), so that rho may be small; at x up to
+            # e^(l0 e^30) the incomplete gamma functions need 30 digits
             rho = th * gamma - 1
-            total = mp.quad(lambda w: f(l0 * mp.exp(w)) * l0 * mp.exp(w),
-                            [d / rho for d in (0, 1, 4, 12, 30)])
+            with mp.workdps(30):
+                total = mp.quad(lambda w: f(l0 * mp.exp(w)) * l0 * mp.exp(w),
+                                [0, 1, 4, 12, 30])
+                lw = l0 * mp.exp(30)
+                total += f(lw) * lw / rho
         return float(total - weight(mp.mpf(N)) * e_cont(mp.mpf(N)) ** th / 2)
 
     tj = tail_sum(lambda x: x ** (c1 - 1))
@@ -193,8 +199,13 @@ def _small_q1(q1):
     (make_power_log(1.3, 1.0, 2.3, 4096), (1.3, 1.0, 2.3), CP),
     _small_q1(1e-3),
     _small_q1(3e-3),
+    # q = 1 with theta gamma - 1 = rho small: the closure's mass lies at
+    # ln x up to l0 e^(30/rho), far past l0 e^700, where it takes the
+    # summand's asymptotic form
+    (make_power_log(1.0, 1.0, 1.001, 4096), (1.0, 1.0, 1.001), CP),
+    (make_power_log(1.0, 1.0, 1 + 1e-6, 4096), (1.0, 1.0, 1 + 1e-6), CP),
 ], ids=["xE-below-k", "xE-below-k-gamma-neg", "xE-at-k", "b-within-tol", "xE-above-k",
-        "xE-above-k-gamma-neg", "q1-log", "q1-1e-3", "q1-3e-3"])
+        "xE-above-k-gamma-neg", "q1-log", "q1-1e-3", "q1-3e-3", "q1-rho-1e-3", "q1-rho-1e-6"])
 def test_power_log_closure_matches_reference(seq, tail, cp):
     # at n = 8191 J's far sum is one term and the closure past the 2^13 core
     # table; I's starts at nu = 8193, and so reads the closure past 2^14
@@ -215,6 +226,22 @@ def test_power_log_closure_matches_reference_anywhere(beta, gamma, theta, p, cel
     (j, i), = reference(seq.head, (1.0, beta, gamma), cp, [8191])
     got = integral_seminorm(cp, 1 / 8192, src) if cell else discrete_seminorm(cp, 8191, src)
     assert got == pytest.approx(i if cell else j, rel=CLOSURE_RTOL)
+
+
+def test_critical_closure_keeps_its_mass_as_rho_vanishes():
+    # a_nu = nu^-1 (1 + ln nu)^-gamma, theta = 1, r = x_E = 1/2: the summand
+    # goes like E^theta x^(r theta - 1) ~ C l^-gamma / x, C = 1 + 3^-1/2 (the
+    # far and near parts of E, (p x_E)^-1/p and (p (k - x_E))^-1/p), so the
+    # sum past T is C (ln T)^-rho / rho to O(1/ln T), rho = gamma - 1
+    for rho in (1e-3, 1e-6, 1e-15):
+        seq = make_power_log(1.0, 1.0, 1 + rho, 4096)
+        src = CoreModulusSource(seq, CP.smoothness)
+        src(2 ** 13)
+        rest = src._closure(False, 1.0, 0.5)
+        rho = seq.tail.gamma - 1  # as rounded
+        want = (1 + 3 ** -0.5) * math.log(2 ** 13 + 0.5) ** -rho / rho
+        assert 0 < rest < math.inf
+        assert rest == pytest.approx(want, rel=2e-3)
 
 
 # the class-sweep power-log closures past the 2^13 table, a_nu = nu^-beta
