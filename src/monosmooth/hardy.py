@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -54,6 +55,8 @@ _DISPLAYS = {
 # displays that hold only for monotone sequences
 _MONOTONE = {"lp_converse_upper", "lp_converse_lower",
              "lp_complete_tail", "lp_complete_head"}
+# nu^x overflows where x ln nu >= _LN_MAX
+_LN_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -125,11 +128,13 @@ class SweepReport:
 
 def _sides(lemma_id, a, hp, tables, out):
     """lhs and rhs of the row of _DISPLAYS for lemma_id and hp.p, where a
-    holds a_1 .. a_n, tables holds nu^x for nu = 1 .. N at x = lam, the
-    weight's exponent and lam + 1, and out holds two N-long workspaces,
-    N >= hp.n.  Each side runs the ufuncs of sum(weight * x ** p) in that
-    order, with the strides that expression gives them, in out, so
-    nothing is allocated."""
+    holds a_1 .. a_n, tables holds nu^x for nu = 1 .. n at x = lam, the
+    weight's exponent and lam + 1, and out holds two workspaces at least n
+    long.  The inner sums are formed and raised to p in out, with the ufuncs
+    and strides of the expression (sums) ** p, and each side is one
+    np.einsum of the weight against its terms, which sums without a
+    temporary and, unlike np.dot, gives the same float whatever the BLAS
+    thread count; so nothing is allocated."""
     inner, lo, hi, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
     p, m, n = hp.p, hp.m, hp.n
     if n < c * m:
@@ -149,44 +154,73 @@ def _sides(lemma_id, a, hp, tables, out):
     else:
         np.cumsum(sums, out=sums)
         sums **= p  # in place, ** picks the same ufunc (square, sqrt, ...) as sums ** p
-    lhs = float(np.sum(np.multiply(weight[lo - 1:n], sums, out=sums)))
+    lhs = float(np.einsum("i,i->", weight[lo - 1:n], sums))
     terms = np.multiply(a[hi - 1:n], point[hi - 1:n], out=work[:n - hi + 1])
     terms **= p
-    return lhs, float(np.sum(np.multiply(weight[hi - 1:n], terms, out=terms)))
+    return lhs, float(np.einsum("i,i->", weight[hi - 1:n], terms))
+
+
+def _power_table(exponents, nu):
+    """Block whose row i holds nu^x over its first n entries, for the i-th
+    (x, n) of exponents and nu = 1 .. N, N >= every n; the rest of a row is
+    left unset.  An integer x takes in-place **, the ufunc that nu ** x
+    takes (exact wherever nu^x is an integer below 2^53); any other x is
+    exp(x ln nu), from one ln nu row taken in place in nu, so that nu holds
+    ln nu afterwards.  Every exponent needs x ln n < ln(largest float)."""
+    block = np.empty((len(exponents), nu.size))
+    whole = [float(x).is_integer() for x, _ in exponents]
+    for row, (x, n), integer in zip(block, exponents, whole):
+        if integer:
+            row[:n] = nu[:n]
+            row[:n] **= x
+    np.log(nu, out=nu)
+    for row, (x, n), integer in zip(block, exponents, whole):
+        if not integer:
+            np.exp(np.multiply(nu[:n], x, out=row[:n]), out=row[:n])
+    return block
 
 
 def _sweep(lemma_id, cases):
     """evaluate(seq, hp) -> RatioReport for the (seq, hp) pairs of cases.
 
-    The evaluations share one block of nu^x tables over nu = 1 .. max n,
-    one row for each exponent that a case passing its side condition
-    needs, and two workspaces of that length.  Each sequence object is
-    read once, without a copy when its head covers the largest n asked of
-    it, and checked for monotonicity once.  All of this lives as long as
-    evaluate.  A rejected case raises ValueError; an unknown lemma_id
-    raises before any case.
+    The evaluations share one block of nu^x tables (_power_table), one row
+    for each exponent that a case passing its side condition needs, as
+    long as the largest n that reads it, and two workspaces of the
+    largest n.  A case whose own n^x would overflow for one of its
+    exponents (x ln n >= ln of the largest float) gets no row and is
+    refused before the block is filled, and a case whose lhs or rhs
+    leaves the float range is refused after its evaluation.  Each sequence object is read
+    once, without a copy when its head covers the largest n asked of it;
+    validate_monotone keeps its result on the sequence.  The block and
+    workspaces live as long as evaluate.  A rejected case raises
+    ValueError; an unknown lemma_id raises before any case.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
     top = {}  # id(seq) -> largest n asked of it
-    exponents = {}  # x -> its row in the block of nu^x tables, in first-use order
-    rows = {}  # id(hp) -> the rows _sides reads, for a case that meets n >= c m
+    exponents = {}  # x -> the largest n its row serves, in first-use order
+    rows = {}  # id(hp) -> the exponents _sides reads, for a case that meets n >= c m
+    refused = {}  # id(hp) -> why, for a case with an n^x past the float range
     for seq, hp in cases:
         top[id(seq)] = max(top.get(id(seq), 0), hp.n)
         if lemma_id != "jensen":
             inner, _, _, c, _ = _DISPLAYS[lemma_id, hp.p >= 1]
             if hp.n >= c * hp.m:
                 weight = hp.alpha - 1 if inner == "tail" else -hp.alpha - 1
-                rows[id(hp)] = [exponents.setdefault(x, len(exponents))
-                                for x in (hp.lam, weight, hp.lam + 1)]
+                xs = (hp.lam, weight, hp.lam + 1)
+                big = [x for x in xs if x * math.log(hp.n) >= _LN_MAX]
+                if big:
+                    refused[id(hp)] = (f"{lemma_id}: nu^{big[0]:g} leaves the float "
+                                       f"range at nu = n = {hp.n}")
+                    continue
+                for x in xs:
+                    exponents[x] = max(exponents.get(x, 0), hp.n)
+                rows[id(hp)] = xs
     # nu = 1 .. N fills the tables, then serves as the first workspace
     nu = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
-    block = np.empty((len(exponents), nu.size))
-    block[:] = nu
-    for row, x in zip(block, exponents):
-        row **= x  # in place, the ufunc that nu ** x takes
+    table = dict(zip(exponents, _power_table(list(exponents.items()), nu)))
     out = nu, np.empty(nu.size)
-    heads, monotone = {}, {}
+    heads = {}
 
     def head(seq):
         if id(seq) not in heads:
@@ -196,22 +230,26 @@ def _sweep(lemma_id, cases):
         return heads[id(seq)]
 
     def evaluate(seq, hp):
-        if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
-            a = head(seq)[:hp.n]
-            squares = out[0][:hp.n]
-            squares[:] = a
-            squares **= 2.0
-            lhs, rhs = float(np.sum(squares) ** 0.5), float(np.sum(a))
-            return _report(lemma_id, lhs, rhs, "upper")
         if lemma_id in _MONOTONE:
-            if id(seq) not in monotone:
-                monotone[id(seq)] = validate_monotone(seq)
-            res = monotone[id(seq)]
+            res = validate_monotone(seq)
             if not res.ok:
                 raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
-        tables = [block[i] for i in rows.get(id(hp), ())]
-        lhs, rhs = _sides(lemma_id, head(seq), hp, tables, out)
-        return _report(lemma_id, lhs, rhs, _DISPLAYS[lemma_id, hp.p >= 1][-1])
+        if id(hp) in refused:
+            raise ValueError(refused[id(hp)])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
+                a = head(seq)[:hp.n]
+                squares = out[0][:hp.n]
+                squares[:] = a
+                squares **= 2.0
+                lhs, rhs, bound = float(np.sum(squares) ** 0.5), float(np.sum(a)), "upper"
+            else:
+                tables = [table[x] for x in rows.get(id(hp), ())]
+                lhs, rhs = _sides(lemma_id, head(seq), hp, tables, out)
+                bound = _DISPLAYS[lemma_id, hp.p >= 1][-1]
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"{lemma_id}: lhs or rhs leaves the float range at n = {hp.n}")
+        return _report(lemma_id, lhs, rhs, bound)
 
     return evaluate
 

@@ -86,7 +86,7 @@ class ZeroTail:
     def converges(self, q, s):
         return True
 
-    def integral(self, q, s, x0):
+    def integral(self, q, s, x0, shift=0.0):
         return 0.0
 
     def to_json(self):
@@ -113,9 +113,12 @@ class PowerLawTail:
     def converges(self, q, s):
         return self.c == 0 or q * self.beta - s > 1 + _CRITICAL_TOL
 
-    def integral(self, q, s, x0):
-        # closed form of int_x0^inf (c x^-beta)^q x^s dx
+    def integral(self, q, s, x0, shift=0.0):
+        # closed form of int_x0^inf (c x^-beta)^q x^s dx, times e^-shift; a
+        # shift is taken in log space, since c^q alone may leave the float range
         a = q * self.beta - s
+        if shift:
+            return math.exp(q * math.log(self.c) + (1 - a) * math.log(x0) - shift) / (a - 1)
         return self.c ** q * x0 ** (1 - a) / (a - 1)
 
     def to_json(self):
@@ -151,17 +154,24 @@ class PowerLogTail:
             return True
         return abs(a - 1) <= _CRITICAL_TOL and q * self.gamma > 1
 
-    def integral(self, q, s, x0):
+    def integral(self, q, s, x0, shift=0.0):
         # int_x0^inf (c x^-beta (1+ln x)^-gamma)^q x^s dx; u = 1 + ln x gives
         # c^q int_u0^inf e^(-b(u-1)) u^-g du, b = a - 1 > 0 when it converges
         # and is not critical, and w = b(u - u0) turns that into
-        # c^q e^(-b(u0-1)) / b * int_0^inf e^-w (u0 + w/b)^-g dw
+        # c^q e^(-b(u0-1)) / b * int_0^inf e^-w (u0 + w/b)^-g dw; times
+        # e^-shift, a shift taken in log space with u0^-g drawn out
         a = q * self.beta - s
         g = q * self.gamma
         u0 = 1.0 + math.log(x0)
         if abs(a - 1) <= _CRITICAL_TOL:
+            if shift:
+                return math.exp(q * math.log(self.c) + (1 - g) * math.log(u0) - shift) / (g - 1)
             return self.c ** q * u0 ** (1 - g) / (g - 1)
         b = a - 1
+        if shift:
+            val = float(_EXP_WEIGHTS @ (1 + _EXP_NODES / (b * u0)) ** -g)
+            log_c = q * math.log(self.c) - b * (u0 - 1) - g * math.log(u0)
+            return math.exp(log_c - shift) / b * val
         val = float(_EXP_WEIGHTS @ (u0 + _EXP_NODES / b) ** -g)
         return self.c ** q * math.exp(-b * (u0 - 1)) / b * val
 
@@ -268,8 +278,17 @@ def validate_monotone(seq):
     """Check a_nu >= a_{nu+1} >= 0 across the head and the tail junction.
 
     Returns a ValidationResult; `index` is the first (1-based) position
-    violating nonnegativity or monotonicity.
+    violating nonnegativity or monotonicity.  The result is kept on seq,
+    beside _head_array and like it not a field, so a sequence is scanned
+    once; a copy made by scaled or dataclasses.replace is a new object
+    and is scanned afresh.
     """
+    if "_monotone" not in vars(seq):
+        object.__setattr__(seq, "_monotone", _scan_monotone(seq))
+    return seq._monotone
+
+
+def _scan_monotone(seq):
     head = seq._head_array
     neg = np.nonzero(head < 0)[0]
     if neg.size:
@@ -288,16 +307,19 @@ def validate_monotone(seq):
     return ValidationResult(True)
 
 
-def _powers(vals, nu, q, s):
-    """a^q nu^s for arrays of a >= 0 and nu >= 1, as exp(q (ln a + (s/q) ln nu)):
-    no intermediate leaves the float range unless the term itself does, and
-    a = 0 gives 0, never 0 * inf."""
+def _powers(vals, nu, q, s, shift=0.0):
+    """a^q nu^s e^-shift for arrays of a >= 0 and nu >= 1, as
+    exp(q (ln a + (s/q) ln nu) - shift): no intermediate leaves the float
+    range unless the term itself does, and a = 0 gives 0, never 0 * inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.exp(q * (np.log(vals) + (s / q) * np.log(nu)))
+        t = q * (np.log(vals) + (s / q) * np.log(nu))
+        if shift:
+            t -= shift
+        return np.exp(t)
 
 
-def _tail_sum(tail, q, s, lo):
-    """sum_{nu >= lo} of the tail model's f(nu) = a_nu^q nu^s: blocks of
+def _tail_sum(tail, q, s, lo, shift=0.0):
+    """sum_{nu >= lo} of the tail model's f(nu) = a_nu^q nu^s e^-shift: blocks of
     doubling width summed until the partial sum plus the rest, estimated
     as int_{hi-1/2}^inf f + f'(hi - 1/2)/24 (the midpoint rule's
     Euler-Maclaurin term), moves by at most _SUM_REL_TOL of itself, or
@@ -307,12 +329,12 @@ def _tail_sum(tail, q, s, lo):
         hi = min(lo + width, max(lo, _SUM_NU_CAP))
         x = hi - 0.5
         nu = np.append(np.arange(lo, hi, dtype=float), x)  # the block, then x
-        f = _powers(tail.value(nu), nu, q, s)
+        f = _powers(tail.value(nu), nu, q, s, shift)
         total += float(np.sum(f[:-1]))
         # f'/f = (s - q (beta + gamma/(1 + ln x)))/x
         slope = (s - q * (tail.beta + tail.gamma / (1 + math.log(x)))) / x
         try:
-            prev, est = est, total + tail.integral(q, s, x) + float(f[-1]) * slope / 24
+            prev, est = est, total + tail.integral(q, s, x, shift) + float(f[-1]) * slope / 24
         except OverflowError:  # c^q past the float range: so is the sum
             return math.inf
         if prev is not None and abs(est - prev) <= _SUM_REL_TOL * abs(est) or hi >= _SUM_NU_CAP:
@@ -321,9 +343,10 @@ def _tail_sum(tail, q, s, lo):
         width *= 2
 
 
-def weighted_sum(seq, q, s, m=1, n=None):
+def weighted_sum(seq, q, s, m=1, n=None, shift=0.0):
     """Sum over nu in [m, n] of a_nu**q * nu**s; n is None for an infinite
-    upper limit.
+    upper limit.  A shift gives every sum times e^-shift, each term scaled
+    in log space, for a sum that would leave the normal float range.
 
     Grids: with n None, m may be an array of starts, and with n given, n
     may be an array of ends (m then a single start).  One table of terms
@@ -350,7 +373,8 @@ def weighted_sum(seq, q, s, m=1, n=None):
         if (ends < m).any():
             raise ValueError("empty range")
         top = int(ends.max())
-        sums = np.cumsum(_powers(seq.values(m, top), np.arange(m, top + 1, dtype=float), q, s))
+        nu = np.arange(m, top + 1, dtype=float)
+        sums = np.cumsum(_powers(seq.values(m, top), nu, q, s, shift))
         return _in_range(sums[ends - m], q, s, single)
 
     tail, top = seq.tail, seq.horizon
@@ -359,13 +383,13 @@ def weighted_sum(seq, q, s, m=1, n=None):
     lo = int(min(starts.min(), top + 1))
     sums = np.zeros(top - lo + 2)
     if lo <= top:
-        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s)
+        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s, shift)
         np.cumsum(terms[::-1], out=sums[-2::-1])
     sums = sums[np.minimum(starts, top + 1) - lo]
     if tail.c:
         past = np.maximum(starts, top + 1)
         firsts = sorted(set(past.ravel().tolist()))
-        rest = np.array([_tail_sum(tail, q, s, first) for first in firsts])
+        rest = np.array([_tail_sum(tail, q, s, first, shift) for first in firsts])
         sums = sums + rest[np.searchsorted(firsts, past)]
     return _in_range(sums, q, s, single)
 

@@ -8,7 +8,9 @@ recorded in every report header.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,9 @@ CHUNK_ELEMENTS = 2 ** 17
 
 #: harmonics per angle-addition block in _half_angles
 _BLOCK = 128
+
+#: the smallest normal float, 2^-1022
+_TINY = sys.float_info.min
 
 
 def grid_size(horizon):
@@ -160,10 +165,10 @@ def _lp_bound(l2, s, p):
     return s ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
 
 
-def _check_root(x, p, scale, what):
-    """Refuse scale * x^(1/p), x >= 0, where it would reach 2^1023."""
+def _check_root(x, p, scale, what, shift=0.0):
+    """Refuse scale * (x e^shift)^(1/p), x >= 0, where it would reach 2^1023."""
     with np.errstate(divide="ignore"):
-        if np.any(np.log2(x) >= p * (1023.0 - np.log2(scale))):
+        if np.any(np.log2(x) + shift / math.log(2.0) >= p * (1023.0 - np.log2(scale))):
             raise ValueError(f"p: {what} (a sum to the power 1/p = {1 / p:g}) "
                              "leaves the float range")
 
@@ -429,22 +434,53 @@ def bound_core(seq, params, n):
 
     the near sum taken for each n as sum a_nu^p nu^(p-2) (nu/n)^(kp), its
     terms formed in log space so that no factor leaves the float range at
-    any k or p; the far sums are one weighted_sum over the grid.  Returns
-    DIVERGENT when the infinite tail sum diverges.
+    any k or p; the far sums are one weighted_sum over the grid, or one
+    call per n where a far sum is past 2^1024.  A sum that leaves the
+    normal float range (past 2^1024 or below 2^-1022) is taken again
+    divided by its largest term, e^shift, and its root is
+    (sum)^(1/p) e^(shift/p).  Returns DIVERGENT when the infinite tail sum
+    diverges.
     """
     k, p = params.k, params.p
     ns = np.array(n, ndmin=1)  # a single n: the one-point grid
     if (ns < 1).any():
         raise ValueError("n must be >= 1")
-    far = weighted_sum(seq, p, p - 2, ns + 1)
+    try:
+        far = weighted_sum(seq, p, p - 2, ns + 1)
+    except ValueError:  # the starts are valid, so a far sum is past 2^1024
+        far = np.full(ns.size, np.nan)  # each n alone, as its one-point call
+        for i, m in enumerate(ns.tolist()):
+            with contextlib.suppress(ValueError):
+                far[i] = weighted_sum(seq, p, p - 2, m + 1)
     if far[0] == DIVERGENT:  # the tail model's: at every n or at none
         return DIVERGENT if np.ndim(n) == 0 else far
     top = int(ns.max())
     ln_nu = np.log(np.arange(1.0, top + 1))
+    near, near_shift, far_shift = np.empty(ns.size), np.zeros(ns.size), np.zeros(ns.size)
     with np.errstate(divide="ignore", over="ignore"):  # a_nu = 0; a near sum past the range
         base = p * np.log(seq.values(1, top)) + (p - 2) * ln_nu
-        near = np.array([np.sum(np.exp(base[:m] + k * p * (ln_nu[:m] - ln_nu[m - 1])))
-                         for m in ns.tolist()])
-    _check_root(np.append(near, far), p, 2.0, "E(n)")
-    e = near ** (1.0 / p) + far ** (1.0 / p)
+        for i, m in enumerate(ns.tolist()):
+            terms = base[:m] + k * p * (ln_nu[:m] - ln_nu[m - 1])
+            near[i] = np.sum(np.exp(terms))
+            if not _TINY <= near[i] < math.inf and terms.max() > -math.inf:
+                near_shift[i] = terms.max()
+                near[i] = np.sum(np.exp(terms - near_shift[i]))
+    for i, m in enumerate(ns.tolist()):
+        if not far[i] >= _TINY and (shift := _far_shift(seq, p, m + 1)) > -math.inf:
+            far_shift[i] = shift
+            far[i] = weighted_sum(seq, p, p - 2, m + 1, shift=shift)
+    _check_root(np.append(near, far), p, 2.0, "E(n)", np.append(near_shift, far_shift))
+    e = near ** (1.0 / p) * np.exp(near_shift / p) + far ** (1.0 / p) * np.exp(far_shift / p)
     return float(e[0]) if np.ndim(n) == 0 else e
+
+
+def _far_shift(seq, p, first):
+    """The largest log-term p ln a_nu + (p - 2) ln nu of the far sum from
+    first: over the stored head, and at the tail's first nu when it has
+    one (-inf when every a_nu there is 0)."""
+    last = max(first, seq.horizon + 1) if seq.tail.c else seq.horizon
+    if last < first:
+        return -math.inf
+    with np.errstate(divide="ignore"):
+        terms = p * np.log(seq.values(first, last)) + (p - 2) * np.log(np.arange(first, last + 1.0))
+    return float(terms.max())

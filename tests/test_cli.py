@@ -489,14 +489,23 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     (["modulus", "--power-law", "1e308", "0.5", "--k", "2", "--p", "2", "--t-grid", "0.125",
       "--horizon", "64"],
      "an L^2 norm of Delta_h^k f leaves the float range"),
+    (["verify-lemma", "--power-law", "1", "1.5", "--lemma", "lp_upper", "--alpha", "1",
+      "--lam", "1e300", "--p", "2", "--m", "1", "--n", "64"],
+     "lp_upper: nu^1e+300 leaves the float range at nu = n = 64"),
+    (["verify-lemma", "--power-law", "1", "1.5", "--lemma", "lp_upper", "--alpha", "1",
+      "--lam", "100", "--p", "2", "--m", "1", "--n", "64"],
+     "lp_upper: lhs or rhs leaves the float range at n = 64"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
-        "modulus-c-1e308"])
+        "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =
     # n^(-lam theta) sum ... underflows to 0 at theta = 1e300 (it was NaN, with
-    # RuntimeWarnings and verdict "bounded"), and omega(1/8) of
-    # a_nu = 1e308 nu^-1/2 overflows (a RuntimeWarning)
+    # RuntimeWarnings and verdict "bounded"), omega(1/8) of
+    # a_nu = 1e308 nu^-1/2 overflows (a RuntimeWarning), and the Hardy table
+    # row nu^1e300, or at lam = 100 the squares (a_mu mu^101)^2, overflowed
+    # (a RuntimeWarning, then lhs = rhs = inf and ratio nan in a report with
+    # exit 0)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"

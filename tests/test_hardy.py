@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,7 +112,17 @@ def naive_lemma(lemma_id, a, hp, jensen_exponents=(1.0, 2.0)):
 
 
 # --- the allocating evaluation, one temporary per ufunc, as the oracle of
-# the in-place sweep: a case at a time, with tables over its own 1 .. n ---
+# the in-place sweep: a case at a time, with tables over its own 1 .. n,
+# each formed as the sweep forms it (nu ** x at an integer x, else
+# exp(x ln nu)) and each side one einsum, as in the sweep ---
+
+def table_power(nu, x):
+    return nu ** x if float(x).is_integer() else np.exp(x * np.log(nu))
+
+
+def dot(weight, terms):
+    return float(np.einsum("i,i->", weight, terms))
+
 
 def oracle_sides(lemma_id, a, hp, power):
     inner, lo, hi, c, _ = hardy._DISPLAYS[lemma_id, hp.p >= 1]
@@ -123,8 +134,7 @@ def oracle_sides(lemma_id, a, hp, power):
     sums = np.cumsum(w[::-1])[::-1] if inner == "tail" else np.cumsum(w)
     weight = power(hp.alpha - 1 if inner == "tail" else -hp.alpha - 1)[:n]
     point = (a[hi - 1:n] * power(hp.lam + 1)[hi - 1:n]) ** p
-    lhs = float(np.sum(weight[lo - 1:] * sums ** p))
-    return lhs, float(np.sum(weight[hi - 1:] * point))
+    return dot(weight[lo - 1:], sums ** p), dot(weight[hi - 1:], point)
 
 
 def oracle_sweep(lemma_id, cases):
@@ -140,7 +150,7 @@ def oracle_sweep(lemma_id, cases):
             continue
         else:
             try:
-                lhs, rhs = oracle_sides(lemma_id, a, hp, lambda x: nu ** x)
+                lhs, rhs = oracle_sides(lemma_id, a, hp, lambda x: table_power(nu, x))
             except ValueError:
                 skipped += 1
                 continue
@@ -464,6 +474,107 @@ def test_unknown_lemma_id_raises_before_any_case():
         estimate_constant("lp_uper", [case] * 3)
     with pytest.raises(ValueError, match="^unknown lemma id: 'lp_uper'$"):
         verify_lemma("lp_uper", *case)
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=-50, max_value=50).filter(lambda x: not x.is_integer()),
+       st.integers(2, 2 ** 16))
+@example(49.5, 2 ** 16)
+@example(-49.5, 2 ** 16)
+@example(0.5, 2)
+def test_exp_rows_agree_with_pow(x, n):
+    # exp(x ln nu) against nu ** x: ln nu is rounded to 2^-53 relative and
+    # x ln nu again, and exp turns that absolute error of about
+    # |x| ln nu 2^-52 into a relative one; the 8 ulps cover exp and pow.
+    # Measured on 700 rows (x uniform in [-50, 50], n up to 2^16, AVX-512
+    # numpy 2.4): at most 0.89 of this bound, 0.83 |x| ln n 2^-52 at |x| near 48
+    nu = np.arange(1.0, n + 1)
+    row = hardy._power_table([(x, n)], nu.copy())[0]
+    want = nu ** x
+    assert np.all(np.abs(row - want) <= (abs(x) * math.log(n) + 8) * 2.0 ** -52 * want)
+
+
+@given(st.integers(-50, 50), st.booleans(), st.integers(2, 2 ** 16))
+def test_integer_rows_equal_pow(x, as_float, n):
+    # an integer exponent keeps **, beside an exp row in the same block, so
+    # hand-checked sums such as (10, 10, 1) and (6, 6) stay exact
+    x = float(x) if as_float else x
+    nu = np.arange(1.0, n + 1)
+    rows = hardy._power_table([(x, n), (0.5, n // 2)], nu.copy())
+    assert np.array_equal(rows[0], nu ** x)
+
+
+def test_power_table_leaves_ln_nu_in_nu():
+    nu = np.arange(1.0, 9)
+    rows = hardy._power_table([(2, 8), (-0.5, 4)], nu)
+    assert np.array_equal(nu, np.log(np.arange(1.0, 9)))
+    assert np.array_equal(rows[0], np.arange(1.0, 9) ** 2)
+    assert rows[1][:4] == pytest.approx(np.arange(1.0, 5) ** -0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("lemma, alpha, lam, x", [
+    ("lp_upper", 1, 1e300, "1e+300"),  # lam itself
+    ("lp_upper", 1, 170.5, "171.5"),  # lam + 1 only: 64^171.5 > 2^1024 > 64^170.5
+    ("lp_upper", 1e300, 0, "1e+300"),  # the tail weight alpha - 1
+])
+def test_overflowing_row_is_refused(lemma, alpha, lam, x):
+    seq = make_power_law(1, 1.5, 64)
+    hp = HardyParams(alpha=alpha, lam=lam, p=2, m=1, n=64)
+    line = f"{lemma}: nu^{x} leaves the float range at nu = n = 64"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        verify_lemma(lemma, seq, hp)
+    # in a sweep the refused case is skipped and the rest evaluated as alone
+    fine = HardyParams(alpha=1, lam=0.5, p=2, m=1, n=64)
+    rep = estimate_constant(lemma, [(seq, hp), (seq, fine), (seq, hp)])
+    assert rep.skipped == 2 and rep.ratios == [verify_lemma(lemma, seq, fine).ratio]
+
+
+@pytest.mark.parametrize("lemma, seq, lam", [
+    ("lp_upper", make_power_law(1, 1.5, 64), 100),  # (a_mu mu^101)^2 near 2^1200
+    ("lp_lower", make_power_law(1, 1.5, 64), 100),
+    ("jensen", make_power_law(1e200, 1, 64), 0),  # a_1^2 = 1e400
+])
+def test_side_past_the_float_range_is_refused(lemma, seq, lam):
+    # the table rows are finite (64^101 is near 2^606), but a power or sum
+    # of a side overflows: it was inf (ratio nan) with a RuntimeWarning
+    hp = HardyParams(alpha=1, lam=lam, p=2, m=1, n=64)
+    line = f"{lemma}: lhs or rhs leaves the float range at n = 64"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        verify_lemma(lemma, seq, hp)
+    fine = HardyParams(alpha=1, lam=0, p=2, m=1, n=64)
+    small = make_power_law(1, 1.5, 64)
+    rep = estimate_constant(lemma, [(seq, hp), (small, fine)])
+    assert rep.skipped == 1 and rep.ratios == [verify_lemma(lemma, small, fine).ratio]
+
+
+def test_underflowing_rows_are_kept():
+    # lam = lam + 1 = -1e300: nu^x is 1 at nu = 1 and 0 past it, so every
+    # head sum is a_1 = 1 and lhs = sum_{mu <= 64} mu^-2, rhs = 1
+    rep = verify_lemma("lp_lower", make_power_law(1, 1.5, 64),
+                       HardyParams(alpha=1, lam=-1e300, p=2, m=1, n=64))
+    assert rep.lhs == pytest.approx(sum(mu ** -2.0 for mu in range(1, 65)), rel=1e-15)
+    assert rep.rhs == 1.0
+
+
+def test_row_refusal_uses_each_case_own_n():
+    # lam + 1 = 140 overflows at n = 256 (140 ln 256 = 776) but not at 64
+    # (582); the n = 64 case keeps a finite row over its own range
+    seq = make_power_law(1, 1.5, 256)
+    small = HardyParams(alpha=1, lam=139, p=0.5, m=1, n=64)
+    large = HardyParams(alpha=1, lam=139, p=0.5, m=1, n=256)
+    rep = estimate_constant("lp_upper", [(seq, large), (seq, small)])
+    assert rep.skipped == 1
+    assert rep.ratios == [verify_lemma("lp_upper", seq, small).ratio]
+    assert math.isfinite(rep.ratios[0])
+
+
+def test_monotonicity_is_checked_by_every_sweep():
+    rising = CoefficientSequence((1, 2, 1, 1, 1, 1, 1, 1))
+    hp = HardyParams(alpha=1, lam=0, p=1, m=1, n=8)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="needs a monotone sequence: a_2 > a_1"):
+            verify_lemma("lp_complete_tail", rising, hp)
+        assert estimate_constant("lp_complete_head", [(rising, hp)] * 2).skipped == 2
 
 
 def test_sweep_allocates_no_temporaries_per_case():

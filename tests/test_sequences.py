@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -193,6 +194,33 @@ def test_values_returns_a_copy():
     assert seq.head == (1.0, 0.25, 1 / 9, 1 / 16)
     assert seq == make_power_law(1, 2, 4)
     assert hash(seq) == hash(make_power_law(1, 2, 4))
+
+
+def test_validation_is_kept_on_the_sequence():
+    seq = make_power_law(1, 1.5, 64)
+    before = (hash(seq), seq.to_json(), repr(seq), dataclasses.fields(seq))
+    first = validate_monotone(seq)
+    assert first.ok and validate_monotone(seq) is first
+    # not a field: equality, hash, repr and JSON see only head and tail
+    assert (hash(seq), seq.to_json(), repr(seq), dataclasses.fields(seq)) == before
+    twin = make_power_law(1, 1.5, 64)
+    assert twin == seq and hash(twin) == hash(seq)
+    assert validate_monotone(twin) == first
+
+
+def test_validation_of_a_copy_is_fresh():
+    seq = make_power_law(1, 1.5, 8)
+    assert validate_monotone(seq).ok
+    jump = dataclasses.replace(seq, tail=PowerLawTail(10.0, 1.5))
+    res = validate_monotone(jump)
+    assert (res.ok, res.index) == (False, 9)
+    rising = dataclasses.replace(seq, head=(1.0, 2.0))
+    assert validate_monotone(rising) == validate_monotone(CoefficientSequence((1, 2)))
+    assert validate_monotone(rising).index == 2
+    neg = CoefficientSequence((1, -1))
+    assert validate_monotone(neg).reason == "a_2 < 0"
+    assert validate_monotone(neg.scaled(0.0)).ok  # all zeros, scanned afresh
+    assert validate_monotone(seq).ok
 
 
 def test_scaled():

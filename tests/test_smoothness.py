@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from monosmooth import smoothness
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
-                                  make_random_monotone)
+                                  make_power_log, make_random_monotone)
 from monosmooth.smoothness import (
     QuadratureSpec,
     SmoothnessParams,
@@ -480,6 +481,32 @@ def test_bound_core_power_law_oracle():
     want = 0.25 * h4_2 ** 0.5 + (zeta4 - h4_4) ** 0.5
     got = bound_core(seq, SmoothnessParams(1, 2), 4)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [8, 100, 5000])
+def test_bound_core_scales_sums_past_the_normal_range(n):
+    # p = 300: both sums of E(100) are near 1e-604, 0 in floats (E was 0.0);
+    # each is taken again divided by its largest term.  At n = 8 neither
+    # leaves the range, and at 5000 the far sum is the tail model's alone
+    got = bound_core(make_power_law(1, 2, 4096), SmoothnessParams(k=2, p=300), n)
+    root = 1 / mpmath.mpf(300)
+    near = mpmath.fsum(mpmath.mpf(v) ** 298 for v in range(1, n + 1))
+    want = mpmath.mpf(n) ** -2 * near ** root + mpmath.zeta(302, n + 1) ** root
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_bound_core_scaling_is_homogeneous(c):
+    # E is 1-homogeneous in the coefficients; every sum of a_nu^2 is below
+    # 2^-1022 at c = 1e-200 (E was 0) and past 2^1024 at c = 1e200 (a
+    # ValueError), also for a power-log tail; a grid value is still its
+    # one-point call
+    params = SmoothnessParams(k=2, p=2)
+    for make in (lambda c: make_power_law(c, 2, 64), lambda c: make_power_log(c, 2, -0.5, 64)):
+        want = bound_core(make(1.0), params, np.array([4, 100]))
+        got = bound_core(make(c), params, np.array([4, 100]))
+        assert got == pytest.approx(c * want, rel=1e-13)
+        assert got.tolist() == [bound_core(make(c), params, n) for n in (4, 100)]
 
 
 def test_bound_core_divergent_tail():
