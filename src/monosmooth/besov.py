@@ -244,6 +244,19 @@ def _check_weight(c, nu):
                          f"at nu = {bad.min()}")
 
 
+def _theta_root(total, th, name, label, at):
+    """total^(1/theta) for I or J, refused (ValueError) where it leaves the
+    float range, as coefficient_functional refuses K; at: the grid, whose
+    first such point is named."""
+    with np.errstate(over="ignore"):
+        root = total ** (1.0 / th)
+    bad = ~(root < math.inf)
+    if bad.any():
+        raise ValueError(f"theta: {name} (a sum to the power 1/theta = {1 / th:g}) leaves the "
+                         f"float range at {label} = {at[bad][0]:g}")
+    return root
+
+
 def _shaped(n, values):
     """values over the grid n as n was given: a float for a single n, whose
     grid is the one-point array, so that its float comes from the same
@@ -534,7 +547,8 @@ def integral_seminorm(cp, delta, source):
     cells = np.cumsum(om[:-1] * ((nu[1:] ** c2 - nu[:-1] ** c2) / c2))
     s2 = (np.append(0.0, cells)[nu0 - 2]
           + om[nu0 - 2] * ((deltas ** (-c2) - (n0 - 1) ** c2) / c2))
-    return _shaped(delta, (s1 + deltas ** (cp.lam * th) * s2) ** (1.0 / th))
+    return _shaped(delta, _theta_root(s1 + deltas ** (cp.lam * th) * s2, th, "I(delta)", "delta",
+                                      deltas))
 
 
 def discrete_seminorm(cp, n, source):
@@ -554,7 +568,7 @@ def discrete_seminorm(cp, n, source):
         return _shaped(n, far)
     nu = np.arange(1, ns.max() + 1)
     near = np.cumsum(source.batch(nu) ** th * nu.astype(float) ** (c2 - 1))
-    return _shaped(n, (far + ns ** (-cp.lam * th) * near[ns - 1]) ** (1.0 / th))
+    return _shaped(n, _theta_root(far + ns ** (-cp.lam * th) * near[ns - 1], th, "J(n)", "n", ns))
 
 
 def coefficient_functional(seq, cp, n):

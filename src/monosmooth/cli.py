@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -83,9 +84,12 @@ _RULES = _SEQUENCE_RULES + (
      lambda v: isinstance(v, list) and v
      and all(isinstance(x, int) and 1 <= x <= N_GRID_MAX for x in v) and v == sorted(v),
      f"must be an ascending list of integers from 1 to {N_GRID_MAX}"),
+    # round(1/t) is the n of E(n), so it has an n-grid's bound
     ("t_grid", ("t_grid",),
-     lambda v: len(v) > 0 and all(x > 0 for x in v) and list(v) == sorted(v),
-     "must be ascending positive values"),
+     lambda v: len(v) > 0 and list(v) == sorted(v) and all(
+         0 < x < math.inf and 1.0 / x < N_GRID_MAX + 1 and round(1.0 / x) <= N_GRID_MAX
+         for x in v),
+     f"must be ascending finite positive values with round(1/t) at most {N_GRID_MAX}"),
     ("lemma", ("lemma",), lambda v: v in LEMMA_IDS, "unknown id {!r}"),
     ("source", ("source",), lambda v: v in ("core", "direct"), "must be 'core' or 'direct'"),
     ("functional", ("functional",), lambda v: v in ("I", "J", "K"),

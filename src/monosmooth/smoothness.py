@@ -98,13 +98,31 @@ def _half_angles(hs, n, out, cos=True):
     s, c = (buf[:size].reshape(hs.size, blocks, block) for buf in out)
     coarse = np.multiply.outer(hs, 0.5 * block * np.arange(blocks))
     fine = np.multiply.outer(hs, 0.5 * np.arange(1, block + 1))
-    sc, cc = np.sin(coarse), np.cos(coarse)
-    fine = np.stack([np.cos(fine), np.sin(fine)], axis=1)
-    # sin(x + y) = sin x cos y + cos x sin y, cos(x + y) = cos x cos y - sin x sin y
-    np.matmul(np.stack([sc, cc], axis=2), fine, out=s)
+    sin, cosine = np.sin(coarse), np.cos(coarse)
+    # sin(x + y) = sin x cos y + cos x sin y, cos(x + y) = cos x cos y - sin x sin y:
+    # each shift's coarse rows (sin x, cos x), then (cos x, -sin x), times
+    # its fine columns (cos y, sin y), the factors filled in place.  (One
+    # product over both, with s and c as planes of one output, made page
+    # faults on every call.)
+    left = np.empty((hs.size, blocks, 2))
+    left[..., 0], left[..., 1] = sin, cosine
+    right = np.empty((hs.size, 2, block))
+    right[:, 0], right[:, 1] = np.cos(fine), np.sin(fine)
+    np.matmul(left, right, out=s)
     if cos:
-        np.matmul(np.stack([cc, -sc], axis=2), fine, out=c)
+        left[..., 0], left[..., 1] = cosine, -sin
+        np.matmul(left, right, out=c)
     return s.reshape(hs.size, -1)[:, :n], c.reshape(hs.size, -1)[:, :n]
+
+
+def _power(x, k, base):
+    """x^k in place, x multiplied by a copy of itself k - 1 times from the
+    left; the copy goes in base (x's shape), except at k = 2, where x is
+    its own base."""
+    if k > 2:
+        np.copyto(base, x)
+    for _ in range(k - 1):
+        x *= x if k == 2 else base
 
 
 def _parseval_sums(hs, a, k, p=2):
@@ -137,17 +155,14 @@ def _parseval_sums(hs, a, k, p=2):
             # (sin(nu h/2) sin((nu+1) h/2))^k, signed, with c as the base
             adj = halves[2, :s.shape[0] * (n - 1)].reshape(s.shape[0], n - 1)
             np.multiply(s[:, :-1], s[:, 1:], out=adj)
-            if k > 1:
-                np.copyto(c[:, :-1], adj)
-            for _ in range(k - 1):
-                adj *= c[:, :-1]
+            _power(adj, k, c[:, :-1])
             out[1, sl] = adj @ aa
         np.square(s, out=s)
-        if k > 1:
-            np.copyto(c, s)
-        for _ in range(k - 1):
-            s *= c
-        out[0, sl] = s @ a2
+        _power(s, k, c)
+        # row by row: a matrix-vector product (BLAS gemv) rounds a row
+        # differently with the rows beside it, and at p = 2 this sum is the
+        # norm itself
+        out[0, sl] = np.einsum("ij,j->i", s, a2)
         if p > 2:
             # |sin|^k is the root of the sin^(2k) just summed
             out[1, sl] = np.sqrt(s, out=s) @ a1
@@ -181,26 +196,32 @@ def _prefix_bounds(hs, a, k, p):
         L^2 <= pi (h^2k sum_{nu<=m} a_nu^2 nu^2k + 4^k sum_{nu>m} a_nu^2),
         S <= h^k sum_{nu<=m} |a_nu| nu^k + 2^k sum_{nu>m} |a_nu|,
 
-    from cumulative sums built once.  Where nu^2k or h^2k could leave the
-    float range, every bound is inf and prunes nothing.
+    from sums over the pieces between the distinct m, each summed once.
+    Where nu^2k or h^2k could leave the float range, every bound is inf and
+    prunes nothing; so is a bound past the float range.
     """
     n = a.size
     if 2 * k * max(1.0, math.log2(n), math.log2(2.0 / hs[0])) >= 1000:
         return np.full(hs.size, np.inf)
     top = np.abs(a).max() or 1.0
     a = np.abs(a) / top
-    nu = np.arange(1.0, n + 1)
     m = np.clip(np.ceil(2.0 / hs) - 1, 0, n).astype(int)
+    # the pieces of 1..n between consecutive cuts, and each m's cut (sorted
+    # by hand: np.unique's first call imports numpy.ma, 14 ms)
+    cuts = np.sort(np.concatenate(([0, n], m)))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
+    at = np.searchsorted(cuts, m)
     hk = np.minimum(hs, 2.0) ** k
+    ank = a * np.arange(1.0, n + 1) ** k
 
     def split(q):
-        # h^qk sum_{nu<=m} a_nu^q nu^qk + 2^qk sum_{nu>m} a_nu^q
-        aq = a ** q
-        head = np.concatenate(([0.0], np.cumsum(aq * nu ** (q * k))))
-        tail = np.concatenate((np.cumsum(aq[::-1])[::-1], [0.0]))
-        return hk ** q * head[m] + 2.0 ** (q * k) * tail[m]
+        # h^qk sum_{nu<=m} (a_nu nu^k)^q + 2^qk sum_{nu>m} a_nu^q
+        head = np.add.reduceat(ank ** q, cuts[:-1]).cumsum()
+        tail = np.add.reduceat(a ** q, cuts[:-1])[::-1].cumsum()[::-1]
+        return hk ** q * np.append(0.0, head)[at] + 2.0 ** (q * k) * np.append(tail, 0.0)[at]
 
-    return top * _lp_bound(np.sqrt(math.pi * split(2)), split(1) if p > 2 else None, p)
+    with np.errstate(over="ignore"):  # an inf bound prunes nothing
+        return top * _lp_bound(np.sqrt(math.pi * split(2)), split(1) if p > 2 else None, p)
 
 
 def _weight_sum(eps, M):
@@ -258,16 +279,19 @@ def _norm_bounds(hs, a, k, p, M):
 def _power_sums(v, p):
     # row sums of |v|^p, written over v (p = 3 by multiplication), and a
     # scale per row: 1, or the row's max where max^p, or M times it, would
-    # leave the normal float range.  Such a row is divided by its max
-    # first, so a row's norm is scale (2pi/M sum)^(1/p) either way; any
-    # other row is not divided, and its sum is the plain one.
+    # leave the normal float range (the scalar 1 when no row needs one).
+    # Such a row is divided by its max first, so a row's norm is
+    # scale (2pi/M sum)^(1/p) either way; any other row is not divided, and
+    # its sum is the plain one.
     np.abs(v, out=v)
     top = v.max(axis=1)
     with np.errstate(divide="ignore"):
         e = p * np.log2(top)
     far = np.isfinite(e) & ((e < -1022) | (e >= 1024 - math.log2(v.shape[1])))
-    v[far] /= top[far, None]
-    scale = np.where(far, top, 1.0)
+    scale = 1.0
+    if far.any():
+        v[far] /= top[far, None]
+        scale = np.where(far, top, 1.0)
     if p == 3:
         return np.einsum("ij,ij,ij->i", v, v, v), scale
     if p != 1:
@@ -288,15 +312,10 @@ def _grid_sums(hs, a, k, p, M, spec, work):
     np.multiply(s, c, out=z.imag)
     z.imag *= 2.0
     # row by row: a multiply over all rows at once can round a row
-    # differently with the number of rows in the call
-    if k > 1:
-        # the half angles are spent: their buffers hold the base of the power
-        base = work[:rows * n].reshape(rows, n)
-        np.copyto(base, z)
-        for _ in range(k - 1):
-            for zr, br in zip(z, base):
-                zr *= br
-    for zr in z:
+    # differently with the number of rows in the call.  The half angles
+    # are spent: their buffers hold the base of the power
+    for zr, base in zip(z, work[:rows * n].reshape(rows, n)):
+        _power(zr, k, base)
         zr *= a
     return _power_sums(np.fft.irfft(spec[:rows], n=M, axis=1), p)
 
@@ -338,12 +357,36 @@ def parseval_scale(a, k):
     return top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
 
 
+def _parseval_kernel(a, k, shifts):
+    """(rows, norms) as _grid_kernel, for p = 2: the Parseval norms
+    sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)), with the coefficients
+    divided by their largest first only when its square, or 4^k horizon
+    times it, would leave the normal float range (parseval_scale).  rows is
+    the chunk of _parseval_sums, and each row's sum is its own, so that a
+    norm does not depend on the rows in its call."""
+    rows = max(1, min(shifts, CHUNK_ELEMENTS // a.size))
+    scale = parseval_scale(a, k)
+    a = a / scale
+
+    def norms(hs):
+        with np.errstate(over="ignore"):
+            out = scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a, k)[0]), k)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("an L^2 norm of Delta_h^k f leaves the float range")
+        return out
+
+    return rows, norms
+
+
+def _norm_kernel(a, k, p, M, shifts):
+    # the norms of difference_norms: Parseval at p = 2, the M-point grid else
+    return _parseval_kernel(a, k, shifts) if p == 2 else _grid_kernel(a, k, p, M, shifts)
+
+
 def difference_norms(seq, horizon, k, hs, p, quad=None):
     """||Delta_h^k f||_p for each shift in the array hs, series cut at horizon.
 
-    p = 2: Parseval, sqrt(pi sum_nu a_nu^2 |2 sin(nu h/2)|^(2k)), with the
-    coefficients divided by their largest first only when its square, or
-    4^k horizon times it, would leave the normal float range.  Other p:
+    p = 2: Parseval (_parseval_kernel), exact for the series.  Other p:
     the sum over the uniform M-point grid (_grid_kernel), one inverse
     real FFT over the rows of the spectrum a_nu (e^(i nu h) - 1)^k, exact
     when M > 2 * horizon (M = quad.M, or grid_size(horizon) without quad).
@@ -352,28 +395,30 @@ def difference_norms(seq, horizon, k, hs, p, quad=None):
     underflow is divided by its max first.
 
     Shifts go in chunks of CHUNK_ELEMENTS // width rows, width being the
-    horizon (Parseval) or M (grid), so that a chunk's work fits in L2.
+    horizon (Parseval) or M (grid), so that a chunk's work fits in L2.  A
+    shift's norm does not depend on the other shifts of the call.
     """
     SmoothnessParams(k=k, p=p)  # raises if k or p breaks a rule
     hs = np.asarray(hs, dtype=float)
     a = seq.values(1, horizon)
-    if p == 2:
-        scale = parseval_scale(a, k)
-        with np.errstate(over="ignore"):
-            norms = scale * np.ldexp(np.sqrt(math.pi * _parseval_sums(hs, a / scale, k)[0]), k)
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("an L^2 norm of Delta_h^k f leaves the float range")
-        return norms
-    rows, grid_norms = _grid_kernel(a, k, p, quad.M if quad else grid_size(horizon), hs.size)
+    rows, norms = _norm_kernel(a, k, p, quad.M if quad else grid_size(horizon), hs.size)
     out = np.empty(hs.size)
     for lo in range(0, hs.size, rows):
-        out[lo:lo + rows] = grid_norms(hs[lo:lo + rows])
+        out[lo:lo + rows] = norms(hs[lo:lo + rows])
     return out
 
 
 def lp_norm(seq, horizon, k, h, p, quad=None):
     """L^p norm of the k-th difference at one shift h (see difference_norms)."""
     return float(difference_norms(seq, horizon, k, [h], p, quad)[0])
+
+
+#: shifts in the first call of modulus_direct's search, by pre-bound (at
+#: most a kernel's rows).  A measured constant: on power laws at horizon
+#: 4096, M = 16384, k = 2 the search visits 2-5 shifts at p = 3 and 3-21 at
+#: p = 1, an extra row costs about what a second irfft call saves, and 4
+#: was the fastest of 1-8 (a 2-core Xeon)
+FIRST_ROWS = 4
 
 
 def modulus_direct(seq, horizon, params, t, quad=None):
@@ -383,45 +428,52 @@ def modulus_direct(seq, horizon, params, t, quad=None):
     Only positive shifts are sampled: the series is even, so the norm is
     invariant under h -> -h (checked numerically in the test suite).
 
-    p = 2: the max of the Parseval norms.  Otherwise a two-stage
-    branch-and-bound max, no shift skipped unless its bound times 1 + 1e-9
-    (a margin for rounding in the bound and the norm) cannot beat the
-    largest norm found:
-    1. _prefix_bounds bounds every shift in O(1), and the grid norm of the
-       shift with the top pre-bound, alone, is the first incumbent.
-    2. _norm_bounds gives the exact bounds of the shifts whose pre-bound
-       beats it, and these are visited in descending bound,
-       CHUNK_ELEMENTS // M at a time, until a chunk has none left to visit.
-    Each visited norm is the float difference_norms gives, and every
-    skipped one is below the max, so the result is the max of
-    difference_norms, bit for bit.
+    A branch-and-bound max at every p, no shift skipped unless its bound
+    times 1 + 1e-9 (a margin for rounding in the bound and the norm) cannot
+    beat the largest norm found:
+    1. _prefix_bounds bounds every shift in O(1), and the norms of the
+       FIRST_ROWS shifts with the top pre-bounds, in one call, are the
+       first incumbents.
+    2. The other shifts whose pre-bound beats them are visited in
+       descending bound, a kernel's rows at a time, until a chunk has none
+       left to visit.  At p = 2 the bound is the pre-bound, since an exact
+       bound would cost as much as the Parseval norm; at other p it is
+       _norm_bounds's, from Parseval sums and no FFT.
+    Each visited norm is the float difference_norms gives (a norm does not
+    depend on the rows in its call), and every skipped one is below the
+    max, so the result is the max of difference_norms, bit for bit.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     hs = shift_grid(t, t / 64)
     k, p = params.k, params.p
-    if p == 2:
-        return float(np.max(difference_norms(seq, horizon, k, hs, p, quad)))
     a = seq.values(1, horizon)
     M = quad.M if quad else grid_size(horizon)
     margin = 1.0 + 1e-9
     pre = _prefix_bounds(hs, a, k, p) * margin
-    first = np.argmax(pre)
+    order = np.argsort(-pre, kind="stable")
+    # a kernel of the first rows, freed before the bound pass allocates its buffers
+    rows, first_norms = _norm_kernel(a, k, p, M, FIRST_ROWS)
+    first, rest = order[:rows], order[rows:]
     norms = np.full(hs.size, -np.inf)
-    # a one-row kernel, freed before the bound pass allocates its buffers
-    norms[first] = _grid_kernel(a, k, p, M, 1)[1](hs[first:first + 1])[0]
+    norms[first] = first_norms(hs[first])
+    del first_norms
     # "not <=" keeps a NaN bound, which can then never be skipped
-    live = np.flatnonzero(~(pre <= norms[first]))
-    live = live[live != first]
-    bound = _norm_bounds(hs[live], a, k, p, M) * margin
-    rank = np.argsort(-bound, kind="stable")
-    live, bound = live[rank], bound[rank]
-    rows, grid_norms = _grid_kernel(a, k, p, M, live.size)
-    for lo in range(0, live.size, rows):
-        chunk = live[lo:lo + rows][~(bound[lo:lo + rows] <= norms.max())]
-        if not chunk.size:
-            break
-        norms[chunk] = grid_norms(hs[chunk])
+    live = rest[~(pre[rest] <= norms.max())]
+    bound = pre[live]  # at p = 2, already descending
+    if p != 2 and live.size:
+        bound = _norm_bounds(hs[live], a, k, p, M) * margin
+        rank = np.argsort(-bound, kind="stable")
+        live, bound = live[rank], bound[rank]
+    visit = ~(bound <= norms.max())
+    live, bound = live[visit], bound[visit]
+    if live.size:
+        rows, kernel_norms = _norm_kernel(a, k, p, M, live.size)
+        for lo in range(0, live.size, rows):
+            chunk = live[lo:lo + rows][~(bound[lo:lo + rows] <= norms.max())]
+            if not chunk.size:
+                break
+            norms[chunk] = kernel_norms(hs[chunk])
     return float(norms.max())
 
 

@@ -495,8 +495,16 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     (["verify-lemma", "--power-law", "1", "1.5", "--lemma", "lp_upper", "--alpha", "1",
       "--lam", "100", "--p", "2", "--m", "1", "--n", "64"],
      "lp_upper: lhs or rhs leaves the float range at n = 64"),
+    (["membership", "--power-law", "1", "1.25", "--theta", "1e-8", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--functional", "J", "--phi", "power:0.25"],
+     "theta: J(n) (a sum to the power 1/theta = 1e+08) leaves the float range at n = 2"),
+    (["membership", "--power-law", "1", "1.25", "--theta", "1e-8", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--functional", "I", "--phi", "power:0.25"],
+     "theta: I(delta) (a sum to the power 1/theta = 1e+08) leaves the float range at "
+     "delta = 0.333333"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
-        "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100"])
+        "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100",
+        "membership-J-theta-1e-8", "membership-I-theta-1e-8"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =
@@ -505,7 +513,8 @@ def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # a_nu = 1e308 nu^-1/2 overflows (a RuntimeWarning), and the Hardy table
     # row nu^1e300, or at lam = 100 the squares (a_mu mu^101)^2, overflowed
     # (a RuntimeWarning, then lhs = rhs = inf and ratio nan in a report with
-    # exit 0)
+    # exit 0); J and I to the power 1/theta = 1e8 overflowed (a RuntimeWarning,
+    # then values [inf], read as divergent, beside verdict "bounded")
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
@@ -518,9 +527,15 @@ def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     (["equivalence", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "4,8192"],
      "n_grid: the direct omega table would reach top = 32768 (4 max n), past its budget of "
      "16384"),
-], ids=["n-1e8", "direct-n-8192"])
+    *((["modulus", "--power-law", "1", "2", "--k", "2", "--p", "2", "--t-grid", t],
+       "t_grid: must be ascending finite positive values with round(1/t) at most 524288")
+      for t in ("5e-324", "1e-300", "1e-7")),
+], ids=["n-1e8", "direct-n-8192", "t-5e-324", "t-1e-300", "t-1e-7"])
 def test_grid_past_its_memory_budget_is_one_config_error(argv, line, tmp_path, capsys):
-    # a grid of 1e8 tried to allocate 8 GiB; both stop before any table
+    # a grid of 1e8 tried to allocate 8 GiB; both stop before any table.  t =
+    # 5e-324 divided by zero in shift_grid, round(1/t) at t = 1e-300 is past
+    # int64 (an IndexError in weighted_sum), and 1e-7 filled a 10^7-entry E
+    # table: round(1/t) is E's n, with the n-grid's bound
     out = tmp_path / "out"
     start = time.perf_counter()
     assert main([*argv, "--out", str(out)]) == 2

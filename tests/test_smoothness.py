@@ -222,7 +222,7 @@ def test_grid_norm_scales_rows_out_of_float_range(c, p, k):
 def test_pruned_modulus_is_the_max_of_all_norms(k, p, monkeypatch):
     # three shifts per chunk, so the visited shifts span several chunks; at
     # t = 3 and 6 the largest norm lies inside the shift range, not at h = t.
-    # p = 2 takes the Parseval norms, unpruned, on both sides.
+    # p = 2 prunes its Parseval norms by the pre-bounds alone.
     monkeypatch.setattr(smoothness, "CHUNK_ELEMENTS", 3 * 1024)
     quad = QuadratureSpec(M=1024)
     big = make_power_law(1, 2, 300)
@@ -296,7 +296,7 @@ def test_weight_sum_is_the_grid_sum(M):
 
 @settings(max_examples=settings().max_examples // 2, deadline=None)
 @given(beta=st.floats(1.1, 3.5), exponent=st.floats(-200, 200),
-       k=st.sampled_from([1, 2, 3]), p=st.sampled_from([0.5, 1.0, 1.5, 3.0, 4.0]),
+       k=st.sampled_from([1, 2, 3]), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]),
        t=st.floats(1e-3, 6.0), horizon=st.integers(1, 512), finer=st.booleans())
 def test_two_stage_search_is_the_max_of_all_norms(beta, exponent, k, p, t, horizon, finer):
     seq = make_power_law(10.0 ** exponent, beta, horizon)
@@ -318,6 +318,19 @@ def test_grid_norm_does_not_depend_on_the_rows_in_its_call():
         == np.max(difference_norms(seq, 1, 3, hs, 1.5, quad)) == 8.554276941237712e+149
 
 
+def test_parseval_norm_does_not_depend_on_the_rows_in_its_call():
+    # a matrix-vector product summed the rows of a 97-row call differently
+    # from the same rows alone, by up to 1.6e-15; the pruned p = 2 search
+    # visits a few rows, so each must be the float of the full call
+    rng = np.random.default_rng(21)
+    for beta, horizon, k in ((2.0, 4096, 2), (1.3, 300, 1), (2.9, 2048, 3)):
+        seq = make_power_law(float(rng.uniform(0.5, 2.0)), beta, horizon)
+        for t in (1 / 64, 0.3, 2.0):
+            hs = shift_grid(t, t / 64)
+            alone = [difference_norms(seq, horizon, k, hs[i:i + 1], 2)[0] for i in range(hs.size)]
+            assert difference_norms(seq, horizon, k, hs, 2).tolist() == alone
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.5])
 def test_two_stage_search_at_large_k(t):
     # nu^2k overflows at k = 100: the pre-bounds are all inf and prune
@@ -328,17 +341,17 @@ def test_two_stage_search_at_large_k(t):
     assert modulus_direct(seq, 300, SmoothnessParams(100, 1.0), t, quad) == want
 
 
-def _rows_sent_to_the_fft(monkeypatch, p):
+def _rows_sent_to_the_fft(monkeypatch, p, kernel="_grid_sums"):
     # the modulus of nu^-2 at t = 1/64 (k = 2, horizon 4096, M = 16384), and
-    # the row count of each _grid_sums call it made
+    # the row count of each call it made to kernel
     sent = []
-    grid_sums = smoothness._grid_sums
+    sums = getattr(smoothness, kernel)
 
     def counting(hs, *args):
         sent.append(hs.size)
-        return grid_sums(hs, *args)
+        return sums(hs, *args)
 
-    monkeypatch.setattr(smoothness, "_grid_sums", counting)
+    monkeypatch.setattr(smoothness, kernel, counting)
     seq = make_power_law(1, 2, 4096)
     quad = QuadratureSpec(M=16384)
     got = modulus_direct(seq, 4096, SmoothnessParams(2, p), 1 / 64, quad)
@@ -352,7 +365,7 @@ def test_pruning_sends_few_shifts_to_the_fft(monkeypatch):
     # at h = t the norm is largest; the others' bounds fall below it fast
     sent = _rows_sent_to_the_fft(monkeypatch, 3)
     assert sum(sent) <= 16
-    assert sent[0] == 1  # the top shift goes alone
+    assert sent[0] == smoothness.FIRST_ROWS  # the top pre-bounds go in one call
 
 
 def test_pruning_at_p1_sends_few_shifts_to_the_fft(monkeypatch):
@@ -360,7 +373,13 @@ def test_pruning_at_p1_sends_few_shifts_to_the_fft(monkeypatch):
     # bound alone sends 33 rows
     sent = _rows_sent_to_the_fft(monkeypatch, 1)
     assert sum(sent) <= 16
-    assert sent[0] == 1
+    assert sent[0] == smoothness.FIRST_ROWS
+
+
+def test_pruning_at_p2_sums_few_parseval_rows(monkeypatch):
+    # the pre-bound at p = 2 bounds the Parseval norm itself: of the 97
+    # shifts, the search sums the rows of at most 4
+    assert sum(_rows_sent_to_the_fft(monkeypatch, 2, "_parseval_sums")) <= 4
 
 
 @pytest.mark.parametrize("top", [64, 2048])
