@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .sequences import (_CRITICAL_TOL, _EXP_NODES, _EXP_WEIGHTS, DIVERGENT, check_rules,
-                        positive_integer, weighted_sum)
+from .sequences import (_CRITICAL_TOL, DIVERGENT, _exp_quadrature, _gauss_legendre,
+                        check_rules, positive_integer, weighted_sum)
 from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
                          difference_norms, parseval_scale, shift_grid)
 
@@ -29,10 +30,6 @@ from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core
 NU_CAP = 2 ** 13
 #: the least normal float: a K(n)^theta below it has left the float range
 _TINY = np.finfo(float).tiny
-#: memory budget of a grid: K, J, I and E hold tables of max(n) floats, and
-#: the core table is the power of two past max(n) + 2, so n <= 2^19 keeps
-#: each table within 2^20 floats (8 MiB)
-N_GRID_MAX = 2 ** 19
 #: memory budget of the direct source: its series holds 8 top harmonics per
 #: array, 2^17 floats (1 MiB) at top = 2^14, and its fill grows as top^2
 DIRECT_TOP_MAX = 2 ** 14
@@ -51,6 +48,12 @@ class ClassParams:
     RULES = (
         ("theta", ("theta",), lambda v: v > 0, "must be positive"),
         ("r", ("r",), lambda v: v > 0, "must be positive"),
+        # J and I are sums to the power 1/theta, and I's cell weights divide
+        # by r theta; for values that pass the rows above
+        ("theta", ("theta", "r"),
+         lambda th, r: not (isinstance(th, Real) and isinstance(r, Real) and th > 0 and r > 0)
+         or 1 / th < math.inf and r * th > 0,
+         "1/theta and r theta must be finite and nonzero, got theta = {!r}, r = {!r}"),
         ("lam", ("lam",), lambda v: v > 0, "must be positive"),
         ("p", ("p",), lambda v: 1 < v < math.inf, "must lie in (1, inf)"),
         K_RULE,
@@ -141,8 +144,6 @@ def tail_decay(tail, params):
     return _decay(tail.beta - 1 + 1 / params.p, tail.gamma, params.k, params.p)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_LOG_W = np.log(_GL_W)
 #: panels in t past the start of a sub-step: 16-point Gauss-Legendre follows
 #: e^-t to 2e-16 across 15, and past 45 lies e^-45
 _PANELS = np.array([0.0, 10.0, 25.0, 45.0])
@@ -173,8 +174,9 @@ def _step_logs(frame, other, length, beta, g, sign):
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     keep = np.flatnonzero(hi > lo)
     row, lo, half = np.repeat(row, _PANELS.size - 1)[keep], lo[keep], (hi - lo)[keep] / 2
-    t = lo + half * (_GL_X[:, None] + 1)  # one column per panel
-    psi = _GL_LOG_W[:, None] - t - g * np.log1p(sign * t / s[row])
+    x, w = _gauss_legendre()
+    t = lo + half * (x[:, None] + 1)  # one column per panel
+    psi = np.log(w)[:, None] - t - g * np.log1p(sign * t / s[row])
     psi += np.log(half)
     first = np.diff(row, prepend=-1) != 0
     starts = np.flatnonzero(first)
@@ -209,7 +211,7 @@ def _log_q(beta, span, v0, g, where):
     The steps between consecutive nodes are _step_logs'; "start" adds them
     up, "near" and "far" with the decay e^(-beta gap) of their frames over
     a gap between nodes, and "far" also the integral past the last node, on
-    _EXP_NODES.  Only steps and sub-steps are allocated, never nodes x nodes.
+    _exp_quadrature's nodes.  Only steps and sub-steps are allocated, never nodes x nodes.
     """
     if g == 0:
         upper = np.inf if where == "far" else beta * span
@@ -228,7 +230,8 @@ def _log_q(beta, span, v0, g, where):
                                     - beta * prev)
         return x + g * math.log(v0)
     s = _step_logs(v[:-1], v[1:], gap[1:], beta, g, 1.0)
-    tail = np.log(_EXP_WEIGHTS @ np.exp(-g * np.log1p(_EXP_NODES / (beta * v[-1]))))
+    nodes, weights = _exp_quadrature()
+    tail = np.log(weights @ np.exp(-g * np.log1p(nodes / (beta * v[-1]))))
     x = _log_scan(np.append(beta * gap[1:], 0.0)[::-1],
                   (np.append(s, tail) - g * np.log(v))[::-1])[::-1]
     return x + g * np.log(v)
@@ -391,8 +394,8 @@ class CoreModulusSource(_OmegaTable):
         to O(top^-2).  Its summand goes like x^-q (ln x)^(-theta y), with
         q = theta x_E - c + 1 (tail_decay): DIVERGENT when q < 1, or q = 1
         within _CRITICAL_TOL and theta y <= 1.  In log space, l = ln x and
-        E = x^-x_E Et, w = (q - 1)(l - l0) maps the integral onto _EXP_NODES
-        (at q = 1, w = (theta y - 1) ln(l/l0), and a node past l0 e^700
+        E = x^-x_E Et, w = (q - 1)(l - l0) maps the integral onto the nodes
+        of _exp_quadrature (at q = 1, w = (theta y - 1) ln(l/l0), and a node past l0 e^700
         takes the summand's asymptotic form, whose term is constant in w);
         the inner integrals are _log_q's, running integrals over
         the sorted nodes.
@@ -405,12 +408,13 @@ class CoreModulusSource(_OmegaTable):
         if q1 < 0 or critical and theta * ye <= 1:
             return DIVERGENT
         l0 = math.log(top + 0.5)
+        nodes, weights = _exp_quadrature()
         limit = None
         if critical:
             rho = theta * ye - 1
-            cut = np.searchsorted(_EXP_NODES, 700 * rho, side="right")
-            ell = l0 * np.exp(_EXP_NODES[:cut] / rho)
-            log_jac = _EXP_NODES[:cut] + np.log(ell) - math.log(rho)
+            cut = np.searchsorted(nodes, 700 * rho, side="right")
+            ell = l0 * np.exp(nodes[:cut] / rho)
+            log_jac = nodes[:cut] + np.log(ell) - math.log(rho)
             # past l0 e^700 the summand is its asymptotic form: E ~ c_t x^-x_f
             # l^-gamma ((p x_f)^-1/p + (p (k - x_f))^-1/p), x_f = x_E = r < k,
             # which makes every such term -rho ln l0 - ln rho + theta ln(E x^x_f l^gamma)
@@ -419,7 +423,7 @@ class CoreModulusSource(_OmegaTable):
                                                                -math.log(p * (k - xf)) / p))
                      - rho * math.log(l0) - math.log(rho))
         else:
-            ell = l0 + _EXP_NODES / q1
+            ell = l0 + nodes / q1
             log_jac = np.full(ell.shape, -q1 * l0 - math.log(q1))
         with np.errstate(divide="ignore"):
             log_near = p * (xe - k) * ell + np.log(self._near_top)
@@ -448,11 +452,11 @@ class CoreModulusSource(_OmegaTable):
         log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
         terms = log_jac + theta * log_e + log_w
         if limit is not None:
-            terms = np.append(terms, np.full(_EXP_NODES.size - terms.size, limit))
+            terms = np.append(terms, np.full(nodes.size - terms.size, limit))
         top_term = terms.max(initial=-np.inf)
         if top_term == -np.inf:
             return 0.0
-        return math.exp(top_term) * float(_EXP_WEIGHTS @ np.exp(terms - top_term))
+        return math.exp(top_term) * float(weights @ np.exp(terms - top_term))
 
 
 class DirectModulusSource(_OmegaTable):

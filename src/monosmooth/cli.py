@@ -8,6 +8,7 @@ structured verdicts; an "unbounded" verdict is data, not a failure exit.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -18,17 +19,6 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .besov import (
-    N_GRID_MAX,
-    PHI_ARGS,
-    ClassParams,
-    CoreModulusSource,
-    DirectModulusSource,
-    PhiSpec,
-    equivalence_report,
-    membership_test,
-)
-from .hardy import LEMMA_IDS, HardyParams, verify_lemma
 from .sequences import (
     CoefficientSequence,
     broken_rules,
@@ -37,33 +27,39 @@ from .sequences import (
     make_random_monotone,
     positive_integer,
 )
-from .smoothness import (
-    NORM_CONVENTION,
-    SHIFTS_PER_OCTAVE,
-    QuadratureSpec,
-    SmoothnessParams,
-    bound_core,
-    grid_size,
-    modulus_direct,
-)
 
 #: length of a family sequence, and the series cut of modulus, unless chosen
 HORIZON = 4096
+#: memory budget of a grid: K, J, I and E hold tables of max(n) floats, and
+#: the core table is the power of two past max(n) + 2, so n <= 2^19 keeps
+#: each table within 2^20 floats (8 MiB)
+N_GRID_MAX = 2 ** 19
+#: the norm of every report: smoothness's L^p norms
+NORM_CONVENTION = "Lp integral over [0, 2pi), no 1/(2pi) normalization"
 
 _COMMON_KEYS = {"task", "out", "seed"}
 _CLASS_KEYS = {"sequence", "theta", "r", "lam", "k", "p"}
-#: task -> (required keys, optional keys, the RULES of the parameter classes
-#: the task builds); sequences.broken_rules reads the rule rows
+#: task -> (required keys, optional keys, the parameter classes the task
+#: builds, as "module.Class"); parse_config reads their RULES, importing only
+#: the task's own modules, so that a command loads no module it does not run
 _TASKS = {
     "gen": ({"family"}, {"c", "beta", "gamma", "horizon", "size", "scale"}, ()),
     "modulus": ({"sequence", "k", "p", "t_grid"}, {"M", "horizon"},
-                SmoothnessParams.RULES + QuadratureSpec.RULES),
-    "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source"}, ClassParams.RULES),
+                ("smoothness.SmoothnessParams", "smoothness.QuadratureSpec")),
+    "seminorm": (_CLASS_KEYS | {"n_grid"}, {"source"}, ("besov.ClassParams",)),
     "verify-lemma": ({"lemma", "sequence", "alpha", "lam", "p", "m", "n"}, set(),
-                     HardyParams.RULES),
-    "equivalence": (_CLASS_KEYS | {"n_grid"}, set(), ClassParams.RULES),
-    "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ClassParams.RULES),
+                     ("hardy.HardyParams",)),
+    "equivalence": (_CLASS_KEYS | {"n_grid"}, set(), ("besov.ClassParams",)),
+    "membership": (_CLASS_KEYS | {"phi"}, {"functional", "n_grid"}, ("besov.ClassParams",)),
 }
+
+
+def _load(name):
+    """The object "module.name" of this package, importing its module."""
+    module, _, attr = name.partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
+
+
 #: rules on the keys of a family sequence (gen's keys, or a "sequence"
 #: object, or the tail object of a sequence with a head); horizon is also
 #: modulus's series cut
@@ -90,7 +86,7 @@ _RULES = _SEQUENCE_RULES + (
          0 < x < math.inf and 1.0 / x < N_GRID_MAX + 1 and round(1.0 / x) <= N_GRID_MAX
          for x in v),
      f"must be ascending finite positive values with round(1/t) at most {N_GRID_MAX}"),
-    ("lemma", ("lemma",), lambda v: v in LEMMA_IDS, "unknown id {!r}"),
+    ("lemma", ("lemma",), lambda v: v in _load("hardy.LEMMA_IDS"), "unknown id {!r}"),
     ("source", ("source",), lambda v: v in ("core", "direct"), "must be 'core' or 'direct'"),
     ("functional", ("functional",), lambda v: v in ("I", "J", "K"),
      "must be one of I, J, K"),
@@ -119,7 +115,8 @@ def parse_config(doc):
     task = doc.get("task")
     if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError([f"unknown or missing task: {task!r}"])
-    required, optional, rules = _TASKS[task]
+    required, optional, classes = _TASKS[task]
+    rules = tuple(row for cls in classes for row in _load(cls).RULES)
     allowed = _COMMON_KEYS | required | optional
     bad = [f"unknown key: {key!r}" for key in sorted(set(doc) - allowed)]
     bad += [f"missing required key: {key!r}" for key in sorted(required - set(doc))]
@@ -160,6 +157,8 @@ def resolve_sequence(spec, seed=0):
 
 
 def _phi_from_spec(spec):
+    from .besov import PHI_ARGS, PhiSpec
+
     if isinstance(spec, str):
         # compact form: "power:0.25" | "constant:1" | "power_log:0.25,1.5"
         variant, _, args = spec.partition(":")
@@ -220,7 +219,8 @@ def _json_report(cfg, payload):
 def run_experiment(cfg):
     """Dispatch a validated config and write its report file.
 
-    cfg is parse_config's document.  Returns the output path.
+    cfg is parse_config's document.  Returns the output path.  Each task
+    imports the modules it runs, and no other.
     Mathematical verdicts (unbounded, divergent) live in the report body;
     only config and IO problems raise.
     """
@@ -233,6 +233,9 @@ def run_experiment(cfg):
     seq = resolve_sequence(cfg["sequence"], seed=cfg["seed"])
 
     if task == "modulus":
+        from .smoothness import (SHIFTS_PER_OCTAVE, QuadratureSpec, SmoothnessParams,
+                                 bound_core, grid_size, modulus_direct)
+
         params = SmoothnessParams(k=cfg["k"], p=cfg["p"])
         horizon = int(cfg.get("horizon", min(seq.horizon, HORIZON)))
         # the grid serves p != 2 only; unless chosen, it is sized from the horizon
@@ -250,6 +253,8 @@ def run_experiment(cfg):
         return _write(_out_path(cfg, "modulus.csv"), "\n".join(lines) + "\n")
 
     if task == "verify-lemma":
+        from .hardy import HardyParams, verify_lemma
+
         hp = HardyParams(alpha=cfg["alpha"], lam=cfg["lam"], p=cfg["p"],
                          m=cfg["m"], n=cfg["n"])
         rep = verify_lemma(cfg["lemma"], seq, hp)
@@ -259,6 +264,9 @@ def run_experiment(cfg):
             rep.lemma_id, hp.alpha, hp.lam, hp.p, hp.m, hp.n,
             rep.lhs, rep.rhs, rep.ratio)))
         return _write(_out_path(cfg, "verify_lemma.csv"), "\n".join(lines) + "\n")
+
+    from .besov import (ClassParams, CoreModulusSource, DirectModulusSource, equivalence_report,
+                        membership_test)
 
     cp = ClassParams(theta=cfg["theta"], r=cfg["r"], lam=cfg["lam"],
                      k=cfg["k"], p=cfg["p"])

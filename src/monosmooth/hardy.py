@@ -16,7 +16,6 @@ lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -117,7 +116,11 @@ class SweepReport:
 
     @property
     def ratio_median(self):
-        return statistics.median(self.ratios) if self.ratios else None
+        # statistics.median's arithmetic, without importing statistics
+        if not self.ratios:
+            return None
+        ratios, i = sorted(self.ratios), len(self.ratios) // 2
+        return ratios[i] if len(ratios) % 2 else (ratios[i - 1] + ratios[i]) / 2
 
     @property
     def spread(self):

@@ -7,6 +7,7 @@ sum a_nu^q nu^s can be evaluated (or recognised as divergent).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -26,21 +27,35 @@ _SUM_NU_CAP = 2 ** 23
 _CRITICAL_TOL = 1e-10
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built on first use, since numpy.polynomial costs an import of its own.
+    """
+    return _read_only(*np.polynomial.legendre.leggauss(16))
+
+
+@functools.cache
 def _exp_quadrature():
-    """Nodes W and weights for int_0^inf e^-w f(w) dw ~ weights @ f(W).
+    """Nodes W and weights for int_0^inf e^-w f(w) dw ~ weights @ f(W),
+    read-only and built on first use.
 
     16-point Gauss-Legendre on [0, 1e-9] and on 23 geometric panels of
     [1e-9, 90], e^-w folded into the weights; past 90 lies e^-90 ~ 1e-39.
     The panels resolve f varying on scales down to about 1e-7.
     """
-    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = _gauss_legendre()
     edges = np.concatenate([[0.0], np.geomspace(1e-9, 90.0, 24)])
     lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
     nodes = (lo + half * (x + 1)).ravel()
-    return nodes, (half * w).ravel() * np.exp(-nodes)
-
-
-_EXP_NODES, _EXP_WEIGHTS = _exp_quadrature()
+    return _read_only(nodes, (half * w).ravel() * np.exp(-nodes))
 
 
 def positive_integer(v):
@@ -168,11 +183,12 @@ class PowerLogTail:
                 return math.exp(q * math.log(self.c) + (1 - g) * math.log(u0) - shift) / (g - 1)
             return self.c ** q * u0 ** (1 - g) / (g - 1)
         b = a - 1
+        nodes, weights = _exp_quadrature()
         if shift:
-            val = float(_EXP_WEIGHTS @ (1 + _EXP_NODES / (b * u0)) ** -g)
+            val = float(weights @ (1 + nodes / (b * u0)) ** -g)
             log_c = q * math.log(self.c) - b * (u0 - 1) - g * math.log(u0)
             return math.exp(log_c - shift) / b * val
-        val = float(_EXP_WEIGHTS @ (u0 + _EXP_NODES / b) ** -g)
+        val = float(weights @ (u0 + nodes / b) ** -g)
         return self.c ** q * math.exp(-b * (u0 - 1)) / b * val
 
     def to_json(self):

@@ -17,8 +17,6 @@ import numpy as np
 
 from .sequences import DIVERGENT, check_rules, positive_integer, weighted_sum
 
-NORM_CONVENTION = "Lp integral over [0, 2pi), no 1/(2pi) normalization"
-
 #: rule row (see sequences.broken_rules) for a difference order k
 K_RULE = ("k", ("k",), positive_integer, "must be a positive integer")
 
@@ -181,9 +179,10 @@ def _lp_bound(l2, s, p):
 
 
 def _check_root(x, p, scale, what, shift=0.0):
-    """Refuse scale * (x e^shift)^(1/p), x >= 0, where it would reach 2^1023."""
+    """Refuse scale * (x e^shift)^(1/p), x >= 0, where it would reach 2^1023
+    or is NaN (a sum whose terms left the float range)."""
     with np.errstate(divide="ignore"):
-        if np.any(np.log2(x) + shift / math.log(2.0) >= p * (1023.0 - np.log2(scale))):
+        if not np.all(np.log2(x) + shift / math.log(2.0) < p * (1023.0 - np.log2(scale))):
             raise ValueError(f"p: {what} (a sum to the power 1/p = {1 / p:g}) "
                              "leaves the float range")
 
@@ -313,11 +312,14 @@ def _grid_sums(hs, a, k, p, M, spec, work):
     z.imag *= 2.0
     # row by row: a multiply over all rows at once can round a row
     # differently with the number of rows in the call.  The half angles
-    # are spent: their buffers hold the base of the power
-    for zr, base in zip(z, work[:rows * n].reshape(rows, n)):
-        _power(zr, k, base)
-        zr *= a
-    return _power_sums(np.fft.irfft(spec[:rows], n=M, axis=1), p)
+    # are spent: their buffers hold the base of the power.  A term past the
+    # float range makes an inf or NaN sum, which the caller's _check_root
+    # refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for zr, base in zip(z, work[:rows * n].reshape(rows, n)):
+            _power(zr, k, base)
+            zr *= a
+        return _power_sums(np.fft.irfft(spec[:rows], n=M, axis=1), p)
 
 
 def _grid_kernel(a, k, p, M, shifts):

@@ -502,9 +502,16 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
       "--k", "2", "--p", "2", "--functional", "I", "--phi", "power:0.25"],
      "theta: I(delta) (a sum to the power 1/theta = 1e+08) leaves the float range at "
      "delta = 0.333333"),
+    (["seminorm", "--power-law", "1", "2", "--theta", "5e-324", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--n-grid", "4,8"],
+     "theta: 1/theta and r theta must be finite and nonzero, got theta = 5e-324, r = 0.5"),
+    (["seminorm", "--power-law", "1", "2", "--theta", "0.5", "--r", "5e-324", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--n-grid", "4,8"],
+     "theta: 1/theta and r theta must be finite and nonzero, got theta = 0.5, r = 5e-324"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
         "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100",
-        "membership-J-theta-1e-8", "membership-I-theta-1e-8"])
+        "membership-J-theta-1e-8", "membership-I-theta-1e-8", "seminorm-theta-5e-324",
+        "seminorm-r-5e-324"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =
@@ -514,10 +521,26 @@ def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # row nu^1e300, or at lam = 100 the squares (a_mu mu^101)^2, overflowed
     # (a RuntimeWarning, then lhs = rhs = inf and ratio nan in a report with
     # exit 0); J and I to the power 1/theta = 1e8 overflowed (a RuntimeWarning,
-    # then values [inf], read as divergent, beside verdict "bounded")
+    # then values [inf], read as divergent, beside verdict "bounded"); at
+    # theta = 5e-324, or r = 5e-324, r theta is 0, and I's cell weights were
+    # 0/0 (RuntimeWarnings) before "1/theta = inf" was refused
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not out.exists()
+
+
+def test_overflowing_head_is_one_config_error(tmp_path, capsys):
+    # (a_nu (2 sin(nu h/2))^30)^2.4 overflows in the direct source's grid
+    # sums (RuntimeWarnings in the spectrum, the FFT and the power, then
+    # the refusal of the norm)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"head": [1e300, 1e299, 1e298, 1e297], "tail": {"variant": "zero"}}))
+    out = tmp_path / "out.json"
+    assert main(["equivalence", "--seq", str(seq), "--theta", "1", "--r", "0.5", "--lam", "0.5",
+                 "--k", "30", "--p", "2.4", "--n-grid", "1,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: p: an L^p norm (a sum to the power "
+                                       "1/p = 0.416667) leaves the float range\n")
     assert not out.exists()
 
 

@@ -591,3 +591,17 @@ def test_sweep_allocates_no_temporaries_per_case():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 8 * n
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2 ** -52]), min_size=1, max_size=12))
+@example([1.0, 2.0])
+@example([1.0, 1.0, 3.0, 3.0])
+def test_ratio_median_is_statistics_median(ratios):
+    # even lengths take the mean of the middle two, as statistics.median
+    # does; sampled values make ties
+    import statistics
+
+    median = hardy.SweepReport("lp_upper", "upper", ratios=list(ratios)).ratio_median
+    assert median == statistics.median(ratios)
+    assert type(median) is type(statistics.median(ratios))

@@ -261,3 +261,21 @@ def test_tail_consistency_across_horizons(beta, horizon):
     a = weighted_sum(make_power_law(1, beta, horizon), 1, 0)
     b = weighted_sum(make_power_law(1, beta, 2 * horizon), 1, 0)
     assert a == pytest.approx(b, rel=1e-8)
+
+
+def test_quadrature_tables_are_the_former_module_tables():
+    # the tables are built on first use; each is the same float array as
+    # the one the module once built at import, and read-only, since every
+    # caller shares it
+    from monosmooth.sequences import _exp_quadrature, _gauss_legendre
+
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.concatenate([[0.0], np.geomspace(1e-9, 90.0, 24)])
+    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
+    nodes = (lo + half * (x + 1)).ravel()
+    former = (nodes, (half * w).ravel() * np.exp(-nodes))
+    for table, want in ((_gauss_legendre(), (x, w)), (_exp_quadrature(), former)):
+        assert [a.tobytes() for a in table] == [a.tobytes() for a in want]
+        assert [a.dtype for a in table] == [a.dtype for a in want]
+        assert not any(a.flags.writeable for a in table)
+    assert _exp_quadrature() is _exp_quadrature()

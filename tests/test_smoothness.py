@@ -542,3 +542,12 @@ def test_modulus_sandwiched_by_core():
         w = modulus_direct(seq, 4096, params, 1.0 / n)
         e = bound_core(seq, params, n)
         assert 0.1 < w / e < 10
+
+
+def test_a_nan_sum_is_refused():
+    # a grid sum whose terms overflowed is inf or NaN (inf - inf in the
+    # FFT); both leave the float range, and neither may come out as a norm
+    for sums in ([np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            smoothness._check_root(np.array(sums), 2.4, 1.0, "an L^p norm")
+    smoothness._check_root(np.array([0.0, 1.0]), 2.4, 1.0, "an L^p norm")
