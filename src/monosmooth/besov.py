@@ -52,7 +52,7 @@ class ClassParams:
         # by r theta; for values that pass the rows above
         ("theta", ("theta", "r"),
          lambda th, r: not (isinstance(th, Real) and isinstance(r, Real) and th > 0 and r > 0)
-         or 1 / th < math.inf and r * th > 0,
+         or 1 / th < math.inf and 0 < r * th < math.inf,
          "1/theta and r theta must be finite and nonzero, got theta = {!r}, r = {!r}"),
         ("lam", ("lam",), lambda v: v > 0, "must be positive"),
         ("p", ("p",), lambda v: 1 < v < math.inf, "must lie in (1, inf)"),
@@ -91,6 +91,8 @@ class PhiSpec:
             raise ValueError(f"{name} phi needs {' and '.join(missing)}")
         if getattr(self, args[0]) <= 0:  # alpha, or c
             raise ValueError(f"{name} phi needs {args[0]} > 0")
+        if not all(math.isfinite(getattr(self, a)) for a in args):
+            raise ValueError(f"{name} phi needs finite {' and '.join(args)}")
 
     @classmethod
     def power(cls, alpha):
@@ -348,7 +350,8 @@ class CoreModulusSource(_OmegaTable):
     for): the near sum is one cumulative sum, the far sum one backward
     cumulative sum plus weighted_sum past the table's end.  A request past
     the end doubles the table.  Past T, _closure sums I's and J's far sums.
-    A table whose nu^((k+1)p - 2) would reach 2^1000 is refused (ValueError).
+    A table whose nu^((k+1)p - 2) would reach 2^1000, or whose sums leave
+    the float range, is refused (ValueError).
     """
 
     batch = _OmegaTable.batch
@@ -364,18 +367,23 @@ class CoreModulusSource(_OmegaTable):
             raise ValueError(f"k: nu^((k+1)p - 2) = nu^{e:g} leaves the float range "
                              f"at nu = {top}, the end of the core table")
         nu = np.arange(1, top + 1, dtype=float)
+        rest = weighted_sum(self.seq, p, p - 2, top + 1)
         a_p = self.seq.values(1, top)
-        a_p **= p
-        near = nu ** e
-        near *= a_p
-        np.cumsum(near, out=near)
+        with np.errstate(over="ignore"):  # refused below, not warned of
+            a_p **= p
+            near = nu ** e
+            near *= a_p
+            np.cumsum(near, out=near)
+            terms = nu ** (p - 2)
+            terms *= a_p
+            far = a_p
+            far[-1] = 0.0
+            np.cumsum(terms[:0:-1], out=far[-2::-1])
+            far += rest
         self._near_top = float(near[-1])  # N_top of _closure
-        terms = nu ** (p - 2)
-        terms *= a_p
-        far = a_p
-        far[-1] = 0.0
-        np.cumsum(terms[:0:-1], out=far[-2::-1])
-        far += weighted_sum(self.seq, p, p - 2, top + 1)
+        # a running sum and a suffix sum: each is largest at its end
+        if not (self._near_top < math.inf and far[0] < math.inf):
+            raise ValueError(f"p: a sum of a_nu^{p:g} in the core table leaves the float range")
         far **= 1.0 / p
         near **= 1.0 / p
         nu **= -float(k)
@@ -612,16 +620,6 @@ class MembershipReport:
     ratios: list
     sup_ratio: float | None
     verdict: str  # "bounded" | "unbounded" | "divergent"
-    grid_verdict: str  # the stabilization rule's, on the grid
-
-    @property
-    def grid_disagrees(self):
-        return self.grid_verdict != self.verdict
-
-
-#: stabilization rule: running sup may grow by at most this fraction
-#: over the last doubling of n to still count as bounded
-STABILIZATION_TOL = 1e-2
 
 
 def closed_form_verdict(seq, cp, phi):
@@ -646,34 +644,13 @@ def closed_form_verdict(seq, cp, phi):
     return "unbounded"
 
 
-def _grid_verdict(ratios):
-    # bounded iff the running sup stabilized: either its growth over the
-    # last doubling of n is already below tolerance, or that growth has
-    # visibly decayed since the middle of the grid (slowly converging
-    # families such as the critical power laws).  A sup that stays at 0 has
-    # not grown; one that leaves 0 has grown without bound.
-    run = np.maximum.accumulate(ratios)
-    prev, cur = run[:-1], run[1:]
-    growth = np.divide(cur, prev, out=np.where(cur > prev, np.inf, 1.0), where=prev > 0) - 1.0
-    if not growth.size:
-        growth = np.array([0.0])
-    g_last = float(growth[-1])
-    g_mid = float(growth[len(growth) // 2])
-    return "bounded" if (
-        g_last < STABILIZATION_TOL
-        or (len(growth) >= 4 and g_mid > 0 and g_last <= 0.7 * g_mid)
-    ) else "unbounded"
-
-
 def membership_test(seq, cp, phi, functional="K", n_grid=None):
     """Verdict on sup_n functional(n)/phi(1/n), with grid evidence.
 
     functional is one of "I", "J", "K"; for "I" the scale is
     delta_n = 1/(n+1).  The functional and phi are each called once, on
-    the whole grid.  The verdict is closed_form_verdict's.  The
-    stabilization rule's verdict on the grid's values is grid_verdict; a
-    functional that diverges does so at every n, and then the values are
-    [DIVERGENT] and grid_verdict is "divergent".
+    the whole grid.  The verdict is closed_form_verdict's.  A functional
+    that diverges does so at every n, and then the values are [DIVERGENT].
     """
     if functional not in ("I", "J", "K"):
         raise ValueError("functional must be one of I, J, K")
@@ -694,10 +671,9 @@ def membership_test(seq, cp, phi, functional="K", n_grid=None):
     else:
         values = integral_seminorm(cp, 1.0 / (ns + 1), source)
     if values[0] == DIVERGENT:
-        return MembershipReport(functional, n_grid, [DIVERGENT], [], None, verdict, "divergent")
+        return MembershipReport(functional, n_grid, [DIVERGENT], [], None, verdict)
     ratios = (values / phi_eval(phi, 1.0 / ns)).tolist()
-    return MembershipReport(functional, n_grid, values.tolist(), ratios, max(ratios), verdict,
-                            _grid_verdict(ratios))
+    return MembershipReport(functional, n_grid, values.tolist(), ratios, max(ratios), verdict)
 
 
 @dataclass

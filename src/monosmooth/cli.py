@@ -64,13 +64,17 @@ def _load(name):
 #: object, or the tail object of a sequence with a head); horizon is also
 #: modulus's series cut
 _SEQUENCE_RULES = tuple(
-    (key, (key,), lambda v: isinstance(v, Real), "must be a real number")
-    for key in ("c", "beta", "gamma", "scale")
+    row for key in ("c", "beta", "gamma", "scale") for row in (
+        (key, (key,), lambda v: isinstance(v, Real), "must be a real number"),
+        # NaN and inf pass the row above
+        (key, (key,), lambda v: not isinstance(v, Real) or math.isfinite(v), "must be finite"))
 ) + tuple(
     (key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")
 ) + (
     ("head", ("head",), lambda v: isinstance(v, list) and all(isinstance(x, Real) for x in v),
      "must be a list of real numbers"),
+    ("head", ("head",), lambda v: not isinstance(v, list)
+     or all(not isinstance(x, Real) or math.isfinite(x) for x in v), "must hold finite values"),
     ("tail", ("tail",), lambda v: isinstance(v, dict), "must be an object"),
 )
 #: rules on the keys that only the CLI reads
@@ -290,7 +294,7 @@ def run_experiment(cfg):
         phi = _phi_from_spec(cfg["phi"])
         rep = membership_test(seq, cp, phi, functional=cfg.get("functional", "K"),
                               n_grid=cfg.get("n_grid"))
-        payload = {"phi": phi.to_json(), **asdict(rep), "grid_disagrees": rep.grid_disagrees}
+        payload = {"phi": phi.to_json(), **asdict(rep)}
         return _write(_out_path(cfg, "membership.json"), _json_report(cfg, payload))
 
     raise ConfigError([f"unhandled task: {task!r}"])

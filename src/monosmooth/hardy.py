@@ -16,7 +16,6 @@ lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -54,8 +53,6 @@ _DISPLAYS = {
 # displays that hold only for monotone sequences
 _MONOTONE = {"lp_converse_upper", "lp_converse_lower",
              "lp_complete_tail", "lp_complete_head"}
-# nu^x overflows where x ln nu >= _LN_MAX
-_LN_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -169,17 +166,18 @@ def _power_table(exponents, nu):
     left unset.  An integer x takes in-place **, the ufunc that nu ** x
     takes (exact wherever nu^x is an integer below 2^53); any other x is
     exp(x ln nu), from one ln nu row taken in place in nu, so that nu holds
-    ln nu afterwards.  Every exponent needs x ln n < ln(largest float)."""
+    ln nu afterwards.  A power past the float range is inf, not warned of."""
     block = np.empty((len(exponents), nu.size))
     whole = [float(x).is_integer() for x, _ in exponents]
-    for row, (x, n), integer in zip(block, exponents, whole):
-        if integer:
-            row[:n] = nu[:n]
-            row[:n] **= x
-    np.log(nu, out=nu)
-    for row, (x, n), integer in zip(block, exponents, whole):
-        if not integer:
-            np.exp(np.multiply(nu[:n], x, out=row[:n]), out=row[:n])
+    with np.errstate(over="ignore"):
+        for row, (x, n), integer in zip(block, exponents, whole):
+            if integer:
+                row[:n] = nu[:n]
+                row[:n] **= x
+        np.log(nu, out=nu)
+        for row, (x, n), integer in zip(block, exponents, whole):
+            if not integer:
+                np.exp(np.multiply(nu[:n], x, out=row[:n]), out=row[:n])
     return block
 
 
@@ -189,10 +187,8 @@ def _sweep(lemma_id, cases):
     The evaluations share one block of nu^x tables (_power_table), one row
     for each exponent that a case passing its side condition needs, as
     long as the largest n that reads it, and two workspaces of the
-    largest n.  A case whose own n^x would overflow for one of its
-    exponents (x ln n >= ln of the largest float) gets no row and is
-    refused before the block is filled, and a case whose lhs or rhs
-    leaves the float range is refused after its evaluation.  Each sequence object is read
+    largest n.  A case whose lhs or rhs leaves the float range, a row of
+    nu^x past it included, is refused after its evaluation.  Each sequence object is read
     once, without a copy when its head covers the largest n asked of it;
     validate_monotone keeps its result on the sequence.  The block and
     workspaces live as long as evaluate.  A rejected case raises
@@ -203,7 +199,6 @@ def _sweep(lemma_id, cases):
     top = {}  # id(seq) -> largest n asked of it
     exponents = {}  # x -> the largest n its row serves, in first-use order
     rows = {}  # id(hp) -> the exponents _sides reads, for a case that meets n >= c m
-    refused = {}  # id(hp) -> why, for a case with an n^x past the float range
     for seq, hp in cases:
         top[id(seq)] = max(top.get(id(seq), 0), hp.n)
         if lemma_id != "jensen":
@@ -211,11 +206,6 @@ def _sweep(lemma_id, cases):
             if hp.n >= c * hp.m:
                 weight = hp.alpha - 1 if inner == "tail" else -hp.alpha - 1
                 xs = (hp.lam, weight, hp.lam + 1)
-                big = [x for x in xs if x * math.log(hp.n) >= _LN_MAX]
-                if big:
-                    refused[id(hp)] = (f"{lemma_id}: nu^{big[0]:g} leaves the float "
-                                       f"range at nu = n = {hp.n}")
-                    continue
                 for x in xs:
                     exponents[x] = max(exponents.get(x, 0), hp.n)
                 rows[id(hp)] = xs
@@ -237,8 +227,6 @@ def _sweep(lemma_id, cases):
             res = validate_monotone(seq)
             if not res.ok:
                 raise ValueError(f"{lemma_id} needs a monotone sequence: {res.reason}")
-        if id(hp) in refused:
-            raise ValueError(refused[id(hp)])
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
             if lemma_id == "jensen":  # the l^2 norm is at most the l^1 norm
                 a = head(seq)[:hp.n]

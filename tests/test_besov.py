@@ -19,7 +19,6 @@ from monosmooth.besov import (
     integral_seminorm,
     membership_test,
     phi_eval,
-    _grid_verdict,
     _OmegaTable,
 )
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
@@ -609,15 +608,14 @@ def test_membership_report_shape():
 
 @pytest.mark.parametrize("functional", ["K", "J", "I"])
 def test_membership_of_the_zero_sequence(functional):
-    # every ratio is 0: a running sup that stays at 0 has not grown
+    # every value and ratio is 0, with no RuntimeWarning on the way
     zero = CoefficientSequence((0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = membership_test(zero, CP, PhiSpec.constant(), functional,
                               n_grid=[2, 4, 8, 16, 32])
-    assert (rep.verdict, rep.grid_verdict) == ("bounded", "bounded")
-    # one that leaves 0 has grown without bound
-    assert _grid_verdict([0.0, 0.0, 0.0, 1.0]) == "unbounded"
+    assert rep.verdict == "bounded"
+    assert rep.values == rep.ratios == [0.0] * 5 and rep.sup_ratio == 0.0
 
 
 def test_band_spread():

@@ -210,9 +210,8 @@ def test_membership_json_verdict(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"] in ("bounded", "unbounded", "divergent")
-    assert doc["grid_disagrees"] == (doc["grid_verdict"] != doc["verdict"])
     assert set(doc) == ({f.name for f in fields(MembershipReport)}
-                        | {"phi", "grid_disagrees", "tool", "norm", "config"})
+                        | {"phi", "tool", "norm", "config"})
     assert doc["tool"]["name"] == "monosmooth"
     assert doc["config"]["task"] == "membership"
     assert "norm" in doc
@@ -318,6 +317,35 @@ def test_readme_has_four_commands():
     assert len(_README_COMMANDS) == 4
 
 
+@pytest.mark.parametrize("p", ["3", "1.5"])
+def test_readme_equivalence_at_p_has_finite_bands(p, tmp_path, monkeypatch):
+    # the README equivalence on the direct source's p != 2 grid sums; a
+    # RuntimeWarning fails the test
+    monkeypatch.chdir(tmp_path)
+    command = next(c for c in _README_COMMANDS if c.startswith("equivalence"))
+    argv = shlex.split(command.replace("\\\n", " "))
+    argv[argv.index("--p") + 1] = p
+    assert main(argv) == 0
+    bands = json.loads((tmp_path / argv[argv.index("--out") + 1]).read_text())["bands"]
+    ends = [band[end] for band in bands.values() for end in ("min", "max")]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in ends)
+
+
+@pytest.mark.parametrize("functional", ["J", "I"])
+def test_power_log_membership_on_the_critical_line_is_finite(functional, tmp_path):
+    # beta = r + alpha + 1 - 1/p with a log factor, through a config file
+    out, cfg = tmp_path / "membership.json", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": "membership",
+        "sequence": {"family": "power_log", "c": 1.3, "beta": 1.25, "gamma": 0.5},
+        "theta": 1, "r": 0.5, "lam": 0.5, "k": 2, "p": 2, "phi": "power:0.25",
+        "functional": functional, "out": str(out)}))
+    assert main(["--config", str(cfg)]) == 0
+    rep = json.loads(out.read_text())
+    values = rep["values"] + rep["ratios"]
+    assert values and all(isinstance(v, float) and math.isfinite(v) for v in values)
+
+
 _SEMINORM = {"task": "seminorm", "sequence": {"family": "power_law", "beta": 2},
              "theta": 1, "r": 0.5, "lam": 0.5, "k": 2, "p": 2, "n_grid": [2, 4]}
 _MEMBERSHIP = {**_SEMINORM, "task": "membership", "phi": "power:0.25"}
@@ -366,6 +394,23 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_MODULUS, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "task": "equivalence", "H": 16}, "unknown key: 'H'"),
+    # NaN and inf, which json writes as NaN and Infinity: gen wrote NaN tokens
+    # (not JSON), membership NaN values beside a verdict, and modulus warned
+    # (0/0 in the Parseval kernel) before its error line
+    ({"task": "gen", "family": "power_log", "beta": 2, "gamma": math.nan}, "gamma: must be finite"),
+    ({"task": "gen", "family": "power_law", "beta": math.inf}, "beta: must be finite"),
+    ({"task": "gen", "family": "power_law", "beta": 2, "c": -math.inf}, "c: must be finite"),
+    ({"task": "gen", "family": "random", "scale": math.nan}, "scale: must be finite"),
+    ({**_SEMINORM, "sequence": {"head": [1, 0.5],
+                                "tail": {"variant": "power_law", "c": 1, "beta": math.nan}}},
+     "sequence: tail: beta: must be finite"),
+    ({**_MODULUS, "sequence": {"family": "power_law", "c": math.inf, "beta": 2}},
+     "sequence: c: must be finite"),
+    ({**_MEMBERSHIP, "phi": "power:nan"}, "power phi needs finite alpha"),
+    ({**_MEMBERSHIP, "phi": "power_log:0.25,nan"}, "power-log phi needs finite alpha and gamma"),
+    ({**_MEMBERSHIP, "phi": {"variant": "constant", "c": math.inf}}, "constant phi needs finite c"),
+    ({**_SEMINORM, "sequence": {"head": [1, math.nan], "tail": {"variant": "zero"}}},
+     "sequence: head: must hold finite values"),
 ], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma", "phi-unknown",
         "phi-variant-not-a-string", "family-no-beta", "gen-power-log-no-gamma",
         "sequence-not-object-or-path",
@@ -374,7 +419,9 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
         "gen-horizon", "gen-size", "gen-scale", "lemma-lam", "modulus-M",
         "modulus-horizon", "sequence-beta", "sequence-tail-not-object",
         "sequence-tail-c", "sequence-head-not-list", "modulus-H", "seminorm-H",
-        "equivalence-H"])
+        "equivalence-H", "gen-gamma-nan", "gen-beta-inf", "gen-c-minus-inf", "gen-scale-nan",
+        "tail-beta-nan", "modulus-c-inf", "phi-power-nan", "phi-power-log-gamma-nan",
+        "phi-constant-inf", "sequence-head-nan"])
 def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"
@@ -491,7 +538,7 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
      "an L^2 norm of Delta_h^k f leaves the float range"),
     (["verify-lemma", "--power-law", "1", "1.5", "--lemma", "lp_upper", "--alpha", "1",
       "--lam", "1e300", "--p", "2", "--m", "1", "--n", "64"],
-     "lp_upper: nu^1e+300 leaves the float range at nu = n = 64"),
+     "lp_upper: lhs or rhs leaves the float range at n = 64"),
     (["verify-lemma", "--power-law", "1", "1.5", "--lemma", "lp_upper", "--alpha", "1",
       "--lam", "100", "--p", "2", "--m", "1", "--n", "64"],
      "lp_upper: lhs or rhs leaves the float range at n = 64"),
@@ -508,10 +555,13 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     (["seminorm", "--power-law", "1", "2", "--theta", "0.5", "--r", "5e-324", "--lam", "0.5",
       "--k", "2", "--p", "2", "--n-grid", "4,8"],
      "theta: 1/theta and r theta must be finite and nonzero, got theta = 0.5, r = 5e-324"),
+    (["seminorm", "--power-law", "1", "2", "--theta", "inf", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "2", "--n-grid", "4,8"],
+     "theta: 1/theta and r theta must be finite and nonzero, got theta = inf, r = 0.5"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
         "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100",
         "membership-J-theta-1e-8", "membership-I-theta-1e-8", "seminorm-theta-5e-324",
-        "seminorm-r-5e-324"])
+        "seminorm-r-5e-324", "seminorm-theta-inf"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =
@@ -523,24 +573,45 @@ def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # exit 0); J and I to the power 1/theta = 1e8 overflowed (a RuntimeWarning,
     # then values [inf], read as divergent, beside verdict "bounded"); at
     # theta = 5e-324, or r = 5e-324, r theta is 0, and I's cell weights were
-    # 0/0 (RuntimeWarnings) before "1/theta = inf" was refused
+    # 0/0 (RuntimeWarnings) before "1/theta = inf" was refused; at theta =
+    # inf, r theta is inf, and the weight nu^inf of J was refused instead
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
     assert not out.exists()
 
 
+def _huge_head(tmp_path):
+    """--seq and the class flags of a head from 1e300, k = 30 and p = 2.4."""
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"head": [1e300, 1e299, 1e298, 1e297], "tail": {"variant": "zero"}}))
+    return ["--seq", str(seq), "--theta", "1", "--r", "0.5", "--lam", "0.5", "--k", "30",
+            "--p", "2.4"]
+
+
 def test_overflowing_head_is_one_config_error(tmp_path, capsys):
     # (a_nu (2 sin(nu h/2))^30)^2.4 overflows in the direct source's grid
     # sums (RuntimeWarnings in the spectrum, the FFT and the power, then
     # the refusal of the norm)
-    seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"head": [1e300, 1e299, 1e298, 1e297], "tail": {"variant": "zero"}}))
     out = tmp_path / "out.json"
-    assert main(["equivalence", "--seq", str(seq), "--theta", "1", "--r", "0.5", "--lam", "0.5",
-                 "--k", "30", "--p", "2.4", "--n-grid", "1,2", "--out", str(out)]) == 2
+    assert main(["equivalence", *_huge_head(tmp_path), "--n-grid", "1,2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("config error: p: an L^p norm (a sum to the power "
                                        "1/p = 0.416667) leaves the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["seminorm", "--source", "core", "--n-grid", "1,2"],
+    ["membership", "--functional", "J", "--phi", "power:0.25"],
+    ["membership", "--functional", "I", "--phi", "power:0.25"],
+], ids=["seminorm-core", "membership-J", "membership-I"])
+def test_overflowing_head_in_the_core_table_is_one_config_error(argv, tmp_path, capsys):
+    # a_1^2.4 = 1e720 overflowed in the core source's fill (a RuntimeWarning,
+    # then 0/0 in its closure) before J or I was refused
+    out = tmp_path / "out.json"
+    assert main([*argv, *_huge_head(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: p: a sum of a_nu^2.4 in the core table "
+                                       "leaves the float range\n")
     assert not out.exists()
 
 

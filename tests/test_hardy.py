@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -518,9 +519,11 @@ def test_power_table_leaves_ln_nu_in_nu():
     ("lp_upper", 1e300, 0, "1e+300"),  # the tail weight alpha - 1
 ])
 def test_overflowing_row_is_refused(lemma, alpha, lam, x):
+    # the row nu^x is inf at nu = 64, and so is a side that reads it
+    assert float(x) * math.log(64) > math.log(sys.float_info.max)
     seq = make_power_law(1, 1.5, 64)
     hp = HardyParams(alpha=alpha, lam=lam, p=2, m=1, n=64)
-    line = f"{lemma}: nu^{x} leaves the float range at nu = n = 64"
+    line = f"{lemma}: lhs or rhs leaves the float range at n = 64"
     with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
         verify_lemma(lemma, seq, hp)
     # in a sweep the refused case is skipped and the rest evaluated as alone
