@@ -14,14 +14,15 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from numbers import Real
 
 import numpy as np
 
 from . import __version__
 from .sequences import (
     CoefficientSequence,
+    PowerLogTail,
     broken_rules,
+    finite_real,
     make_power_law,
     make_power_log,
     make_random_monotone,
@@ -61,20 +62,13 @@ def _load(name):
 
 
 #: rules on the keys of a family sequence (gen's keys, or a "sequence"
-#: object, or the tail object of a sequence with a head); horizon is also
-#: modulus's series cut
-_SEQUENCE_RULES = tuple(
-    row for key in ("c", "beta", "gamma", "scale") for row in (
-        (key, (key,), lambda v: isinstance(v, Real), "must be a real number"),
-        # NaN and inf pass the row above
-        (key, (key,), lambda v: not isinstance(v, Real) or math.isfinite(v), "must be finite"))
-) + tuple(
-    (key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")
-) + (
-    ("head", ("head",), lambda v: isinstance(v, list) and all(isinstance(x, Real) for x in v),
-     "must be a list of real numbers"),
-    ("head", ("head",), lambda v: not isinstance(v, list)
-     or all(not isinstance(x, Real) or math.isfinite(x) for x in v), "must hold finite values"),
+#: object, or the tail object of a sequence with a head): the tail's and the
+#: head's own, and the CLI's; horizon is also modulus's series cut
+_SEQUENCE_RULES = (
+    *PowerLogTail.RULES,
+    ("scale", ("scale",), finite_real, "must be a finite real number"),
+    *((key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")),
+    *CoefficientSequence.RULES,
     ("tail", ("tail",), lambda v: isinstance(v, dict), "must be an object"),
 )
 #: rules on the keys that only the CLI reads

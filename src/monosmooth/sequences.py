@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,10 +64,15 @@ def positive_integer(v):
             or isinstance(v, float) and v.is_integer()) and v >= 1
 
 
+def finite_real(v):
+    """True for a finite real number, not NaN or inf."""
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def broken_rules(rules, values):
     """'label: message' for each row (label, keys, test, message) of rules
-    whose test(*values of keys) is false or raises TypeError; message may
-    hold {} fields for those values.  Rows with a key absent are skipped.
+    whose test(*values of keys) is false or raises TypeError or ValueError;
+    message may hold {} fields for those values; rows missing a key are skipped.
     """
     bad = []
     for label, keys, test, message in rules:
@@ -75,7 +80,7 @@ def broken_rules(rules, values):
             args = [values[key] for key in keys]
             try:
                 ok = test(*args)
-            except TypeError:
+            except (TypeError, ValueError):
                 ok = False
             if not ok:
                 bad.append(f"{label}: {message.format(*args)}")
@@ -109,57 +114,31 @@ class ZeroTail:
 
 
 @dataclass(frozen=True)
-class PowerLawTail:
-    """a_nu = c * nu**(-beta) for nu beyond the horizon."""
-
-    c: float
-    beta: float
-    gamma = 0.0  # PowerLogTail's log exponent; unannotated, so not a dataclass field
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("power-law tail needs c >= 0")
-        if self.beta <= 0:
-            raise ValueError("power-law tail needs beta > 0")
-
-    def value(self, nu):
-        return self.c * np.asarray(nu, dtype=float) ** (-self.beta)
-
-    def converges(self, q, s):
-        return self.c == 0 or q * self.beta - s > 1 + _CRITICAL_TOL
-
-    def integral(self, q, s, x0, shift=0.0):
-        # closed form of int_x0^inf (c x^-beta)^q x^s dx, times e^-shift; a
-        # shift is taken in log space, since c^q alone may leave the float range
-        a = q * self.beta - s
-        if shift:
-            return math.exp(q * math.log(self.c) + (1 - a) * math.log(x0) - shift) / (a - 1)
-        return self.c ** q * x0 ** (1 - a) / (a - 1)
-
-    def to_json(self):
-        return {"variant": "power_law", "c": self.c, "beta": self.beta}
-
-
-@dataclass(frozen=True)
 class PowerLogTail:
-    """a_nu = c * nu**(-beta) * (1 + ln nu)**(-gamma)."""
+    """a_nu = c * nu**(-beta) * (1 + ln nu)**(-gamma) for nu beyond the horizon."""
 
     c: float
     beta: float
     gamma: float
 
+    RULES = (
+        ("c", ("c",), lambda v: finite_real(v) and v >= 0, "must be a finite real number >= 0"),
+        ("beta", ("beta",), lambda v: finite_real(v) and v > 0,
+         "must be a finite real number > 0"),
+        # beta + gamma < 0 makes the values eventually increase; a beta that
+        # breaks its own row is not held against gamma
+        ("gamma", ("gamma", "beta"),
+         lambda g, b: finite_real(g) and not (finite_real(b) and b > 0 and b + g < 0),
+         "must be a finite real number >= -beta"),
+    )
+
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("power-log tail needs c >= 0")
-        if self.beta <= 0:
-            raise ValueError("power-log tail needs beta > 0")
-        if self.beta + self.gamma < 0:
-            # otherwise values eventually increase
-            raise ValueError("power-log tail needs beta + gamma >= 0")
+        check_rules(self)
 
     def value(self, nu):
         nu = np.asarray(nu, dtype=float)
-        return self.c * nu ** (-self.beta) * (1.0 + np.log(nu)) ** (-self.gamma)
+        out = self.c * nu ** (-self.beta)
+        return out * (1.0 + np.log(nu)) ** (-self.gamma) if self.gamma else out
 
     def converges(self, q, s):
         if self.c == 0:
@@ -170,13 +149,18 @@ class PowerLogTail:
         return abs(a - 1) <= _CRITICAL_TOL and q * self.gamma > 1
 
     def integral(self, q, s, x0, shift=0.0):
-        # int_x0^inf (c x^-beta (1+ln x)^-gamma)^q x^s dx; u = 1 + ln x gives
-        # c^q int_u0^inf e^(-b(u-1)) u^-g du, b = a - 1 > 0 when it converges
-        # and is not critical, and w = b(u - u0) turns that into
-        # c^q e^(-b(u0-1)) / b * int_0^inf e^-w (u0 + w/b)^-g dw; times
-        # e^-shift, a shift taken in log space with u0^-g drawn out
+        # int_x0^inf (c x^-beta (1+ln x)^-gamma)^q x^s dx times e^-shift, a shift
+        # taken in log space (c^q alone may leave the float range), with u0^-g
+        # drawn out.  g = q gamma = 0 gives c^q x0^(1-a) / (a-1); otherwise
+        # u = 1 + ln x gives c^q int_u0^inf e^(-b(u-1)) u^-g du, b = a - 1 > 0
+        # when it converges and is not critical, and w = b(u - u0) turns that
+        # into c^q e^(-b(u0-1)) / b * int_0^inf e^-w (u0 + w/b)^-g dw
         a = q * self.beta - s
         g = q * self.gamma
+        if not g:
+            if shift:
+                return math.exp(q * math.log(self.c) + (1 - a) * math.log(x0) - shift) / (a - 1)
+            return self.c ** q * x0 ** (1 - a) / (a - 1)
         u0 = 1.0 + math.log(x0)
         if abs(a - 1) <= _CRITICAL_TOL:
             if shift:
@@ -192,12 +176,19 @@ class PowerLogTail:
         return self.c ** q * math.exp(-b * (u0 - 1)) / b * val
 
     def to_json(self):
-        return {
-            "variant": "power_log",
-            "c": self.c,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
+        return {"variant": "power_log", "c": self.c, "beta": self.beta, "gamma": self.gamma}
+
+
+@dataclass(frozen=True)
+class PowerLawTail(PowerLogTail):
+    """a_nu = c * nu**(-beta): the power-log tail at gamma = 0."""
+
+    gamma: float = field(default=0.0, init=False)
+
+    integral = PowerLogTail.integral  # in this class body, so that it can be wrapped per class
+
+    def to_json(self):
+        return {"variant": "power_law", "c": self.c, "beta": self.beta}
 
 
 def tail_from_json(doc):
@@ -216,16 +207,23 @@ class CoefficientSequence:
     """Cosine coefficients: finite head (1-based) plus a tail model."""
 
     head: tuple
-    tail: ZeroTail | PowerLawTail | PowerLogTail = ZeroTail()
+    tail: ZeroTail | PowerLogTail = ZeroTail()
+
+    RULES = (
+        ("head", ("head",), lambda h: np.ndim(h) == 1 and len(h) > 0 and np.isfinite(h).all(),
+         "must be a non-empty list of finite real numbers"),
+    )
 
     def __post_init__(self):
-        if len(self.head) < 1:
-            raise ValueError("head must store at least one coefficient")
-        object.__setattr__(self, "head", tuple(float(a) for a in self.head))
-        # read-only array for values(); not a field, so __eq__, __hash__
-        # and to_json see only the tuple
-        object.__setattr__(self, "_head_array", np.array(self.head))
-        self._head_array.flags.writeable = False
+        # checked as the read-only array that values() reads, then kept as a
+        # tuple of floats; the array is not a field, so __eq__, __hash__ and
+        # to_json see only the tuple
+        head = np.array(self.head, dtype=float)
+        object.__setattr__(self, "head", head)
+        check_rules(self)
+        head.flags.writeable = False
+        object.__setattr__(self, "_head_array", head)
+        object.__setattr__(self, "head", tuple(head.tolist()))
 
     @property
     def horizon(self):
@@ -259,10 +257,8 @@ class CoefficientSequence:
 
 
 def _sampled(tail, horizon):
-    """Sequence with the head tail.value(1..horizon), continued by the tail
-    unless it vanishes."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    """Sequence with the head tail.value(1..horizon) (empty, and refused, at a
+    horizon below 1), continued by the tail unless it vanishes."""
     head = tuple(tail.value(np.arange(1, horizon + 1)))
     return CoefficientSequence(head=head, tail=tail if tail.c else ZeroTail())
 

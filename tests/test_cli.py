@@ -201,6 +201,15 @@ def test_verify_lemma_csv(tmp_path):
     assert float(fields[-1]) > 0
 
 
+def test_zero_rhs_row_leaves_the_ratio_empty(tmp_path):
+    seq = tmp_path / "zero.json"
+    seq.write_text(json.dumps({"head": [0.0] * 8, "tail": {"variant": "zero"}}))
+    out = tmp_path / "lemma.csv"
+    assert main(["verify-lemma", "--seq", str(seq), "--lemma", "lp_upper", "--alpha", "1",
+                 "--lam", "0", "--p", "1", "--m", "1", "--n", "8", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "lp_upper,1,0,1,1,8,0,0,"
+
+
 def test_membership_json_verdict(tmp_path):
     out = tmp_path / "mem.json"
     rc = main(["membership", "--power-law", "1", "1.25", "--horizon", "512",
@@ -371,46 +380,70 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_SEMINORM, "source": "dirct"}, "source: must be 'core' or 'direct'"),
     ({**_MEMBERSHIP, "functional": "X"}, "functional: must be one of I, J, K"),
     ({"task": "gen", "family": "random", "format": "csv"}, "unknown key: 'format'"),
-    ({"task": "gen", "family": "power_law", "beta": "x"}, "beta: must be a real number"),
-    ({"task": "gen", "family": "power_law", "beta": 1, "c": "x"}, "c: must be a real number"),
+    ({"task": "gen", "family": "power_law", "beta": "x"},
+     "beta: must be a finite real number > 0"),
+    ({"task": "gen", "family": "power_law", "beta": 1, "c": "x"},
+     "c: must be a finite real number >= 0"),
     ({"task": "gen", "family": "power_log", "beta": 2, "gamma": "x"},
-     "gamma: must be a real number"),
+     "gamma: must be a finite real number >= -beta"),
     ({"task": "gen", "family": "power_law", "beta": 1, "horizon": "x"},
      "horizon: must be a positive integer"),
     ({"task": "gen", "family": "random", "size": "x"}, "size: must be a positive integer"),
-    ({"task": "gen", "family": "random", "scale": "x"}, "scale: must be a real number"),
+    ({"task": "gen", "family": "random", "scale": "x"}, "scale: must be a finite real number"),
     ({**_LEMMA, "lam": "x"}, "lam: must be a real number"),
     ({**_MODULUS, "M": "x"}, "M: must be a power of two"),
     ({**_MODULUS, "horizon": "x"}, "horizon: must be a positive integer"),
     ({**_SEMINORM, "sequence": {"family": "power_law", "beta": "x"}},
-     "sequence: beta: must be a real number"),
+     "sequence: beta: must be a finite real number > 0"),
     ({**_SEMINORM, "sequence": {"head": [1, 0.5], "tail": "x"}},
      "sequence: tail: must be an object"),
     ({**_SEMINORM, "sequence": {"head": [1, 0.5],
                                 "tail": {"variant": "power_law", "c": "x", "beta": 2}}},
-     "sequence: tail: c: must be a real number"),
+     "sequence: tail: c: must be a finite real number >= 0"),
     ({**_SEMINORM, "sequence": {"head": 3, "tail": {"variant": "zero"}}},
-     "sequence: head: must be a list of real numbers"),
+     "sequence: head: must be a non-empty list of finite real numbers"),
     ({**_MODULUS, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "task": "equivalence", "H": 16}, "unknown key: 'H'"),
     # NaN and inf, which json writes as NaN and Infinity: gen wrote NaN tokens
     # (not JSON), membership NaN values beside a verdict, and modulus warned
     # (0/0 in the Parseval kernel) before its error line
-    ({"task": "gen", "family": "power_log", "beta": 2, "gamma": math.nan}, "gamma: must be finite"),
-    ({"task": "gen", "family": "power_law", "beta": math.inf}, "beta: must be finite"),
-    ({"task": "gen", "family": "power_law", "beta": 2, "c": -math.inf}, "c: must be finite"),
-    ({"task": "gen", "family": "random", "scale": math.nan}, "scale: must be finite"),
+    ({"task": "gen", "family": "power_log", "beta": 2, "gamma": math.nan},
+     "gamma: must be a finite real number >= -beta"),
+    ({"task": "gen", "family": "power_law", "beta": math.inf},
+     "beta: must be a finite real number > 0"),
+    ({"task": "gen", "family": "power_law", "beta": 2, "c": -math.inf},
+     "c: must be a finite real number >= 0"),
+    ({"task": "gen", "family": "random", "scale": math.nan},
+     "scale: must be a finite real number"),
     ({**_SEMINORM, "sequence": {"head": [1, 0.5],
                                 "tail": {"variant": "power_law", "c": 1, "beta": math.nan}}},
-     "sequence: tail: beta: must be finite"),
+     "sequence: tail: beta: must be a finite real number > 0"),
     ({**_MODULUS, "sequence": {"family": "power_law", "c": math.inf, "beta": 2}},
-     "sequence: c: must be finite"),
+     "sequence: c: must be a finite real number >= 0"),
     ({**_MEMBERSHIP, "phi": "power:nan"}, "power phi needs finite alpha"),
     ({**_MEMBERSHIP, "phi": "power_log:0.25,nan"}, "power-log phi needs finite alpha and gamma"),
     ({**_MEMBERSHIP, "phi": {"variant": "constant", "c": math.inf}}, "constant phi needs finite c"),
     ({**_SEMINORM, "sequence": {"head": [1, math.nan], "tail": {"variant": "zero"}}},
-     "sequence: head: must hold finite values"),
+     "sequence: head: must be a non-empty list of finite real numbers"),
+    ({**_SEMINORM, "sequence": {"head": [], "tail": {"variant": "zero"}}},
+     "sequence: head: must be a non-empty list of finite real numbers"),
+    ({**_SEMINORM, "sequence": {"head": [1, [0.5]], "tail": {"variant": "zero"}}},
+     "sequence: head: must be a non-empty list of finite real numbers"),
+    ({**_SEMINORM, "sequence": {"head": [1, 0.5],
+                                "tail": {"variant": "power_law", "c": -1, "beta": 2}}},
+     "sequence: tail: c: must be a finite real number >= 0"),
+    ({**_SEMINORM, "sequence": {"family": "power_log", "beta": 1, "gamma": -2}},
+     "sequence: gamma: must be a finite real number >= -beta"),
+    ({"task": "gen", "family": "power_law", "beta": 0}, "beta: must be a finite real number > 0"),
+    # gamma is checked wherever it is given, also beside a power law that does not read it
+    ({"task": "gen", "family": "power_law", "beta": 2, "gamma": -5},
+     "gamma: must be a finite real number >= -beta"),
+    # one line per bad value: a beta that breaks its own row is not held against gamma
+    ({"task": "gen", "family": "power_log", "beta": math.nan, "gamma": 1},
+     "beta: must be a finite real number > 0"),
+    ({**_MEMBERSHIP, "phi": "power:-0.5"}, "power phi needs alpha > 0"),
+    ({**_MEMBERSHIP, "phi": "constant:0"}, "constant phi needs c > 0"),
 ], ids=["not-an-object", "phi-power-no-alpha", "phi-power-log-no-gamma", "phi-unknown",
         "phi-variant-not-a-string", "family-no-beta", "gen-power-log-no-gamma",
         "sequence-not-object-or-path",
@@ -421,7 +454,10 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
         "sequence-tail-c", "sequence-head-not-list", "modulus-H", "seminorm-H",
         "equivalence-H", "gen-gamma-nan", "gen-beta-inf", "gen-c-minus-inf", "gen-scale-nan",
         "tail-beta-nan", "modulus-c-inf", "phi-power-nan", "phi-power-log-gamma-nan",
-        "phi-constant-inf", "sequence-head-nan"])
+        "phi-constant-inf", "sequence-head-nan", "sequence-head-empty", "sequence-head-ragged",
+        "tail-c-negative", "family-beta-plus-gamma", "gen-beta-zero", "gen-power-law-gamma",
+        "gen-beta-nan-only",
+        "phi-power-negative", "phi-constant-zero"])
 def test_config_error_is_one_line_exit_2(doc, line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MONOSMOOTH_OUT_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"

@@ -60,6 +60,64 @@ def test_make_power_law_rejects_bad_params():
         make_power_law(1, 1, 0)
 
 
+_C = "c: must be a finite real number >= 0"
+_BETA = "beta: must be a finite real number > 0"
+_GAMMA = "gamma: must be a finite real number >= -beta"
+_HEAD = "head: must be a non-empty list of finite real numbers"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PowerLawTail(c=math.inf, beta=2), _C),
+    (lambda: PowerLogTail(1, 2, math.nan), _GAMMA),
+    (lambda: make_power_log(1, 2, math.nan, 4), _GAMMA),
+    (lambda: PowerLogTail(-1, 1, 0.5), _C),
+    (lambda: PowerLawTail(1, 0), _BETA),
+    (lambda: PowerLogTail(1, 1, -1.5), _GAMMA),
+    # one line per bad value: a beta that breaks its own row is not held
+    # against gamma, and "x" is not also a NaN
+    (lambda: PowerLogTail(1, -1, 0.5), _BETA),
+    (lambda: PowerLogTail("x", math.nan, None), f"{_C}; {_BETA}; {_GAMMA}"),
+    (lambda: CoefficientSequence((1.0, math.inf)), _HEAD),
+    (lambda: CoefficientSequence(()), _HEAD),
+    (lambda: CoefficientSequence(3.0), _HEAD),
+], ids=["power-law-c-inf", "power-log-gamma-nan", "make-power-log-gamma-nan", "c-negative",
+        "beta-zero", "beta-plus-gamma-negative", "beta-negative-only", "all-three",
+        "head-inf", "head-empty", "head-scalar"])
+def test_tail_and_head_check_their_own_numbers(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_power_law_is_the_power_log_tail_at_gamma_zero():
+    # PowerLawTail names PowerLogTail's integral in its own body, so that it
+    # can be wrapped per class, and defines nothing else that computes
+    assert PowerLawTail.integral is PowerLogTail.integral
+    assert not {"value", "converges", "__post_init__"} & set(vars(PowerLawTail))
+    law, log = PowerLawTail(1.5, 1.25), PowerLogTail(1.5, 1.25, 0.0)
+    assert law.gamma == 0.0 and law.to_json() == {"variant": "power_law", "c": 1.5, "beta": 1.25}
+    nu = np.arange(1, 100, dtype=float)
+    assert np.array_equal(log.value(nu), 1.5 * nu ** -1.25)
+    assert np.array_equal(law.value(nu), log.value(nu))
+    x0 = 4096.5
+    for q, s in ((1, 0.0), (2, 0.5)):
+        a = q * 1.25 - s
+        # the closed form, bit for bit, and in log space under a shift
+        assert log.integral(q, s, x0) == 1.5 ** q * x0 ** (1 - a) / (a - 1)
+        assert log.integral(q, s, x0, shift=5.0) == pytest.approx(
+            log.integral(q, s, x0) * math.exp(-5), rel=1e-15)
+        for shift in (0.0, 5.0):
+            assert log.integral(q, s, x0, shift) == law.integral(q, s, x0, shift)
+
+
+def test_critical_shifted_integral_is_the_unshifted_times_e_minus_shift():
+    # a = q beta - s = 1: c^q u0^(1-g) / (g-1), u0 = 1 + ln x0, g = q gamma
+    tail = PowerLogTail(1, 1, 2)
+    assert tail.integral(1, 0, 1e3) == pytest.approx(1 / (1 + math.log(1e3)), rel=1e-15)
+    assert tail.integral(1, 0, 1e3, shift=5) == pytest.approx(
+        tail.integral(1, 0, 1e3) * math.exp(-5), rel=1e-15)
+
+
 def test_validate_accepts_decreasing():
     assert validate_monotone(CoefficientSequence((1, 0.5, 0.25))).ok
 
