@@ -350,8 +350,8 @@ class CoreModulusSource(_OmegaTable):
     for): the near sum is one cumulative sum, the far sum one backward
     cumulative sum plus weighted_sum past the table's end.  A request past
     the end doubles the table.  Past T, _closure sums I's and J's far sums.
-    A table whose nu^((k+1)p - 2) would reach 2^1000, or whose sums leave
-    the float range, is refused (ValueError).
+    A table whose sums leave the float range is refused (ValueError) after
+    its fill: the far sum's line names p, the near sum's k.
     """
 
     batch = _OmegaTable.batch
@@ -362,16 +362,12 @@ class CoreModulusSource(_OmegaTable):
 
     def _fill(self, top):
         k, p = self.params.k, self.params.p
-        e = (k + 1) * p - 2
-        if e * math.log2(top) >= 1000:
-            raise ValueError(f"k: nu^((k+1)p - 2) = nu^{e:g} leaves the float range "
-                             f"at nu = {top}, the end of the core table")
         nu = np.arange(1, top + 1, dtype=float)
         rest = weighted_sum(self.seq, p, p - 2, top + 1)
         a_p = self.seq.values(1, top)
-        with np.errstate(over="ignore"):  # refused below, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below: inf, or inf * 0
             a_p **= p
-            near = nu ** e
+            near = nu ** ((k + 1) * p - 2)
             near *= a_p
             np.cumsum(near, out=near)
             terms = nu ** (p - 2)
@@ -381,9 +377,12 @@ class CoreModulusSource(_OmegaTable):
             np.cumsum(terms[:0:-1], out=far[-2::-1])
             far += rest
         self._near_top = float(near[-1])  # N_top of _closure
-        # a running sum and a suffix sum: each is largest at its end
-        if not (self._near_top < math.inf and far[0] < math.inf):
+        # suffix and running sums, largest at their ends; near[0] = a_1^p, which far[0] omits
+        if not (far[0] < math.inf and near[0] < math.inf):
             raise ValueError(f"p: a sum of a_nu^{p:g} in the core table leaves the float range")
+        if not self._near_top < math.inf:
+            raise ValueError(f"k: a sum of a_nu^{p:g} nu^((k+1)p - 2) in the core table leaves "
+                             f"the float range at k = {k}")
         far **= 1.0 / p
         near **= 1.0 / p
         nu **= -float(k)

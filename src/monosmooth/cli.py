@@ -66,7 +66,7 @@ def _load(name):
 #: head's own, and the CLI's; horizon is also modulus's series cut
 _SEQUENCE_RULES = (
     *PowerLogTail.RULES,
-    ("scale", ("scale",), finite_real, "must be a finite real number"),
+    ("scale", ("scale",), lambda v: finite_real(v) and v >= 0, "must be a finite real number >= 0"),
     *((key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")),
     *CoefficientSequence.RULES,
     ("tail", ("tail",), lambda v: isinstance(v, dict), "must be an object"),
@@ -104,9 +104,9 @@ def parse_config(doc):
     """The validated config document (a dict), with seed defaulted to 0.
 
     Unknown keys are rejected to catch parameter-name typos.  The values
-    present are checked against the rules of the parameter classes the
-    task builds and the CLI's own rules; every violation is collected
-    before raising.
+    present, an inline sequence and phi included (a sequence file is read
+    later), are checked against the rules of the parameter classes the task
+    builds and the CLI's own; every violation is collected before raising.
     """
     if not isinstance(doc, dict):
         raise ConfigError(["config: must be a JSON object"])
@@ -119,9 +119,28 @@ def parse_config(doc):
     bad = [f"unknown key: {key!r}" for key in sorted(set(doc) - allowed)]
     bad += [f"missing required key: {key!r}" for key in sorted(required - set(doc))]
     bad += broken_rules(rules + _RULES, {k: v for k, v in doc.items() if k in allowed})
+    if "sequence" in required and isinstance(doc.get("sequence"), dict):
+        bad += _sequence_violations(doc["sequence"])
+    if "phi" in required and "phi" in doc:
+        try:
+            _phi_from_spec(doc["phi"])
+        except ValueError as err:
+            bad += _error_lines(err)
     if bad:
         raise ConfigError(bad)
     return {"seed": 0, **doc}
+
+
+def _sequence_violations(spec):
+    bad = broken_rules(_SEQUENCE_RULES, spec)
+    if isinstance(spec.get("tail"), dict):
+        bad += [f"tail: {line}" for line in broken_rules(_SEQUENCE_RULES, spec["tail"])]
+    return [f"sequence: {line}" for line in bad]
+
+
+def _error_lines(err):
+    """Every violation of a ConfigError, or one domain condition, e.g. n >= 16m."""
+    return err.violations if isinstance(err, ConfigError) else [" ".join(str(err).split())]
 
 
 def resolve_sequence(spec, seed=0):
@@ -131,11 +150,8 @@ def resolve_sequence(spec, seed=0):
             spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ConfigError(["sequence: must be an object or a file path"])
-    bad = broken_rules(_SEQUENCE_RULES, spec)
-    if isinstance(spec.get("tail"), dict):
-        bad += [f"tail: {line}" for line in broken_rules(_SEQUENCE_RULES, spec["tail"])]
-    if bad:
-        raise ConfigError([f"sequence: {line}" for line in bad])
+    if bad := _sequence_violations(spec):
+        raise ConfigError(bad)
     family = spec.get("family")
     horizon = int(spec.get("horizon", HORIZON))
     try:
@@ -394,11 +410,7 @@ def main(argv=None):
         cfg = parse_config(doc)
         path = run_experiment(cfg)
     except ValueError as err:
-        # every violation in a config, or one domain condition of the
-        # parameters, e.g. n >= 16m or alpha < lam
-        lines = err.violations if isinstance(err, ConfigError) \
-            else [" ".join(str(err).split())]
-        for line in lines:
+        for line in _error_lines(err):
             print(f"config error: {line}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -23,16 +23,6 @@ import numpy as np
 
 from .sequences import check_rules, validate_monotone
 
-LEMMA_IDS = (
-    "jensen",
-    "lp_upper",
-    "lp_lower",
-    "lp_converse_upper",
-    "lp_converse_lower",
-    "lp_complete_tail",
-    "lp_complete_head",
-)
-
 # (lemma id, p >= 1) -> (inner sum, lhs start, rhs start, c, bound).  A start
 # k is mu = k m, and k = 0 is mu = 1; every sum runs to n, and a head sum
 # starts where its lhs does.  c is the side condition n >= c m.
@@ -50,6 +40,8 @@ _DISPLAYS = {
     ("lp_complete_head", True): ("head", 0, 0, 0, "two_sided"),
     ("lp_complete_head", False): ("head", 0, 0, 0, "two_sided"),
 }
+#: every lemma id: jensen, then the displays' in table order
+LEMMA_IDS = ("jensen", *dict.fromkeys(lemma for lemma, _ in _DISPLAYS))
 # displays that hold only for monotone sequences
 _MONOTONE = {"lp_converse_upper", "lp_converse_lower",
              "lp_complete_tail", "lp_complete_head"}

@@ -210,8 +210,9 @@ class CoefficientSequence:
     tail: ZeroTail | PowerLogTail = ZeroTail()
 
     RULES = (
-        ("head", ("head",), lambda h: np.ndim(h) == 1 and len(h) > 0 and np.isfinite(h).all(),
-         "must be a non-empty list of finite real numbers"),
+        # np.greater_equal, unlike >=, also reads the CLI's raw JSON lists
+        ("head", ("head",), lambda h: np.ndim(h) == 1 and len(h) > 0 and np.isfinite(h).all()
+         and np.greater_equal(h, 0).all(), "must be a non-empty list of finite real numbers >= 0"),
     )
 
     def __post_init__(self):
@@ -287,13 +288,13 @@ class ValidationResult:
 
 
 def validate_monotone(seq):
-    """Check a_nu >= a_{nu+1} >= 0 across the head and the tail junction.
+    """Check a_nu >= a_{nu+1} across the head and the tail junction; a_nu >= 0
+    holds by the rules of the head and the tail.
 
     Returns a ValidationResult; `index` is the first (1-based) position
-    violating nonnegativity or monotonicity.  The result is kept on seq,
-    beside _head_array and like it not a field, so a sequence is scanned
-    once; a copy made by scaled or dataclasses.replace is a new object
-    and is scanned afresh.
+    violating monotonicity.  The result is kept on seq, beside _head_array
+    and like it not a field, so a sequence is scanned once; a copy made by
+    scaled or dataclasses.replace is a new object and is scanned afresh.
     """
     if "_monotone" not in vars(seq):
         object.__setattr__(seq, "_monotone", _scan_monotone(seq))
@@ -302,10 +303,6 @@ def validate_monotone(seq):
 
 def _scan_monotone(seq):
     head = seq._head_array
-    neg = np.nonzero(head < 0)[0]
-    if neg.size:
-        i = int(neg[0]) + 1
-        return ValidationResult(False, i, f"a_{i} < 0")
     rising = np.nonzero(np.diff(head) > 0)[0]
     if rising.size:
         i = int(rising[0]) + 2
@@ -320,9 +317,9 @@ def _scan_monotone(seq):
 
 
 def _powers(vals, nu, q, s, shift=0.0):
-    """a^q nu^s e^-shift for arrays of a >= 0 and nu >= 1, as
-    exp(q (ln a + (s/q) ln nu) - shift): no intermediate leaves the float
-    range unless the term itself does, and a = 0 gives 0, never 0 * inf."""
+    """a^q nu^s e^-shift for arrays of a >= 0 (a sequence's values, by its
+    rules) and nu >= 1, as exp(q (ln a + (s/q) ln nu) - shift): no intermediate
+    leaves the float range unless the term does, and a = 0 gives 0, not 0 * inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = q * (np.log(vals) + (s / q) * np.log(nu))
         if shift:

@@ -143,7 +143,6 @@ def _parseval_sums(hs, a, k, p=2):
     # at p < 2 for the adjacent products
     halves = np.empty((bufs, rows * (n + _BLOCK)))
     a2 = a * a
-    a1 = np.abs(a)
     aa = a[:-1] * a[1:] if p < 2 else None
     out = np.empty((1 + (p != 2), hs.size))
     for lo in range(0, hs.size, rows):
@@ -163,7 +162,7 @@ def _parseval_sums(hs, a, k, p=2):
         out[0, sl] = np.einsum("ij,j->i", s, a2)
         if p > 2:
             # |sin|^k is the root of the sin^(2k) just summed
-            out[1, sl] = np.sqrt(s, out=s) @ a1
+            out[1, sl] = np.sqrt(s, out=s) @ a
     return out
 
 
@@ -193,7 +192,7 @@ def _prefix_bounds(hs, a, k, p):
     |2 sin(nu h/2)| <= min(nu h, 2).  With m the count of nu h < 2,
 
         L^2 <= pi (h^2k sum_{nu<=m} a_nu^2 nu^2k + 4^k sum_{nu>m} a_nu^2),
-        S <= h^k sum_{nu<=m} |a_nu| nu^k + 2^k sum_{nu>m} |a_nu|,
+        S <= h^k sum_{nu<=m} a_nu nu^k + 2^k sum_{nu>m} a_nu,
 
     from sums over the pieces between the distinct m, each summed once.
     Where nu^2k or h^2k could leave the float range, every bound is inf and
@@ -202,8 +201,8 @@ def _prefix_bounds(hs, a, k, p):
     n = a.size
     if 2 * k * max(1.0, math.log2(n), math.log2(2.0 / hs[0])) >= 1000:
         return np.full(hs.size, np.inf)
-    top = np.abs(a).max() or 1.0
-    a = np.abs(a) / top
+    top = a.max() or 1.0
+    a = a / top
     m = np.clip(np.ceil(2.0 / hs) - 1, 0, n).astype(int)
     # the pieces of 1..n between consecutive cuts, and each m's cut (sorted
     # by hand: np.unique's first call imports numpy.ma, 14 ms)
@@ -239,7 +238,7 @@ def _norm_bounds(hs, a, k, p, M):
     L = ||g||_2 is exact on the grid when M > 2 * horizon.  p <= 2: the
     power mean of |g|^p over the grid is at most that of g^2, so
     ||g||_p <= (2pi)^(1/p - 1/2) L.  p > 2: sum |g|^p <= max|g|^(p-2) sum g^2
-    and max|g| <= S = sum |a_nu| |2 sin(nu h/2)|^k, so
+    and max|g| <= S = sum a_nu |2 sin(nu h/2)|^k, so
     ||g||_p <= S^(1 - 2/p) L^(2/p).
 
     p < 2 also takes the smaller of that and a weighted Cauchy-Schwarz
@@ -255,7 +254,7 @@ def _norm_bounds(hs, a, k, p, M):
     underflows for tiny amplitudes, and the bound is taken in units of 2^k
     (see _parseval_sums).
     """
-    top = np.abs(a).max() or 1.0
+    top = a.max() or 1.0
     sums = _parseval_sums(hs, a / top, k, p)
     l2 = np.sqrt(math.pi * sums[0])
     bound = _lp_bound(l2, sums[1], p)
@@ -351,10 +350,10 @@ def _grid_kernel(a, k, p, M, shifts):
 
 
 def parseval_scale(a, k):
-    """1, or the largest |a_nu| when its square, or 4^k len(a) times it,
+    """1, or the largest a_nu when its square, or 4^k len(a) times it,
     would leave the normal float range: the divisor that keeps the
     Parseval sum of a_nu^2 |2 sin(nu h/2)|^(2k) finite and normal."""
-    top = float(np.abs(a).max(initial=0.0))
+    top = float(a.max(initial=0.0))
     e = 2.0 * math.log2(top) if top else 0.0
     return top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
 

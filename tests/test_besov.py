@@ -403,13 +403,27 @@ def test_direct_source_p2_tail_at_large_k():
 
 
 def test_core_source_refuses_a_table_past_the_float_range():
-    # nu^((k+1)p - 2) at the table's end must stay below 2^1000: at p = 3
-    # and a table of 2^13 that allows k = 25 and refuses k = 26
+    # the near sum takes nu^((k+1)p - 2): at p = 3 and a table of 2^13 that
+    # is nu^76 (2^988 at the end) at k = 25 and nu^79 (past 2^1024) at
+    # k = 26, which the filled table refuses
     seq = make_power_law(1, 2, 64)
     ok = CoreModulusSource(seq, SmoothnessParams(25, 3)).batch(np.arange(1, 65))
     assert np.all(np.isfinite(ok)) and np.all(ok > 0)
-    with pytest.raises(ValueError, match="the end of the core table"):
+    with pytest.raises(ValueError) as err:
         CoreModulusSource(seq, SmoothnessParams(26, 3)).batch(np.array([4]))
+    assert str(err.value) == ("k: a sum of a_nu^3 nu^((k+1)p - 2) in the core table leaves "
+                              "the float range at k = 26")
+
+
+def test_core_table_with_a_power_near_the_float_range_is_filled():
+    # at k = 39 and p = 2, nu^78 is 2^1014 at the end of a table of 2^13: a
+    # table that was once refused in advance (at 2^1000), and is E itself
+    seq = make_power_law(1, 2, 4096)
+    params = SmoothnessParams(39, 2)
+    nu = np.arange(1, 2 ** 13 + 1)
+    table = CoreModulusSource(seq, params).batch(nu)
+    assert np.all(np.isfinite(table)) and np.all(table > 0)
+    assert table == pytest.approx(bound_core(seq, params, nu), rel=1e-13)
 
 
 def test_seminorms_past_the_direct_source_cap():

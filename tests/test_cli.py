@@ -389,7 +389,7 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({"task": "gen", "family": "power_law", "beta": 1, "horizon": "x"},
      "horizon: must be a positive integer"),
     ({"task": "gen", "family": "random", "size": "x"}, "size: must be a positive integer"),
-    ({"task": "gen", "family": "random", "scale": "x"}, "scale: must be a finite real number"),
+    ({"task": "gen", "family": "random", "scale": "x"}, "scale: must be a finite real number >= 0"),
     ({**_LEMMA, "lam": "x"}, "lam: must be a real number"),
     ({**_MODULUS, "M": "x"}, "M: must be a power of two"),
     ({**_MODULUS, "horizon": "x"}, "horizon: must be a positive integer"),
@@ -401,7 +401,7 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
                                 "tail": {"variant": "power_law", "c": "x", "beta": 2}}},
      "sequence: tail: c: must be a finite real number >= 0"),
     ({**_SEMINORM, "sequence": {"head": 3, "tail": {"variant": "zero"}}},
-     "sequence: head: must be a non-empty list of finite real numbers"),
+     "sequence: head: must be a non-empty list of finite real numbers >= 0"),
     ({**_MODULUS, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "H": 16}, "unknown key: 'H'"),
     ({**_SEMINORM, "task": "equivalence", "H": 16}, "unknown key: 'H'"),
@@ -415,7 +415,9 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({"task": "gen", "family": "power_law", "beta": 2, "c": -math.inf},
      "c: must be a finite real number >= 0"),
     ({"task": "gen", "family": "random", "scale": math.nan},
-     "scale: must be a finite real number"),
+     "scale: must be a finite real number >= 0"),
+    # a negative scale made numpy's own "high - low < 0"
+    ({"task": "gen", "family": "random", "scale": -1}, "scale: must be a finite real number >= 0"),
     ({**_SEMINORM, "sequence": {"head": [1, 0.5],
                                 "tail": {"variant": "power_law", "c": 1, "beta": math.nan}}},
      "sequence: tail: beta: must be a finite real number > 0"),
@@ -425,11 +427,11 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
     ({**_MEMBERSHIP, "phi": "power_log:0.25,nan"}, "power-log phi needs finite alpha and gamma"),
     ({**_MEMBERSHIP, "phi": {"variant": "constant", "c": math.inf}}, "constant phi needs finite c"),
     ({**_SEMINORM, "sequence": {"head": [1, math.nan], "tail": {"variant": "zero"}}},
-     "sequence: head: must be a non-empty list of finite real numbers"),
+     "sequence: head: must be a non-empty list of finite real numbers >= 0"),
     ({**_SEMINORM, "sequence": {"head": [], "tail": {"variant": "zero"}}},
-     "sequence: head: must be a non-empty list of finite real numbers"),
+     "sequence: head: must be a non-empty list of finite real numbers >= 0"),
     ({**_SEMINORM, "sequence": {"head": [1, [0.5]], "tail": {"variant": "zero"}}},
-     "sequence: head: must be a non-empty list of finite real numbers"),
+     "sequence: head: must be a non-empty list of finite real numbers >= 0"),
     ({**_SEMINORM, "sequence": {"head": [1, 0.5],
                                 "tail": {"variant": "power_law", "c": -1, "beta": 2}}},
      "sequence: tail: c: must be a finite real number >= 0"),
@@ -453,6 +455,7 @@ _MODULUS = {"task": "modulus", "sequence": {"family": "power_law", "beta": 2},
         "modulus-horizon", "sequence-beta", "sequence-tail-not-object",
         "sequence-tail-c", "sequence-head-not-list", "modulus-H", "seminorm-H",
         "equivalence-H", "gen-gamma-nan", "gen-beta-inf", "gen-c-minus-inf", "gen-scale-nan",
+        "gen-scale-negative",
         "tail-beta-nan", "modulus-c-inf", "phi-power-nan", "phi-power-log-gamma-nan",
         "phi-constant-inf", "sequence-head-nan", "sequence-head-empty", "sequence-head-ragged",
         "tail-c-negative", "family-beta-plus-gamma", "gen-beta-zero", "gen-power-law-gamma",
@@ -550,13 +553,72 @@ def test_seminorm_equals_equivalence_report_at_8191(tmp_path):
     ["equivalence", *_CLASS, "--k", "600", "--p", "2", "--n-grid", "4,8"],
 ], ids=["seminorm-core", "seminorm-direct", "membership-J", "equivalence-k600"])
 def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
-    # nu^((k+1)p - 2) would leave the float range in the core table, which
-    # the direct source's closure builds too; a RuntimeWarning fails the test
+    # the near sum a_nu^p nu^((k+1)p - 2) leaves the float range in the core
+    # table, which the direct source's closure builds too; a RuntimeWarning
+    # fails the test
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: k: nu^((k+1)p - 2) = ") and err.count("\n") == 1
+    k, p = argv[argv.index("--k") + 1], argv[argv.index("--p") + 1]
+    assert capsys.readouterr().err == (f"config error: k: a sum of a_nu^{p} nu^((k+1)p - 2) in "
+                                       f"the core table leaves the float range at k = {k}\n")
     assert not out.exists()
+
+
+def test_core_table_near_the_float_range_gives_a_report(tmp_path):
+    # nu^78 at the end of the 2^13 core table is 2^1014, which was refused
+    # in advance (at 2^1000) with "k: nu^((k+1)p - 2) = nu^78 ..."
+    out = tmp_path / "out.json"
+    argv = ["seminorm", *_CLASS, "--k", "39", "--p", "2", "--n-grid", "4,8", "--source", "core"]
+    assert main([*argv, "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    assert all(math.isfinite(x) and x > 0 for key in ("I", "J", "K") for x in values[key])
+
+
+_NEGATIVE_HEAD = {"head": [0.5, -0.25, -1.0], "tail": {"variant": "zero"}}
+_LEMMA_ARGS = ["--alpha", "1", "--lam", "0", "--m", "1", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["seminorm", "--theta", "1", "--r", "0.5", "--lam", "0.5", "--k", "2", "--p", "2",
+     "--n-grid", "4,8"],
+    ["seminorm", "--theta", "1", "--r", "0.5", "--lam", "0.5", "--k", "2", "--p", "3",
+     "--n-grid", "4,8"],
+    ["equivalence", "--theta", "1", "--r", "0.5", "--lam", "0.5", "--k", "2", "--p", "3",
+     "--n-grid", "4,8"],
+    ["membership", "--theta", "1", "--r", "0.5", "--lam", "0.5", "--k", "2", "--p", "2",
+     "--phi", "power:0.25", "--functional", "K"],
+    ["modulus", "--k", "2", "--p", "3", "--t-grid", "0.125"],
+    ["verify-lemma", "--lemma", "lp_upper", "--p", "1", *_LEMMA_ARGS],
+    ["verify-lemma", "--lemma", "jensen", "--p", "2", *_LEMMA_ARGS],
+], ids=["seminorm-p2", "seminorm-p3", "equivalence-p3", "membership-K", "modulus-p3",
+        "lp-upper-p1", "jensen-p2"])
+def test_negative_head_is_one_config_error(argv, tmp_path, capsys):
+    # a monotone sequence tending to 0 is nonnegative.  Each command once
+    # failed its own way: RuntimeWarnings, then a report (seminorm,
+    # equivalence and modulus at p = 3); "a sum of a_nu^1 nu^... leaves the
+    # float range" (seminorm at p = 2, membership K); or exit 0 with
+    # lhs = rhs = -3 (lp_upper) or rhs = -0.75 (jensen)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(_NEGATIVE_HEAD))
+    out = tmp_path / "out"
+    assert main([*argv, "--seq", str(seq), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: sequence: head: must be a non-empty list "
+                                       "of finite real numbers >= 0\n")
+    assert not out.exists()
+
+
+def test_every_violation_of_sequence_and_phi_is_listed(tmp_path, capsys):
+    # the inline sequence and phi are checked with the rest of the config;
+    # only "theta: must be positive" was printed
+    doc = {**_MEMBERSHIP, "theta": -1, "sequence": {"family": "power_law", "beta": -1},
+           "phi": "power:-1"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: theta: must be positive",
+        "config error: sequence: beta: must be a finite real number > 0",
+        "config error: power phi needs alpha > 0"]
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -594,10 +656,21 @@ def test_large_k_core_table_is_one_config_error(argv, tmp_path, capsys):
     (["seminorm", "--power-law", "1", "2", "--theta", "inf", "--r", "0.5", "--lam", "0.5",
       "--k", "2", "--p", "2", "--n-grid", "4,8"],
      "theta: 1/theta and r theta must be finite and nonzero, got theta = inf, r = 0.5"),
+    # modulus at p <= 1e-3 with c = 1e300 or k >= 100, and a direct equivalence
+    # at c = 1e300, theta = 1e8, overflowed in the norm bounds, the grid sums
+    # or pocketfft
+    (["modulus", "--power-law", "1e300", "2", "--k", "100", "--p", "0.001", "--t-grid", "0.125"],
+     "p: an L^p norm (a sum to the power 1/p = 1000) leaves the float range"),
+    (["modulus", "--power-law", "1", "2", "--k", "1000", "--p", "0.001", "--t-grid", "0.125"],
+     "p: an L^p norm (a sum to the power 1/p = 1000) leaves the float range"),
+    (["equivalence", "--power-law", "1e300", "2", "--theta", "1e8", "--r", "0.5", "--lam", "0.5",
+      "--k", "2", "--p", "3", "--n-grid", "4,8"],
+     "theta: nu^1e+08, a weight of I or J, leaves the float range at nu = 4"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
         "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100",
         "membership-J-theta-1e-8", "membership-I-theta-1e-8", "seminorm-theta-5e-324",
-        "seminorm-r-5e-324", "seminorm-theta-inf"])
+        "seminorm-r-5e-324", "seminorm-theta-inf", "modulus-p-1e-3-c-1e300",
+        "modulus-p-1e-3-k-1000", "equivalence-c-1e300-theta-1e8"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =

@@ -20,6 +20,12 @@ from monosmooth.sequences import (CoefficientSequence, PowerLawTail, make_power_
                                   make_power_log, make_random_monotone, validate_monotone)
 
 
+def test_lemma_ids_are_jensen_then_the_displays_in_table_order():
+    # the CLI's lemma rule and the benchmark's sweeps iterate this tuple
+    assert LEMMA_IDS == ("jensen", "lp_upper", "lp_lower", "lp_converse_upper",
+                         "lp_converse_lower", "lp_complete_tail", "lp_complete_head")
+
+
 # --- the tail sum and the two lp displays, as the oracles below use them ---
 
 def inner_tail(seq, lam, mu, n):

@@ -63,7 +63,7 @@ def test_make_power_law_rejects_bad_params():
 _C = "c: must be a finite real number >= 0"
 _BETA = "beta: must be a finite real number > 0"
 _GAMMA = "gamma: must be a finite real number >= -beta"
-_HEAD = "head: must be a non-empty list of finite real numbers"
+_HEAD = "head: must be a non-empty list of finite real numbers >= 0"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -80,9 +80,12 @@ _HEAD = "head: must be a non-empty list of finite real numbers"
     (lambda: CoefficientSequence((1.0, math.inf)), _HEAD),
     (lambda: CoefficientSequence(()), _HEAD),
     (lambda: CoefficientSequence(3.0), _HEAD),
+    # a monotone sequence tending to 0 is nonnegative
+    (lambda: CoefficientSequence((1, -0.5)), _HEAD),
+    (lambda: CoefficientSequence((0.5, -0.25, -1.0)), _HEAD),
 ], ids=["power-law-c-inf", "power-log-gamma-nan", "make-power-log-gamma-nan", "c-negative",
         "beta-zero", "beta-plus-gamma-negative", "beta-negative-only", "all-three",
-        "head-inf", "head-empty", "head-scalar"])
+        "head-inf", "head-empty", "head-scalar", "head-negative", "head-negative-run"])
 def test_tail_and_head_check_their_own_numbers(build, message):
     with pytest.raises(ValueError) as err:
         build()
@@ -129,9 +132,13 @@ def test_validate_rejects_increase_at_index_2():
 
 
 def test_validate_rejects_negative():
-    res = validate_monotone(CoefficientSequence((1, -0.5)))
-    assert not res.ok
-    assert res.index == 2
+    # no sequence holds a negative coefficient, so validate_monotone checks
+    # only the order; a zero run and a zero tail are monotone
+    with pytest.raises(ValueError, match="finite real numbers >= 0"):
+        CoefficientSequence((1, -0.5))
+    assert validate_monotone(CoefficientSequence((1, 0.0, 0.0))).ok
+    res = validate_monotone(CoefficientSequence((1, 0.0, 0.5)))
+    assert (res.ok, res.index, res.reason) == (False, 3, "a_3 > a_2")
 
 
 def test_validate_constant_run_with_tail_junction():
@@ -275,9 +282,9 @@ def test_validation_of_a_copy_is_fresh():
     rising = dataclasses.replace(seq, head=(1.0, 2.0))
     assert validate_monotone(rising) == validate_monotone(CoefficientSequence((1, 2)))
     assert validate_monotone(rising).index == 2
-    neg = CoefficientSequence((1, -1))
-    assert validate_monotone(neg).reason == "a_2 < 0"
-    assert validate_monotone(neg.scaled(0.0)).ok  # all zeros, scanned afresh
+    up = CoefficientSequence((0.5, 1))
+    assert validate_monotone(up).reason == "a_2 > a_1"
+    assert validate_monotone(up.scaled(0.0)).ok  # all zeros, scanned afresh
     assert validate_monotone(seq).ok
 
 
