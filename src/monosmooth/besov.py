@@ -364,15 +364,23 @@ class CoreModulusSource(_OmegaTable):
         k, p = self.params.k, self.params.p
         nu = np.arange(1, top + 1, dtype=float)
         rest = weighted_sum(self.seq, p, p - 2, top + 1)
-        a_p = self.seq.values(1, top)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below: inf, or inf * 0
-            a_p **= p
-            near = nu ** ((k + 1) * p - 2)
-            near *= a_p
+        # each term a_nu^p nu^e is exp(p (ln a_nu + (e/p) ln nu)), as _powers
+        # forms it but with ln a_nu and ln nu taken once: no factor leaves the
+        # float range unless the term does, and a_nu = 0 gives 0
+        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; refused below
+            ln_nu = np.log(nu)
+            ln_a = np.log(self.seq.values(1, top))
+            near = ln_nu * (k + 1 - 2 / p)
+            near += ln_a
+            near *= p
+            np.exp(near, out=near)
             np.cumsum(near, out=near)
-            terms = nu ** (p - 2)
-            terms *= a_p
-            far = a_p
+            ln_nu *= 1 - 2 / p
+            terms = ln_a
+            terms += ln_nu
+            terms *= p
+            np.exp(terms, out=terms)
+            far = ln_nu
             far[-1] = 0.0
             np.cumsum(terms[:0:-1], out=far[-2::-1])
             far += rest

@@ -180,8 +180,9 @@ def _sweep(lemma_id, cases):
     for each exponent that a case passing its side condition needs, as
     long as the largest n that reads it, and two workspaces of the
     largest n.  A case whose lhs or rhs leaves the float range, a row of
-    nu^x past it included, is refused after its evaluation.  Each sequence object is read
-    once, without a copy when its head covers the largest n asked of it;
+    nu^x past it included, is refused after its evaluation.  Each sequence
+    object is read once: its read-only head array, not a copy, when the
+    head covers the largest n asked of it, and values(1, n) otherwise;
     validate_monotone keeps its result on the sequence.  The block and
     workspaces live as long as evaluate.  A rejected case raises
     ValueError; an unknown lemma_id raises before any case.
@@ -210,8 +211,7 @@ def _sweep(lemma_id, cases):
     def head(seq):
         if id(seq) not in heads:
             n = top[id(seq)]
-            # the read-only head array, as validate_monotone reads it
-            heads[id(seq)] = seq._head_array if seq.horizon >= n else seq.values(1, n)
+            heads[id(seq)] = seq.head if seq.horizon >= n else seq.values(1, n)
         return heads[id(seq)]
 
     def evaluate(seq, hp):

@@ -202,11 +202,17 @@ def tail_from_json(doc):
     raise ValueError(f"unknown tail variant: {variant!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Cosine coefficients: finite head (1-based) plus a tail model."""
+    """Cosine coefficients: finite head (1-based) plus a tail model.
 
-    head: tuple
+    head is one read-only, C-contiguous float64 array, a private copy of the
+    list, tuple or array given.  Equality and the hash are by value: equal
+    tails and equal heads, a -0.0 in the head stored as 0.0 so that equal
+    heads hash alike.
+    """
+
+    head: np.ndarray
     tail: ZeroTail | PowerLogTail = ZeroTail()
 
     RULES = (
@@ -216,15 +222,23 @@ class CoefficientSequence:
     )
 
     def __post_init__(self):
-        # checked as the read-only array that values() reads, then kept as a
-        # tuple of floats; the array is not a field, so __eq__, __hash__ and
-        # to_json see only the tuple
         head = np.array(self.head, dtype=float)
         object.__setattr__(self, "head", head)
         check_rules(self)
+        head += 0.0  # -0.0 + 0.0 is 0.0
         head.flags.writeable = False
-        object.__setattr__(self, "_head_array", head)
-        object.__setattr__(self, "head", tuple(head.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, CoefficientSequence):
+            return NotImplemented
+        return self.tail == other.tail and np.array_equal(self.head, other.head)
+
+    def __hash__(self):
+        return hash((self.head.tobytes(), self.tail))
+
+    def __reduce__(self):
+        # a pickled or copied sequence is built afresh, so its head is read-only too
+        return type(self), (self.head, self.tail)
 
     @property
     def horizon(self):
@@ -234,7 +248,7 @@ class CoefficientSequence:
         """Array of a_m .. a_n (inclusive, 1-based)."""
         if m < 1 or n < m:
             raise ValueError(f"bad index range [{m}, {n}]")
-        head = self._head_array[m - 1:n]
+        head = self.head[m - 1:n]
         if head.size == n - m + 1:
             return head.copy()
         return np.concatenate([head, self.tail.value(np.arange(m + head.size, n + 1))])
@@ -243,24 +257,23 @@ class CoefficientSequence:
         """Sequence with every coefficient multiplied by s >= 0."""
         if s < 0:
             raise ValueError("scale factor must be nonnegative")
-        head = tuple(s * a for a in self.head)
         tail = replace(self.tail, c=s * self.tail.c) if self.tail.c else self.tail
-        return CoefficientSequence(head=head, tail=tail)
+        return CoefficientSequence(head=s * self.head, tail=tail)
 
     def to_json(self):
-        return {"head": list(self.head), "tail": self.tail.to_json()}
+        return {"head": self.head.tolist(), "tail": self.tail.to_json()}
 
     @classmethod
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
-        return cls(head=tuple(doc["head"]), tail=tail_from_json(doc["tail"]))
+        return cls(head=doc["head"], tail=tail_from_json(doc["tail"]))
 
 
 def _sampled(tail, horizon):
     """Sequence with the head tail.value(1..horizon) (empty, and refused, at a
     horizon below 1), continued by the tail unless it vanishes."""
-    head = tuple(tail.value(np.arange(1, horizon + 1)))
+    head = tail.value(np.arange(1, horizon + 1))
     return CoefficientSequence(head=head, tail=tail if tail.c else ZeroTail())
 
 
@@ -277,7 +290,7 @@ def make_power_log(c, beta, gamma, horizon):
 def make_random_monotone(rng, size, scale=1.0):
     """Random nonincreasing nonnegative head (sorted uniforms), zero tail."""
     head = np.sort(rng.uniform(0.0, scale, size=size))[::-1]
-    return CoefficientSequence(head=tuple(head), tail=ZeroTail())
+    return CoefficientSequence(head=head, tail=ZeroTail())
 
 
 @dataclass(frozen=True)
@@ -292,9 +305,9 @@ def validate_monotone(seq):
     holds by the rules of the head and the tail.
 
     Returns a ValidationResult; `index` is the first (1-based) position
-    violating monotonicity.  The result is kept on seq, beside _head_array
-    and like it not a field, so a sequence is scanned once; a copy made by
-    scaled or dataclasses.replace is a new object and is scanned afresh.
+    violating monotonicity.  The result is kept on seq, not as a field, so
+    a sequence is scanned once; a copy made by scaled or dataclasses.replace
+    is a new object and is scanned afresh.
     """
     if "_monotone" not in vars(seq):
         object.__setattr__(seq, "_monotone", _scan_monotone(seq))
@@ -302,7 +315,7 @@ def validate_monotone(seq):
 
 
 def _scan_monotone(seq):
-    head = seq._head_array
+    head = seq.head
     rising = np.nonzero(np.diff(head) > 0)[0]
     if rising.size:
         i = int(rising[0]) + 2

@@ -352,9 +352,12 @@ def _grid_kernel(a, k, p, M, shifts):
 def parseval_scale(a, k):
     """1, or the largest a_nu when its square, or 4^k len(a) times it,
     would leave the normal float range: the divisor that keeps the
-    Parseval sum of a_nu^2 |2 sin(nu h/2)|^(2k) finite and normal."""
+    Parseval sum of a_nu^2 |2 sin(nu h/2)|^(2k) finite and normal.  All
+    coefficients 0 take 1, since every sum is then 0."""
     top = float(a.max(initial=0.0))
-    e = 2.0 * math.log2(top) if top else 0.0
+    if not top:
+        return 1.0
+    e = 2.0 * math.log2(top)
     return top if e < -1022 or e + 2 * k + math.log2(a.size) >= 1024 else 1.0
 
 

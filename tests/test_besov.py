@@ -403,16 +403,27 @@ def test_direct_source_p2_tail_at_large_k():
 
 
 def test_core_source_refuses_a_table_past_the_float_range():
-    # the near sum takes nu^((k+1)p - 2): at p = 3 and a table of 2^13 that
-    # is nu^76 (2^988 at the end) at k = 25 and nu^79 (past 2^1024) at
-    # k = 26, which the filled table refuses
+    # the near terms a_nu^3 nu^(3k + 1) of nu^-2 are nu^(3k - 5): on a table
+    # of 2^13 their sum is about 2^1001 / 77 at k = 27 and 2^1040 / 80 (past
+    # 2^1024) at k = 28, which the filled table refuses
     seq = make_power_law(1, 2, 64)
-    ok = CoreModulusSource(seq, SmoothnessParams(25, 3)).batch(np.arange(1, 65))
+    ok = CoreModulusSource(seq, SmoothnessParams(27, 3)).batch(np.arange(1, 65))
     assert np.all(np.isfinite(ok)) and np.all(ok > 0)
     with pytest.raises(ValueError) as err:
-        CoreModulusSource(seq, SmoothnessParams(26, 3)).batch(np.array([4]))
+        CoreModulusSource(seq, SmoothnessParams(28, 3)).batch(np.array([4]))
     assert str(err.value) == ("k: a sum of a_nu^3 nu^((k+1)p - 2) in the core table leaves "
-                              "the float range at k = 26")
+                              "the float range at k = 28")
+
+
+@pytest.mark.parametrize("p", [27, 40, 80])
+def test_core_table_at_large_p_agrees_with_bound_core(p):
+    # nu^((k+1)p - 2) alone passes 2^1024 at the end of a table of 2^13 for
+    # every p >= 27 at k = 2 (8192^79), and was once formed before a_nu^p
+    seq = make_power_law(1, 2, 4096)
+    params = SmoothnessParams(2, p)
+    ns = np.array([1, 2, 4, 8, 16])
+    table = CoreModulusSource(seq, params).batch(ns)
+    assert np.allclose(table, bound_core(seq, params, ns), rtol=1.1e-15, atol=0)
 
 
 def test_core_table_with_a_power_near_the_float_range_is_filled():

@@ -574,6 +574,49 @@ def test_core_table_near_the_float_range_gives_a_report(tmp_path):
     assert all(math.isfinite(x) and x > 0 for key in ("I", "J", "K") for x in values[key])
 
 
+@pytest.mark.parametrize("p", ["27", "40", "80"])
+def test_core_table_at_large_p_gives_a_report(p, tmp_path):
+    # each term a_nu^p nu^((k+1)p - 2) is formed in log space; nu^79 alone,
+    # at p = 27, passed 2^1024 and refused every p >= 27 at k = 2
+    out = tmp_path / "out.json"
+    argv = ["seminorm", *_CLASS, "--k", "2", "--p", p, "--n-grid", "4,8", "--source", "core"]
+    assert main([*argv, "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    assert all(math.isfinite(x) and x > 0 for key in ("I", "J", "K") for x in values[key])
+
+
+def test_core_table_at_p_500_is_refused_by_its_near_sum(tmp_path, capsys):
+    # the near terms of nu^-2 are nu^498, whose sum passes 2^1024 at nu = 5;
+    # the far terms, once nu^498 (past 2^1024) times a_nu^500 (0), made a NaN
+    # and the far sum's line
+    out = tmp_path / "out.json"
+    argv = ["seminorm", *_CLASS, "--k", "2", "--p", "500", "--n-grid", "4,8", "--source", "core"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: k: a sum of a_nu^500 nu^((k+1)p - 2) in "
+                                       "the core table leaves the float range at k = 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["modulus", "--k", "600", "--p", "2", "--t-grid", "0.125"],
+    ["seminorm", *_CLASS[3:], "--k", "600", "--p", "2", "--n-grid", "4,8", "--source", "core"],
+    ["seminorm", *_CLASS[3:], "--k", "600", "--p", "2", "--n-grid", "4,8", "--source", "direct"],
+], ids=["modulus", "seminorm-core", "seminorm-direct"])
+def test_all_zero_head_at_large_k_gives_zeros(argv, tmp_path):
+    # every coefficient 0 at k = 600: the Parseval sums were once divided by
+    # the largest coefficient, 0 (a RuntimeWarning, then "an L^2 norm ...
+    # leaves the float range"), and the core table's near sum took inf * 0
+    seq = tmp_path / "zero.json"
+    seq.write_text(json.dumps({"head": [0, 0], "tail": {"variant": "zero"}}))
+    out = tmp_path / "out"
+    assert main([*argv, "--seq", str(seq), "--out", str(out)]) == 0
+    if argv[0] == "modulus":
+        assert out.read_text().splitlines()[-2:] == ["t,omega_direct,E_core", "0.125,0,0"]
+    else:
+        values = json.loads(out.read_text())["values"]
+        assert values == {"n": [4, 8], "I": [0.0, 0.0], "J": [0.0, 0.0], "K": [0.0, 0.0]}
+
+
 _NEGATIVE_HEAD = {"head": [0.5, -0.25, -1.0], "tail": {"variant": "zero"}}
 _LEMMA_ARGS = ["--alpha", "1", "--lam", "0", "--m", "1", "--n", "3"]
 
@@ -666,11 +709,14 @@ def test_every_violation_of_sequence_and_phi_is_listed(tmp_path, capsys):
     (["equivalence", "--power-law", "1e300", "2", "--theta", "1e8", "--r", "0.5", "--lam", "0.5",
       "--k", "2", "--p", "3", "--n-grid", "4,8"],
      "theta: nu^1e+08, a weight of I or J, leaves the float range at nu = 4"),
+    # (k + 1) p passes 2^1024, so the core table takes e/p as k + 1 - 2/p
+    (["seminorm", *_CLASS, "--k", "2", "--p", "8e307", "--n-grid", "4,8", "--source", "core"],
+     "k: a sum of a_nu^8e+307 nu^((k+1)p - 2) in the core table leaves the float range at k = 2"),
 ], ids=["equivalence-theta-1e300", "modulus-p-1e-300", "membership-K-theta-1e300",
         "modulus-c-1e308", "verify-lemma-lam-1e300", "verify-lemma-lam-100",
         "membership-J-theta-1e-8", "membership-I-theta-1e-8", "seminorm-theta-5e-324",
         "seminorm-r-5e-324", "seminorm-theta-inf", "modulus-p-1e-3-c-1e300",
-        "modulus-p-1e-3-k-1000", "equivalence-c-1e300-theta-1e8"])
+        "modulus-p-1e-3-k-1000", "equivalence-c-1e300-theta-1e8", "seminorm-core-p-8e307"])
 def test_overflowing_power_is_one_config_error(argv, line, tmp_path, capsys):
     # the first two ended in an OverflowError traceback from a float power
     # (the cell weight of I, and E's sum to the power 1/p); K(n)^theta =

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ def test_make_power_law_basic():
 
 def test_make_power_law_zero():
     seq = make_power_law(0, 2, 5)
-    assert seq.head == (0.0,) * 5
+    assert np.array_equal(seq.head, np.zeros(5))
     assert isinstance(seq.tail, ZeroTail)
 
 
@@ -256,9 +259,78 @@ def test_values_returns_a_copy():
         want = out.copy()
         out[:] = -1.0
         assert np.array_equal(seq.values(m, n), want)
-    assert seq.head == (1.0, 0.25, 1 / 9, 1 / 16)
+    assert seq.head.tolist() == [1.0, 0.25, 1 / 9, 1 / 16]
     assert seq == make_power_law(1, 2, 4)
     assert hash(seq) == hash(make_power_law(1, 2, 4))
+
+
+@pytest.mark.parametrize("given", [
+    [3, 2.0, 1],
+    (3, 2.0, 1),
+    np.array([3.0, 2.0, 1.0]),
+    np.array([3, 0, 2, 0, 1])[::2],  # a strided view of ints
+    json.dumps({"head": [3, 2.0, 1], "tail": {"variant": "zero"}}),
+], ids=["list", "tuple", "array", "strided-ints", "json"])
+def test_head_is_one_read_only_float64_array(given):
+    seq = CoefficientSequence.from_json(given) if isinstance(given, str) else CoefficientSequence(given)
+    head = seq.head
+    assert type(head) is np.ndarray and head.dtype == np.float64 and head.ndim == 1
+    assert head.flags.c_contiguous and not head.flags.writeable
+    with pytest.raises(ValueError):
+        head[0] = 0.0
+    assert head.tolist() == [3.0, 2.0, 1.0]
+    # the only array kept, and no tuple of floats beside it
+    assert not any(isinstance(v, (tuple, np.ndarray)) for k, v in vars(seq).items() if k != "head")
+    assert seq.to_json()["head"] == head.tolist()
+
+
+def test_head_is_a_private_copy():
+    given = np.array([2.0, 1.0])
+    seq = CoefficientSequence(given)
+    given[0] = 5.0
+    assert seq.head.tolist() == [2.0, 1.0] and given.flags.writeable
+    # unpickled and copied sequences keep a read-only head of their own
+    for twin in (pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)):
+        assert twin == seq and twin.head is not seq.head and not twin.head.flags.writeable
+
+
+def test_value_equal_sequences_are_equal_and_hash_alike():
+    seq = CoefficientSequence([1.0, 0.0, -0.0])
+    twin = CoefficientSequence((1, -0.0, 0))
+    assert seq == twin and hash(seq) == hash(twin) and {seq: 1}[twin] == 1
+    # -0.0 is stored as 0.0, so equal heads have equal bytes
+    assert seq.head.tobytes() == twin.head.tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+    assert json.dumps(twin.to_json()) == '{"head": [1.0, 0.0, 0.0], "tail": {"variant": "zero"}}'
+    tailed = make_power_law(1, 2, 4)
+    assert tailed == make_power_law(1.0, 2.0, 4) and hash(tailed) == hash(make_power_law(1, 2, 4))
+    assert tailed == CoefficientSequence.from_json(json.dumps(tailed.to_json()))
+    for other in (CoefficientSequence([1.0, 0.0]),
+                  CoefficientSequence([1.0, 0.0, 5e-324]),
+                  dataclasses.replace(seq, tail=PowerLawTail(1e-3, 2.0)),
+                  dataclasses.replace(tailed, tail=PowerLogTail(1, 2, 0.0)),
+                  make_power_law(1, 2, 5)):
+        assert other != seq and other != tailed
+    assert seq != (1.0, 0.0, 0.0)
+
+
+def test_to_json_bytes_are_unchanged():
+    # the bytes written when the head was a tuple of floats
+    assert json.dumps(make_power_law(1, 2, 4).to_json()) == (
+        '{"head": [1.0, 0.25, 0.1111111111111111, 0.0625], '
+        '"tail": {"variant": "power_law", "c": 1, "beta": 2}}')
+
+
+def test_a_long_head_is_stored_once():
+    # 2^16 float64s are 512 KiB; a tuple of Python floats beside them adds 2 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seq = make_power_law(1, 2, 2 ** 16)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert seq.horizon == 2 ** 16
+    assert kept < 2 ** 20
 
 
 def test_validation_is_kept_on_the_sequence():
