@@ -23,13 +23,11 @@ import numpy as np
 
 from .sequences import (_CRITICAL_TOL, DIVERGENT, _exp_quadrature, _gauss_legendre,
                         check_rules, positive_integer, weighted_sum)
-from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
+from .smoothness import (_TINY, K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
                          difference_norms, parseval_scale, shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
-#: the least normal float: a K(n)^theta below it has left the float range
-_TINY = np.finfo(float).tiny
 #: memory budget of the direct source: its series holds 8 top harmonics per
 #: array, 2^17 floats (1 MiB) at top = 2^14, and its fill grows as top^2
 DIRECT_TOP_MAX = 2 ** 14
@@ -275,9 +273,10 @@ class _OmegaTable:
     The first top is the smallest power of two that is at least nu_cap and
     the first nu asked for; a later request past top doubles it until it
     fits.  All DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it
-    are the far-sum suffix tables of I and J (far_sums).  A modulus source
-    is a subclass with nu_cap and _fill(top); it names batch in its own
-    class body, so that it can be wrapped per class.
+    are the far-sum suffix tables of I and J (far_sums) and the core
+    closure's nodes.  A modulus source is a subclass with nu_cap and
+    _fill(top); it names batch in its own class body, so that it can be
+    wrapped per class.
     """
 
     def __init__(self, seq, params):
@@ -348,10 +347,10 @@ class CoreModulusSource(_OmegaTable):
     The first request fills E(nu) (see bound_core) for nu = 1..T, T the
     smallest power of two >= max(NU_CAP, horizon, the largest nu asked
     for): the near sum is one cumulative sum, the far sum one backward
-    cumulative sum plus weighted_sum past the table's end.  A request past
-    the end doubles the table.  Past T, _closure sums I's and J's far sums.
-    A table whose sums leave the float range is refused (ValueError) after
-    its fill: the far sum's line names p, the near sum's k.
+    cumulative sum plus weighted_sum past the table's end.  Where a sum
+    with a positive term is not a normal float (or the rest raises), the
+    table is bound_core's, which rescales such a sum.  A request past the
+    end doubles the table.  Past T, _closure sums I's and J's far sums.
     """
 
     batch = _OmegaTable.batch
@@ -363,18 +362,25 @@ class CoreModulusSource(_OmegaTable):
     def _fill(self, top):
         k, p = self.params.k, self.params.p
         nu = np.arange(1, top + 1, dtype=float)
-        rest = weighted_sum(self.seq, p, p - 2, top + 1)
+        try:
+            rest = weighted_sum(self.seq, p, p - 2, top + 1)
+        except ValueError:  # a rest past the float range: bound_core's table
+            rest = math.inf
         # each term a_nu^p nu^e is exp(p (ln a_nu + (e/p) ln nu)), as _powers
         # forms it but with ln a_nu and ln nu taken once: no factor leaves the
         # float range unless the term does, and a_nu = 0 gives 0
-        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; refused below
+        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; a sum past the range
             ln_nu = np.log(nu)
             ln_a = np.log(self.seq.values(1, top))
+            pos = ln_a > -math.inf  # a_nu > 0
             near = ln_nu * (k + 1 - 2 / p)
             near += ln_a
             near *= p
             np.exp(near, out=near)
             np.cumsum(near, out=near)
+            # ln N_top for _closure, in log space where N_top is not a normal float
+            self._log_near_top = (np.log(near[-1]) if _TINY <= near[-1] < math.inf
+                                  else np.logaddexp.reduce(p * (ln_nu * (k + 1 - 2 / p) + ln_a)))
             ln_nu *= 1 - 2 / p
             terms = ln_a
             terms += ln_nu
@@ -384,13 +390,13 @@ class CoreModulusSource(_OmegaTable):
             far[-1] = 0.0
             np.cumsum(terms[:0:-1], out=far[-2::-1])
             far += rest
-        self._near_top = float(near[-1])  # N_top of _closure
-        # suffix and running sums, largest at their ends; near[0] = a_1^p, which far[0] omits
-        if not (far[0] < math.inf and near[0] < math.inf):
-            raise ValueError(f"p: a sum of a_nu^{p:g} in the core table leaves the float range")
-        if not self._near_top < math.inf:
-            raise ValueError(f"k: a sum of a_nu^{p:g} nu^((k+1)p - 2) in the core table leaves "
-                             f"the float range at k = {k}")
+        # each sum with a positive term must be normal; the others are exactly 0 (near
+        # sums before the first positive a_nu, far sums past the last on a zero tail)
+        low = min(near.min(where=pos, initial=math.inf),
+                  far[:-1].min(where=pos[1:], initial=math.inf),
+                  rest if self.seq.tail.c else math.inf)
+        if not (low >= _TINY and max(near[-1], far[0]) < math.inf):
+            return bound_core(self.seq, self.params, np.arange(1, top + 1))
         far **= 1.0 / p
         near **= 1.0 / p
         nu **= -float(k)
@@ -413,65 +419,73 @@ class CoreModulusSource(_OmegaTable):
         of _exp_quadrature (at q = 1, w = (theta y - 1) ln(l/l0), and a node past l0 e^700
         takes the summand's asymptotic form, whose term is constant in w);
         the inner integrals are _log_q's, running integrals over
-        the sorted nodes.
+        the sorted nodes.  The nodes' l, log-Jacobian and ln E (_log_e) are
+        kept beside the suffix tables, so that J and I share them.
         """
-        tail, top = self.seq.tail, self._omega.size
-        k, p = self.params.k, self.params.p
+        tail = self.seq.tail
         xe, ye = tail_decay(tail, self.params)
-        q1 = theta * xe - c
+        q1, rho = theta * xe - c, theta * ye - 1
         critical = abs(q1) <= _CRITICAL_TOL
         if q1 < 0 or critical and theta * ye <= 1:
             return DIVERGENT
-        l0 = math.log(top + 0.5)
+        if (q1, rho) not in self._sums:
+            self._sums[q1, rho] = self._log_e(q1, rho, critical)
+        ell, log_jac, log_e = self._sums[q1, rho]
+        log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
+        terms = log_jac + theta * log_e + log_w
         nodes, weights = _exp_quadrature()
-        limit = None
         if critical:
-            rho = theta * ye - 1
-            cut = np.searchsorted(nodes, 700 * rho, side="right")
-            ell = l0 * np.exp(nodes[:cut] / rho)
-            log_jac = nodes[:cut] + np.log(ell) - math.log(rho)
             # past l0 e^700 the summand is its asymptotic form: E ~ c_t x^-x_f
             # l^-gamma ((p x_f)^-1/p + (p (k - x_f))^-1/p), x_f = x_E = r < k,
             # which makes every such term -rho ln l0 - ln rho + theta ln(E x^x_f l^gamma)
+            k, p = self.params.k, self.params.p
             xf = tail.beta - 1 + 1 / p
             limit = (theta * (math.log(tail.c) + np.logaddexp(-math.log(p * xf) / p,
                                                                -math.log(p * (k - xf)) / p))
-                     - rho * math.log(l0) - math.log(rho))
-        else:
-            ell = l0 + nodes / q1
-            log_jac = np.full(ell.shape, -q1 * l0 - math.log(q1))
-        with np.errstate(divide="ignore"):
-            log_near = p * (xe - k) * ell + np.log(self._near_top)
-        if tail.c == 0:
-            log_e = log_near / p
-        else:
-            g = p * tail.gamma
-            delta = np.log1p(0.5 * np.exp(-ell))  # ln(x + 1/2) - l
-            vy = 1.0 + ell + delta
-            lc = math.log(tail.c)
-            xf = tail.beta - 1 + 1 / p
-            bf, b = p * xf, p * (k - xf)
-            # grown: ln of x^(p (x_E - k)) int_{top+1/2}^y (a/c_t)^p u^((k+1)p-2) du
-            span, v0 = ell + delta - l0, 1.0 + l0
-            if b > -_CRITICAL_TOL:  # u = y e^(-t/b); a b near 0 counts as _CRITICAL_TOL
-                b = max(b, _CRITICAL_TOL)
-                grown = (p * (xe - xf) * ell + b * delta - g * np.log(vy) - math.log(b)
-                         + _log_q(b, span, v0, g, "near"))
-            else:  # u = (top + 1/2) e^(t/|b|)
-                grown = (b * l0 - g * math.log(v0) - math.log(-b)
-                         + _log_q(-b, span, v0, g, "start"))
-            log_near = np.logaddexp(log_near, p * lc + grown)
-            log_far = (lc + (xe - xf) * ell - xf * delta
-                       + (_log_q(bf, span, v0, g, "far") - g * np.log(vy) - math.log(bf)) / p)
-            log_e = np.logaddexp(log_near / p, log_far)
-        log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
-        terms = log_jac + theta * log_e + log_w
-        if limit is not None:
+                     - rho * math.log(math.log(self._omega.size + 0.5)) - math.log(rho))
             terms = np.append(terms, np.full(nodes.size - terms.size, limit))
         top_term = terms.max(initial=-np.inf)
         if top_term == -np.inf:
             return 0.0
         return math.exp(top_term) * float(weights @ np.exp(terms - top_term))
+
+    def _log_e(self, q1, rho, critical):
+        """(l, the log-Jacobian, ln E) at _closure's nodes for q - 1 = q1 and
+        theta y - 1 = rho, which fix them for J and I alike."""
+        tail, top = self.seq.tail, self._omega.size
+        k, p = self.params.k, self.params.p
+        xe = tail_decay(tail, self.params)[0]
+        l0 = math.log(top + 0.5)
+        nodes = _exp_quadrature()[0]
+        if critical:
+            cut = np.searchsorted(nodes, 700 * rho, side="right")
+            ell = l0 * np.exp(nodes[:cut] / rho)
+            log_jac = nodes[:cut] + np.log(ell) - math.log(rho)
+        else:
+            ell = l0 + nodes / q1
+            log_jac = np.full(ell.shape, -q1 * l0 - math.log(q1))
+        log_near = p * (xe - k) * ell + self._log_near_top
+        if tail.c == 0:
+            return ell, log_jac, log_near / p
+        g = p * tail.gamma
+        delta = np.log1p(0.5 * np.exp(-ell))  # ln(x + 1/2) - l
+        vy = 1.0 + ell + delta
+        lc = math.log(tail.c)
+        xf = tail.beta - 1 + 1 / p
+        bf, b = p * xf, p * (k - xf)
+        # grown: ln of x^(p (x_E - k)) int_{top+1/2}^y (a/c_t)^p u^((k+1)p-2) du
+        span, v0 = ell + delta - l0, 1.0 + l0
+        if b > -_CRITICAL_TOL:  # u = y e^(-t/b); a b near 0 counts as _CRITICAL_TOL
+            b = max(b, _CRITICAL_TOL)
+            grown = (p * (xe - xf) * ell + b * delta - g * np.log(vy) - math.log(b)
+                     + _log_q(b, span, v0, g, "near"))
+        else:  # u = (top + 1/2) e^(t/|b|)
+            grown = (b * l0 - g * math.log(v0) - math.log(-b)
+                     + _log_q(-b, span, v0, g, "start"))
+        log_near = np.logaddexp(log_near, p * lc + grown)
+        log_far = (lc + (xe - xf) * ell - xf * delta
+                   + (_log_q(bf, span, v0, g, "far") - g * np.log(vy) - math.log(bf)) / p)
+        return ell, log_jac, np.logaddexp(log_near / p, log_far)
 
 
 class DirectModulusSource(_OmegaTable):

@@ -180,7 +180,7 @@ def _lp_bound(l2, s, p):
 def _check_root(x, p, scale, what, shift=0.0):
     """Refuse scale * (x e^shift)^(1/p), x >= 0, where it would reach 2^1023
     or is NaN (a sum whose terms left the float range)."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0; a bound past 2^1024 at large p
         if not np.all(np.log2(x) + shift / math.log(2.0) < p * (1023.0 - np.log2(scale))):
             raise ValueError(f"p: {what} (a sum to the power 1/p = {1 / p:g}) "
                              "leaves the float range")
@@ -513,7 +513,8 @@ def bound_core(seq, params, n):
     top = int(ns.max())
     ln_nu = np.log(np.arange(1.0, top + 1))
     near, near_shift, far_shift = np.empty(ns.size), np.zeros(ns.size), np.zeros(ns.size)
-    with np.errstate(divide="ignore", over="ignore"):  # a_nu = 0; a near sum past the range
+    # a_nu = 0; a near sum past the range; inf - inf at p near 2^1024, which _check_root refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         base = p * np.log(seq.values(1, top)) + (p - 2) * ln_nu
         for i, m in enumerate(ns.tolist()):
             terms = base[:m] + k * p * (ln_nu[:m] - ln_nu[m - 1])
@@ -537,6 +538,6 @@ def _far_shift(seq, p, first):
     last = max(first, seq.horizon + 1) if seq.tail.c else seq.horizon
     if last < first:
         return -math.inf
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as bound_core's base
         terms = p * np.log(seq.values(first, last)) + (p - 2) * np.log(np.arange(first, last + 1.0))
     return float(terms.max())
