@@ -24,7 +24,7 @@ import numpy as np
 from .sequences import (_CRITICAL_TOL, DIVERGENT, _exp_quadrature, _gauss_legendre,
                         check_rules, positive_integer, weighted_sum)
 from .smoothness import (_TINY, K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
-                         difference_norms, parseval_scale, shift_grid)
+                         core_table, difference_norms, parseval_scale, shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2
 NU_CAP = 2 ** 13
@@ -342,16 +342,11 @@ class _OmegaTable:
 
 
 class CoreModulusSource(_OmegaTable):
-    """omega(1/nu) surrogate built from the coefficient core E(nu).
-
-    The first request fills E(nu) (see bound_core) for nu = 1..T, T the
-    smallest power of two >= max(NU_CAP, horizon, the largest nu asked
-    for): the near sum is one cumulative sum, the far sum one backward
-    cumulative sum plus weighted_sum past the table's end.  Where a sum
-    with a positive term is not a normal float (or the rest raises), the
-    table is bound_core's, which rescales such a sum.  A request past the
-    end doubles the table.  Past T, _closure sums I's and J's far sums.
-    """
+    """omega(1/nu) surrogate built from the coefficient core E(nu): the
+    first request fills smoothness.core_table for nu = 1..T, T the smallest
+    power of two >= max(NU_CAP, horizon, the largest nu asked for); a
+    request past T doubles it, and _closure sums I's and J's far sums past
+    it."""
 
     batch = _OmegaTable.batch
 
@@ -360,49 +355,8 @@ class CoreModulusSource(_OmegaTable):
         self.nu_cap = max(NU_CAP, 1 << (seq.horizon - 1).bit_length())
 
     def _fill(self, top):
-        k, p = self.params.k, self.params.p
-        nu = np.arange(1, top + 1, dtype=float)
-        try:
-            rest = weighted_sum(self.seq, p, p - 2, top + 1)
-        except ValueError:  # a rest past the float range: bound_core's table
-            rest = math.inf
-        # each term a_nu^p nu^e is exp(p (ln a_nu + (e/p) ln nu)), as _powers
-        # forms it but with ln a_nu and ln nu taken once: no factor leaves the
-        # float range unless the term does, and a_nu = 0 gives 0
-        with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; a sum past the range
-            ln_nu = np.log(nu)
-            ln_a = np.log(self.seq.values(1, top))
-            pos = ln_a > -math.inf  # a_nu > 0
-            near = ln_nu * (k + 1 - 2 / p)
-            near += ln_a
-            near *= p
-            np.exp(near, out=near)
-            np.cumsum(near, out=near)
-            # ln N_top for _closure, in log space where N_top is not a normal float
-            self._log_near_top = (np.log(near[-1]) if _TINY <= near[-1] < math.inf
-                                  else np.logaddexp.reduce(p * (ln_nu * (k + 1 - 2 / p) + ln_a)))
-            ln_nu *= 1 - 2 / p
-            terms = ln_a
-            terms += ln_nu
-            terms *= p
-            np.exp(terms, out=terms)
-            far = ln_nu
-            far[-1] = 0.0
-            np.cumsum(terms[:0:-1], out=far[-2::-1])
-            far += rest
-        # each sum with a positive term must be normal; the others are exactly 0 (near
-        # sums before the first positive a_nu, far sums past the last on a zero tail)
-        low = min(near.min(where=pos, initial=math.inf),
-                  far[:-1].min(where=pos[1:], initial=math.inf),
-                  rest if self.seq.tail.c else math.inf)
-        if not (low >= _TINY and max(near[-1], far[0]) < math.inf):
-            return bound_core(self.seq, self.params, np.arange(1, top + 1))
-        far **= 1.0 / p
-        near **= 1.0 / p
-        nu **= -float(k)
-        near *= nu
-        near += far
-        return near
+        table, self._log_near_top = core_table(self.seq, self.params, top)
+        return table
 
     def _closure(self, cell, theta, c):
         """sum_{nu > top} E(nu)^theta w(nu) past the table's end, top.

@@ -142,7 +142,10 @@ def _sides(lemma_id, a, hp, tables, out):
         # is the one (suffix sums)[::-1] ** p takes; a forward pass in
         # place rounds some powers an ulp apart
         tail = np.cumsum(sums[::-1], out=spare[:n - lo + 1])
-        np.power(tail[::-1], p, out=sums)
+        if p == 0.5:  # the square root that ** takes for 1/2
+            np.sqrt(tail[::-1], out=sums)
+        else:
+            np.power(tail[::-1], p, out=sums)
     else:
         np.cumsum(sums, out=sums)
         sums **= p  # in place, ** picks the same ufunc (square, sqrt, ...) as sums ** p

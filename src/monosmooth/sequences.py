@@ -365,10 +365,9 @@ def _tail_sum(tail, q, s, lo, shift=0.0):
         width *= 2
 
 
-def weighted_sum(seq, q, s, m=1, n=None, shift=0.0):
+def weighted_sum(seq, q, s, m=1, n=None):
     """Sum over nu in [m, n] of a_nu**q * nu**s; n is None for an infinite
-    upper limit.  A shift gives every sum times e^-shift, each term scaled
-    in log space, for a sum that would leave the normal float range.
+    upper limit.
 
     Grids: with n None, m may be an array of starts, and with n given, n
     may be an array of ends (m then a single start).  One table of terms
@@ -396,7 +395,7 @@ def weighted_sum(seq, q, s, m=1, n=None, shift=0.0):
             raise ValueError("empty range")
         top = int(ends.max())
         nu = np.arange(m, top + 1, dtype=float)
-        sums = np.cumsum(_powers(seq.values(m, top), nu, q, s, shift))
+        sums = np.cumsum(_powers(seq.values(m, top), nu, q, s))
         return _in_range(sums[ends - m], q, s, single)
 
     tail, top = seq.tail, seq.horizon
@@ -405,13 +404,13 @@ def weighted_sum(seq, q, s, m=1, n=None, shift=0.0):
     lo = int(min(starts.min(), top + 1))
     sums = np.zeros(top - lo + 2)
     if lo <= top:
-        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s, shift)
+        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s)
         np.cumsum(terms[::-1], out=sums[-2::-1])
     sums = sums[np.minimum(starts, top + 1) - lo]
     if tail.c:
         past = np.maximum(starts, top + 1)
         firsts = sorted(set(past.ravel().tolist()))
-        rest = np.array([_tail_sum(tail, q, s, first, shift) for first in firsts])
+        rest = np.array([_tail_sum(tail, q, s, first) for first in firsts])
         sums = sums + rest[np.searchsorted(firsts, past)]
     return _in_range(sums, q, s, single)
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monosmooth import besov
 from monosmooth.besov import (
     Band,
     ClassParams,
@@ -408,7 +407,7 @@ def test_core_table_past_the_float_range_is_bound_cores():
     # of 2^13 their sum is about 2^1001 / 77 at k = 27 and 2^1040 / 80 (past
     # 2^1024) at k = 28, where the filled table was refused ("k: a sum of
     # a_nu^3 nu^((k+1)p - 2) in the core table leaves the float range at
-    # k = 28") and is now bound_core's
+    # k = 28") and is now shifted as bound_core shifts it
     seq = make_power_law(1, 2, 64)
     nu = np.arange(1, 65)
     for k in (27, 28):
@@ -421,44 +420,34 @@ def test_core_table_past_the_float_range_is_bound_cores():
 _NU2 = make_power_law(1, 2, 4096)
 
 
-@pytest.mark.parametrize("seq, k, p, defers", [
-    (_NU2, 2, 80, True),  # far sums subnormal from n = 6741 on
-    (_NU2, 2, 500, True),  # the near sum passes 2^1024 at nu = 5
-    (_NU2, 28, 3, True),  # the near sum passes 2^1024
-    (_NU2, 40, 3, True),
-    (_NU2, 600, 2, True),
-    (CoefficientSequence(head=[1e300, 1e299, 1e298, 1e297]), 30, 2.4, True),  # a_1^2.4 = 1e720
-    (CoefficientSequence(head=_NU2.head), 2, 80, False),  # far sums past nu = 4096 are exactly 0
+@pytest.mark.parametrize("seq, k, p", [
+    (_NU2, 2, 80),  # far sums below 2^-1022 past n = 5950
+    (_NU2, 2, 500),  # the near sum passes 2^1024 at nu = 5
+    (_NU2, 28, 3),  # the near sum passes 2^1024
+    (_NU2, 40, 3),
+    (_NU2, 600, 2),
+    (CoefficientSequence(head=[1e300, 1e299, 1e298, 1e297]), 30, 2.4),  # a_1^2.4 = 1e720
+    (CoefficientSequence(head=_NU2.head), 2, 80),  # far sums past nu = 4096 are exactly 0
 ], ids=["nu-2-k2-p80", "nu-2-k2-p500", "nu-2-k28-p3", "nu-2-k40-p3", "nu-2-k600-p2",
         "huge-head-k30-p2.4", "zero-tail-k2-p80"])
-def test_core_table_defers_to_bound_core(seq, k, p, defers, monkeypatch):
-    # one overflow rule for E(n): where a sum with a positive term is not a
-    # normal float, the core table is bound_core over 1..2^13, which rescales
-    # it; elsewhere the cumulative fill agrees with bound_core.  The fallback
-    # gets the bound_core computed here, which takes up to 2 s at p = 80
+def test_core_table_out_of_range_equals_bound_core(seq, k, p):
+    # one algorithm for E(n): the core table and bound_core take the same
+    # running sums, which shift a sum with a positive term that is not a
+    # normal float; the table's far sums run over the whole table on top of
+    # the tail's sum past it, bound_core's over the head
     params = SmoothnessParams(k, p)
     nu = np.arange(1, 2 ** 13 + 1)
-    want = bound_core(seq, params, nu)
-    calls = []
-
-    def table_of_bound_core(s, prm, n):
-        assert s is seq and prm == params and np.array_equal(n, nu)
-        calls.append(n)
-        return want.copy()
-
-    monkeypatch.setattr(besov, "bound_core", table_of_bound_core)
     table = CoreModulusSource(seq, params).batch(nu)
-    assert len(calls) == defers
     assert np.all(np.isfinite(table)) and np.all(table > 0)
-    assert np.allclose(table, want, rtol=1e-12, atol=0)
+    assert np.allclose(table, bound_core(seq, params, nu), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("p", [27, 40])
 def test_core_table_at_large_p_agrees_with_bound_core(p):
     # nu^((k+1)p - 2) alone passes 2^1024 at the end of a table of 2^13 for
     # every p >= 27 at k = 2 (8192^79), and was once formed before a_nu^p;
-    # the cumulative fill keeps these tables (p = 80, whose far sums are
-    # subnormal, is test_core_table_defers_to_bound_core's)
+    # the plain cumulative sums keep these tables (p = 80, whose far sums
+    # are subnormal, is test_core_table_out_of_range_equals_bound_core's)
     seq = make_power_law(1, 2, 4096)
     params = SmoothnessParams(2, p)
     ns = np.array([1, 2, 4, 8, 16])

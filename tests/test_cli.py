@@ -595,6 +595,23 @@ def test_core_table_at_large_p_gives_a_report(p, tmp_path):
     assert all(math.isfinite(x) and x > 0 for x in _report_values(out))
 
 
+def test_modulus_at_p_8e307_gives_the_limits_of_e(tmp_path, capsys):
+    # each log-term is p (ln a_nu + (e/p) ln nu), so neither product of
+    # p ln a_nu + (p - 2) ln nu leaves the float range alone: E(8) and E(4)
+    # are their limits as p grows, 1/8 + 1/9 and 1/4 + 1/5 (E_core was 0
+    # and 0.1875); a RuntimeWarning fails the test.  A grid that reaches a
+    # log-term of +inf (nu >= 10) is refused
+    out = tmp_path / "mod.csv"
+    argv = ["modulus", "--power-law", "1", "2", "--k", "2", "--p", "8e307", "--out", str(out)]
+    assert main([*argv, "--t-grid", "0.125,0.25"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[-2:]]
+    assert [row[2] for row in rows] == ["0.236111111111", "0.45"]
+    capsys.readouterr()
+    assert main([*argv, "--t-grid", "0.1,0.25"]) == 2
+    assert capsys.readouterr().err == ("config error: p: E(n) (a sum to the power 1/p = "
+                                       "1.25e-308) leaves the float range\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["modulus", "--k", "600", "--p", "2", "--t-grid", "0.125"],
     ["seminorm", *_CLASS[3:], "--k", "600", "--p", "2", "--n-grid", "4,8", "--source", "core"],

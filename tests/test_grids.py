@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from monosmooth.besov import (ClassParams, CoreModulusSource, DirectModulusSource,
                               coefficient_functional, discrete_seminorm, integral_seminorm)
 from monosmooth.sequences import make_power_law, make_power_log, weighted_sum
-from monosmooth.smoothness import bound_core
+from monosmooth.smoothness import SmoothnessParams, bound_core
 
 #: the far sums of the K reference are summed term by term up to here
 FAR_END = 2 ** 16
@@ -108,6 +108,23 @@ def test_core_grid_equals_one_point_calls(seq, cp, ns):
 @given(seq=sequences, cp=classes, ns=grids(64))
 def test_direct_grid_equals_one_point_calls(seq, cp, ns):
     _check_grid(seq, cp, ns, DirectModulusSource(seq, cp.smoothness))
+
+
+# heads of 2^13, so that no start lies past the head: a power law whose
+# sums leave the normal float range at every c (c^p = 1e+-300 at p = 1.5), at
+# large k and at large p.  A RuntimeWarning fails the test (pyproject.toml)
+@settings(max_examples=max(10, settings().max_examples // 5), deadline=None)
+@given(c=st.sampled_from([1e-200, 1.0, 1e200]), beta=st.floats(1.6, 3.0),
+       k=st.sampled_from([1, 2, 28, 40, 600]), p=st.sampled_from([1.5, 3.0, 80.0, 500.0]),
+       ns=grids(2 ** 13))
+def test_core_table_and_grids_of_e_past_the_float_range(c, beta, k, p, ns):
+    seq = make_power_law(c, beta, 2 ** 13)
+    params = SmoothnessParams(k, p)
+    nu = np.arange(1, 2 ** 13 + 1)
+    want = bound_core(seq, params, nu)
+    assert np.all(np.isfinite(want)) and np.all(want > 0)
+    assert np.allclose(CoreModulusSource(seq, params).batch(nu), want, rtol=1e-12, atol=0)
+    assert bound_core(seq, params, ns).tolist() == [bound_core(seq, params, n) for n in ns.tolist()]
 
 
 def test_weighted_sum_grid_shapes():
