@@ -21,9 +21,9 @@ from numbers import Real
 
 import numpy as np
 
-from .sequences import (_CRITICAL_TOL, DIVERGENT, _exp_quadrature, _gauss_legendre,
+from .sequences import (_CRITICAL_TOL, _TINY, DIVERGENT, _exp_quadrature, _gauss_legendre,
                         check_rules, positive_integer, weighted_sum)
-from .smoothness import (_TINY, K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
+from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
                          core_table, difference_norms, parseval_scale, shift_grid)
 
 #: smallest core table: the far sums' closure error falls like its size^-2

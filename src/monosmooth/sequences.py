@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +26,9 @@ _SUM_NU_CAP = 2 ** 23
 #: Against the closed form, PowerLogTail.integral's quadrature is exact to
 #: 4e-16 for a - 1 >= 1e-10 at x0 >= 4096, but 3 % off at 1e-12.
 _CRITICAL_TOL = 1e-10
+_SHIFT_STEP = 512.0  # e-folds per step of a running shift (_running_sums)
+#: the smallest normal float, 2^-1022
+_TINY = sys.float_info.min
 
 
 def _read_only(*arrays):
@@ -329,15 +333,14 @@ def _scan_monotone(seq):
     return ValidationResult(True)
 
 
-def _powers(vals, nu, q, s, shift=0.0):
-    """a^q nu^s e^-shift for arrays of a >= 0 (a sequence's values, by its
-    rules) and nu >= 1, as exp(q (ln a + (s/q) ln nu) - shift): no intermediate
-    leaves the float range unless the term does, and a = 0 gives 0, not 0 * inf."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = q * (np.log(vals) + (s / q) * np.log(nu))
-        if shift:
-            t -= shift
-        return np.exp(t)
+def _log_terms(ln_a, ln_nu, q, e_q, out=None):
+    """q (ln a_nu + e_q ln nu) = ln a_nu^q nu^s, the exponent ratio e_q = s/q
+    as the caller rounds it: no factor leaves the float range unless the
+    term does; a_nu = 0 gives -inf."""
+    x = np.multiply(ln_nu, e_q, out=out)
+    x += ln_a
+    x *= q
+    return x
 
 
 def _tail_sum(tail, q, s, lo, shift=0.0):
@@ -351,7 +354,9 @@ def _tail_sum(tail, q, s, lo, shift=0.0):
         hi = min(lo + width, max(lo, _SUM_NU_CAP))
         x = hi - 0.5
         nu = np.append(np.arange(lo, hi, dtype=float), x)  # the block, then x
-        f = _powers(tail.value(nu), nu, q, s, shift)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a_nu = 0
+            f = _log_terms(np.log(tail.value(nu)), np.log(nu), q, s / q)
+            f = np.exp(f - shift if shift else f, out=f)
         total += float(np.sum(f[:-1]))
         # f'/f = (s - q (beta + gamma/(1 + ln x)))/x
         slope = (s - q * (tail.beta + tail.gamma / (1 + math.log(x)))) / x
@@ -365,22 +370,107 @@ def _tail_sum(tail, q, s, lo, shift=0.0):
         width *= 2
 
 
+def _tail_rest(tail, q, s, e_q, first):
+    """(rest, shift), rest e^shift the tail model's sum of a_nu^q nu^s from
+    first (_tail_sum) or, where that is not a normal float, that sum divided
+    by its first term; 0 on a zero tail."""
+    rest = _tail_sum(tail, q, s, first) if tail.c else 0.0
+    if not tail.c or _TINY <= rest < math.inf:
+        return rest, 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shift = float(_log_terms(np.log(tail.value(first)), math.log(first), q, e_q))
+    if not math.isfinite(shift):  # a first term past the float range
+        return rest, 0.0
+    return _tail_sum(tail, q, s, first, shift), shift
+
+
+def _running_sums(ln_a, ln_nu, q, e_q, carry=0.0, carry_shift=0.0, backward=False):
+    """(sums, shifts), one longer than ln_a: sums_i e^shifts_i is carry
+    e^carry_shift plus the terms a_nu^q nu^s (_log_terms) before position i,
+    or, backward, from i on.  Where every sum with a positive term is a
+    normal float, the shift is 0 (a scalar) and sums the plain cumulative
+    sum plus carry.  Otherwise, from the first sum out of that range on, the
+    shift is the running max of the log-terms (the carry's too) rounded down
+    to a multiple of _SHIFT_STEP, each run of one shift summed divided by
+    e^shift on top of the run before it.  A sum depends only on the terms
+    before it.  Under the caller's np.errstate, which ignores overflow and
+    the NaN of inf - inf (refused by the caller)."""
+    sums = np.empty(ln_a.size + 1)
+    order = slice(None, None, -1 if backward else 1)  # of summation
+    run = sums[order]
+    x = _log_terms(ln_a, ln_nu, q, e_q, sums[:-1] if backward else sums[1:])
+    np.exp(x, out=x)
+    run[0] = 0.0
+    np.cumsum(run, out=run)
+    plain = carry * np.exp(carry_shift) if carry_shift else carry
+    if plain:
+        sums += plain
+    # the first sum with a positive term: the carry's, the first term's, or,
+    # below 2^-1022, the one at the first log-term > -inf (a term may underflow)
+    low, x = plain if carry else run[1] if run.size > 1 else math.inf, None
+    if not (carry or low >= _TINY):
+        pos = (x := _log_terms(ln_a, ln_nu, q, e_q)[order]) > -math.inf
+        low = run[pos.argmax() + 1] if pos.any() else math.inf
+    if low >= _TINY and run[-1] < math.inf:
+        return sums, 0.0
+    x = np.append(math.log(carry) + carry_shift if carry else -math.inf,
+                  _log_terms(ln_a, ln_nu, q, e_q)[order] if x is None else x)
+    top = np.maximum.accumulate(x)
+    left = np.logical_or.accumulate(~((run >= _TINY) & (run < math.inf) | (top == -math.inf)))
+    shifts = np.where(left, np.floor(top / _SHIFT_STEP) * _SHIFT_STEP, 0.0)
+    terms, total = np.exp(x - shifts), 0.0
+    edges = [0, *(np.flatnonzero(shifts[1:] != shifts[:-1]) + 1).tolist(), run.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.cumsum(terms[lo:hi], out=run[lo:hi])
+        run[lo:hi] += total
+        if hi < run.size:  # carried into the next run's frame
+            total = run[hi - 1] * np.exp(shifts[hi - 1] - shifts[hi]) if run[hi - 1] else 0.0
+    return sums, shifts[order]
+
+
+def _at(run, i):
+    return run[0][i], run[1] if isinstance(run[1], float) else run[1][i]  # run read at index i
+
+
+def _weighted_sums(seq, q, e_q, m, n=None, s=None):
+    """(sums, shifts), sums e^shifts the sums of a_nu^q nu^s (_log_terms with
+    the exponent ratio e_q): over [m, n] for a start m and each end of the
+    array n, one _running_sums forward to max n; with n None, from each
+    start of the array m on, one backward over the head on the tail's rest
+    past it (_tail_rest), read by every start up to the head's end + 1, a
+    start past that taking its own rest.  shifts is the scalar 0 where no
+    sum left the normal float range."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # see _running_sums
+        if n is not None:
+            top = int(n.max())
+            run = _running_sums(np.log(seq.values(m, top)),
+                                np.log(np.arange(m, top + 1, dtype=float)), q, e_q)
+            return _at(run, n - m + 1)
+        end = seq.horizon
+        lo = int(min(m.min(), end + 1))
+        run = _running_sums(np.log(seq.head[lo - 1:]), np.log(np.arange(lo, end + 1, dtype=float)),
+                            q, e_q, *_tail_rest(seq.tail, q, s, e_q, end + 1), backward=True)
+    sums, shifts = _at(run, np.minimum(m, end + 1) - lo)
+    past = m > end + 1
+    if past.any():
+        firsts = sorted(set(m[past].tolist()))
+        rests = np.array([_tail_rest(seq.tail, q, s, e_q, first) for first in firsts])
+        rest, shifts = rests[np.searchsorted(firsts, m[past])], shifts + np.zeros(m.shape)
+        sums[past], shifts[past] = rest[:, 0], rest[:, 1]
+    return sums, shifts
+
+
 def weighted_sum(seq, q, s, m=1, n=None):
     """Sum over nu in [m, n] of a_nu**q * nu**s; n is None for an infinite
     upper limit.
 
     Grids: with n None, m may be an array of starts, and with n given, n
-    may be an array of ends (m then a single start).  One table of terms
-    serves the whole grid: a reverse cumulative sum read at each start, or
-    a cumulative sum read at each end.  A scalar m and n give a float, the
-    one-point grid of the same path, computed as a one-element array.
-
-    An infinite range sums its table over the stored head and adds the
-    tail model's sum past the head (_tail_sum), one that every start
-    within the head shares; a start past the head takes the tail's sum
-    from itself.  No sum depends on the other starts of its grid.
-    Divergent series give DIVERGENT (math.inf) at every start.  Each term
-    is formed by _powers, so only a sum that itself leaves the float range
+    may be an array of ends (m then a single start).  One call of the
+    kernel _weighted_sums serves the whole grid, and a scalar m and n give
+    a float, the one-point grid of the same path: no sum depends on the
+    other points of its grid.  Divergent series give DIVERGENT (math.inf)
+    at every start.  A sum out of the normal float range is summed shifted
+    and turned back into a float, so only a sum that itself reaches 2^1024
     is refused (ValueError).
     """
     if q <= 0:
@@ -389,34 +479,15 @@ def weighted_sum(seq, q, s, m=1, n=None):
     starts = np.array(m, ndmin=1)
     if (starts < 1).any():
         raise ValueError("range must start at m >= 1")
-    if n is not None:
-        ends = np.array(n, ndmin=1)
-        if (ends < m).any():
-            raise ValueError("empty range")
-        top = int(ends.max())
-        nu = np.arange(m, top + 1, dtype=float)
-        sums = np.cumsum(_powers(seq.values(m, top), nu, q, s))
-        return _in_range(sums[ends - m], q, s, single)
-
-    tail, top = seq.tail, seq.horizon
-    if not tail.converges(q, s):
+    ends = None if n is None else np.array(n, ndmin=1)
+    if n is not None and (ends < m).any():
+        raise ValueError("empty range")
+    if n is None and not seq.tail.converges(q, s):
         return DIVERGENT if single else np.full(starts.shape, DIVERGENT)
-    lo = int(min(starts.min(), top + 1))
-    sums = np.zeros(top - lo + 2)
-    if lo <= top:
-        terms = _powers(seq.values(lo, top), np.arange(lo, top + 1, dtype=float), q, s)
-        np.cumsum(terms[::-1], out=sums[-2::-1])
-    sums = sums[np.minimum(starts, top + 1) - lo]
-    if tail.c:
-        past = np.maximum(starts, top + 1)
-        firsts = sorted(set(past.ravel().tolist()))
-        rest = np.array([_tail_sum(tail, q, s, first) for first in firsts])
-        sums = sums + rest[np.searchsorted(firsts, past)]
-    return _in_range(sums, q, s, single)
-
-
-def _in_range(sums, q, s, single):
-    """sums, or its one float if single; ValueError where one is not finite."""
-    if not np.isfinite(sums).all():
-        raise ValueError(f"a sum of a_nu^{q:g} nu^{s:g} leaves the float range")
+    sums, shifts = _weighted_sums(seq, q, s / q, starts if n is None else int(m), ends, s)
+    if not isinstance(shifts, float) and shifts.any():
+        with np.errstate(over="ignore", invalid="ignore"):  # e^shift may leave the float range
+            sums = sums * np.exp(shifts / 2) * np.exp(shifts / 2)
+        if not (sums < math.inf).all():
+            raise ValueError(f"a sum of a_nu^{q:g} nu^{s:g} leaves the float range")
     return float(sums[0]) if single else sums

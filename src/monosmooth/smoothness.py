@@ -9,12 +9,12 @@ recorded in every report header.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import DIVERGENT, _tail_sum, check_rules, positive_integer
+from .sequences import (DIVERGENT, _at, _running_sums, _tail_rest, _weighted_sums, check_rules,
+                        positive_integer)
 
 #: rule row (see sequences.broken_rules) for a difference order k
 K_RULE = ("k", ("k",), positive_integer, "must be a positive integer")
@@ -60,10 +60,6 @@ CHUNK_ELEMENTS = 2 ** 17
 
 #: harmonics per angle-addition block in _half_angles
 _BLOCK = 128
-
-#: the smallest normal float, 2^-1022
-_TINY = sys.float_info.min
-
 
 def grid_size(horizon):
     """Quadrature grid for a series truncated at `horizon` when the caller
@@ -480,89 +476,6 @@ def modulus_direct(seq, horizon, params, t, quad=None):
     return float(norms.max())
 
 
-_SHIFT_STEP = 512.0  # e-folds per step of a running shift (_running_sums)
-
-
-def _log_terms(ln_a, ln_nu, p, e_p, out=None):
-    """p (ln a_nu + (e/p) ln nu) = ln a_nu^p nu^e, e/p given as e_p: no
-    factor leaves the float range unless the term does; a_nu = 0 gives -inf."""
-    x = np.multiply(ln_nu, e_p, out=out)
-    x += ln_a
-    x *= p
-    return x
-
-
-def _running_sums(ln_a, ln_nu, p, e_p, carry=0.0, carry_shift=0.0, backward=False):
-    """(sums, shifts), one longer than ln_a: sums_i e^shifts_i is carry
-    e^carry_shift plus the terms a_nu^p nu^e (_log_terms) before position i,
-    or, backward, from i on.  Where every sum with a positive term is a
-    normal float, the shift is 0 (a scalar) and sums the plain cumulative
-    sum plus carry.  Otherwise, from the first sum out of that range on, the
-    shift is the running max of the log-terms (the carry's too) rounded down
-    to a multiple of _SHIFT_STEP, each run of one shift summed divided by
-    e^shift on top of the run before it.  A sum depends only on the terms
-    before it.  Under the caller's np.errstate, which ignores overflow and
-    the NaN of inf - inf (refused by _core_values)."""
-    sums = np.empty(ln_a.size + 1)
-    order = slice(None, None, -1 if backward else 1)  # of summation
-    run = sums[order]
-    x = _log_terms(ln_a, ln_nu, p, e_p, sums[:-1] if backward else sums[1:])
-    pos = (x > -math.inf)[order]
-    np.exp(x, out=x)
-    run[0] = 0.0
-    np.cumsum(run, out=run)
-    plain = carry * np.exp(carry_shift)
-    if plain:
-        sums += plain
-    low = plain if carry else run[pos.argmax() + 1] if pos.any() else math.inf
-    if low >= _TINY and run[-1] < math.inf:
-        return sums, 0.0
-    x = np.append(math.log(carry) + carry_shift if carry else -math.inf,
-                  _log_terms(ln_a, ln_nu, p, e_p)[order])
-    top = np.maximum.accumulate(x)
-    left = np.logical_or.accumulate(~((run >= _TINY) & (run < math.inf) | (top == -math.inf)))
-    shifts = np.where(left, np.floor(top / _SHIFT_STEP) * _SHIFT_STEP, 0.0)
-    terms, total = np.exp(x - shifts), 0.0
-    edges = [0, *(np.flatnonzero(shifts[1:] != shifts[:-1]) + 1).tolist(), run.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        np.cumsum(terms[lo:hi], out=run[lo:hi])
-        run[lo:hi] += total
-        if hi < run.size:  # carried into the next run's frame
-            total = run[hi - 1] * np.exp(shifts[hi - 1] - shifts[hi]) if run[hi - 1] else 0.0
-    return sums, shifts[order]
-
-
-def _tail_rest(seq, p, first):
-    """(rest, shift), rest e^shift the tail model's far sum from first, as
-    weighted_sum's or, where that is not a normal float, divided by its
-    first term (0 on a zero tail)."""
-    rest = _tail_sum(seq.tail, p, p - 2, first) if seq.tail.c else 0.0
-    if not seq.tail.c or _TINY <= rest < math.inf:
-        return rest, 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        shift = float(_log_terms(np.log(seq.tail.value(first)), math.log(first), p, 1 - 2 / p))
-    if not math.isfinite(shift):  # a first term past the float range
-        return rest, 0.0
-    return _tail_sum(seq.tail, p, p - 2, first, shift), shift
-
-
-def _at(run, i):
-    return run[0][i], run[1][i] if np.ndim(run[1]) else run[1]  # run read at index i
-
-
-def _core_sums(seq, params, top, lo, end):
-    """The running sums of E, ascending: N_n = sum_{nu<=n} a_nu^p
-    nu^((k+1)p-2), n = 0..top, and F_n = sum_{nu>n} a_nu^p nu^(p-2),
-    n = lo - 1..end, on the tail's sum past end."""
-    k, p = params.k, params.p
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a_nu = 0; as above
-        ln_nu = np.log(np.arange(1.0, max(top, end) + 1))
-        ln_a = np.log(seq.values(1, max(top, end)))
-        return (_running_sums(ln_a[:top], ln_nu[:top], p, k + 1 - 2 / p),
-                _running_sums(ln_a[lo - 1:end], ln_nu[lo - 1:end], p, 1 - 2 / p,
-                              *_tail_rest(seq, p, end + 1), backward=True))
-
-
 def _core_values(near, far, n, k, p):
     """E = n^-k (N e^h)^(1/p) + (F e^g)^(1/p) at the float array n, a sum of
     shift 0 by its plain power and any other in log space; refused
@@ -582,13 +495,18 @@ def _core_values(near, far, n, k, p):
 
 
 def core_table(seq, params, top):
-    """(E(n) for n = 1..top, ln N_top), top >= the stored head: as
-    bound_core, the far sums over the whole table on the tail's sum past it;
-    besov's _closure continues N_top."""
-    near, far = _core_sums(seq, params, top, 2, top)
+    """(E(n) for n = 1..top, ln N_top), top >= the stored head: as bound_core,
+    the far sums over the table on the tail's sum past it, ln a_nu and ln nu
+    taken once for both; besov's _closure continues N_top."""
+    k, p = params.k, params.p
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as _weighted_sums
+        ln_a, ln_nu = np.log(seq.values(1, top)), np.log(np.arange(1.0, top + 1))
+        near = _running_sums(ln_a, ln_nu, p, k + 1 - 2 / p)
+        far = _running_sums(ln_a[1:], ln_nu[1:], p, 1 - 2 / p,
+                            *_tail_rest(seq.tail, p, p - 2, 1 - 2 / p, top + 1), backward=True)
     n, (s, h) = np.arange(1.0, top + 1), _at(near, -1)
     log_near_top = np.log(s) + h if s else -math.inf  # N_top = 0: an all-zero head
-    return _core_values(_at(near, slice(1, None)), far, n, params.k, params.p), log_near_top
+    return _core_values(_at(near, slice(1, None)), far, n, k, p), log_near_top
 
 
 def bound_core(seq, params, n):
@@ -598,11 +516,9 @@ def bound_core(seq, params, n):
     E(n) = n^{-k} (sum_{nu<=n} a_nu^p nu^{(k+1)p-2})^{1/p}
          + (sum_{nu>n} a_nu^p nu^{p-2})^{1/p},
 
-    the near sums one running sum (_running_sums) forward to max n, the far
-    sums one backward from the head's end to min n + 1 on the tail's sum
-    past the head; a start past the head takes its own tail sum.  So no term
-    or sum leaves the float range at any k or p, and a grid value is its
-    one-point call.  DIVERGENT when the tail's far sum diverges.
+    each sum over the grid one call of weighted_sum's kernel _weighted_sums,
+    so that no term or sum leaves the float range at any k or p, and a grid
+    value is its one-point call.  DIVERGENT when the tail's far sum diverges.
     """
     k, p = params.k, params.p
     ns = np.array(n, ndmin=1)  # a single n: the one-point grid
@@ -610,12 +526,7 @@ def bound_core(seq, params, n):
         raise ValueError("n must be >= 1")
     if not seq.tail.converges(p, p - 2):
         return DIVERGENT if np.ndim(n) == 0 else np.full(ns.shape, DIVERGENT)
-    end = seq.horizon
-    lo = min(int(ns.min()) + 1, end + 1)
-    near, far = _core_sums(seq, params, int(ns.max()), lo, end)
-    f, g = _at(far, np.minimum(ns, end) - lo + 1)
-    g = g + np.zeros(ns.size)
-    for m in set(ns[ns > end].tolist()):  # a start past the head
-        f[ns == m], g[ns == m] = _tail_rest(seq, p, m + 1)
-    e = _core_values(_at(near, ns), (f, g), ns.astype(float), k, p)
+    near = _weighted_sums(seq, p, k + 1 - 2 / p, 1, ns)
+    far = _weighted_sums(seq, p, 1 - 2 / p, ns + 1, s=p - 2)
+    e = _core_values(near, far, ns.astype(float), k, p)
     return float(e[0]) if np.ndim(n) == 0 else e

@@ -175,6 +175,37 @@ def test_modulus_report_matches_golden(p, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"modulus_p{p}.csv").read_bytes()
 
 
+_CLASS = "--power-law 1 2 --theta 1 --r 0.5 --lam 0.5"
+_GOLDEN_COMMANDS = {
+    # the four README commands
+    "readme_equivalence.json": f"equivalence {_CLASS} --k 2 --p 2 --n-grid 4,8,16,32,64",
+    "readme_membership.json": "membership --power-law 1 1.25 --theta 1 --r 0.5 --lam 0.5 "
+                              "--k 2 --p 2 --phi power:0.25",
+    "readme_verify_lemma.csv": "verify-lemma --power-law 1 1 --lemma lp_complete_tail "
+                               "--alpha 1 --lam 0 --p 1 --m 1 --n 256",
+    "readme_modulus.csv": "modulus --power-law 1 2 --k 2 --p 2 --t-grid 0.125,0.25,0.5",
+    # far sums of E and K that start past the head of 64
+    "seminorm_core_far.json": f"seminorm --source core {_CLASS} --k 2 --p 2 --horizon 64 "
+                              "--n-grid 4,100,1000,10000",
+    # K's far sums start at the head's end + 1 (n = 4096) and past it
+    "membership_k_past_head.json": "membership --power-law 0.7 2.2 --theta 1 --r 0.5 "
+                                   "--lam 0.5 --k 3 --p 3 --phi power_log:0.25,1 "
+                                   "--n-grid 2,16,4096,5000,100000",
+    # sums of E that leave the normal float range and are shifted
+    "equivalence_k600.json": f"equivalence {_CLASS} --k 600 --p 2 --n-grid 4,8",
+    "seminorm_core_p500.json": f"seminorm --source core {_CLASS} --k 2 --p 500 --n-grid 4,8",
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_COMMANDS))
+def test_report_matches_golden(name, tmp_path):
+    # reports written before K's and E's power sums shared one kernel, so
+    # that sharing it moves no digit
+    out = tmp_path / name
+    assert main(shlex.split(_GOLDEN_COMMANDS[name]) + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_seminorm_direct_p3(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"head": [1.0, 0.5, 0.25, 0.125, 0.0625],

@@ -7,6 +7,7 @@ tail model's midpoint integral), J and I their near sums term by term with
 the far sums looked up in the source's suffix tables.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -141,3 +142,23 @@ def test_weighted_sum_grid_shapes():
         [weighted_sum(seq, 2, 1, 1, n) for n in ends.tolist()]
     short = make_power_law(0, 2, 16)
     assert weighted_sum(short, 1, 0, np.array([1, 17, 40])).tolist()[1:] == [0.0, 0.0]
+
+
+def test_a_grid_takes_one_tail_sum_per_start_past_the_head(monkeypatch):
+    # every start up to the head's end + 1 shares the tail's sum past the
+    # head; a start past that takes its own.  Every module's binding of
+    # _tail_sum is counted
+    seq = make_power_law(1, 2, 4096)
+    firsts = []
+    for name in ("sequences", "smoothness", "besov"):
+        module = importlib.import_module(f"monosmooth.{name}")
+        if hasattr(module, "_tail_sum"):
+            def counted(tail, q, s, lo, shift=0.0, _f=module._tail_sum):
+                firsts.append(lo)
+                return _f(tail, q, s, lo, shift)
+            monkeypatch.setattr(module, "_tail_sum", counted)
+    weighted_sum(seq, 1, 0, np.array([3, 4097, 4097, 5000]))
+    assert sorted(firsts) == [4097, 5000]
+    firsts.clear()
+    bound_core(seq, SmoothnessParams(2, 2), np.array([2, 4096, 4999]))
+    assert sorted(firsts) == [4097, 5000]

@@ -241,6 +241,13 @@ def test_spec_validation():
         weighted_sum(seq, 1, 0, 0)
     with pytest.raises(ValueError, match="empty range"):
         weighted_sum(seq, 1, 0, 5, 4)
+    # a_nu^2 = 1e600 nu^-1: every sum is past 2^1024, over 1..64 and over
+    # infinite ranges from within the head, its end + 1 and past it (at s =
+    # 0 this tail diverges, which gives DIVERGENT and refuses nothing)
+    huge = make_power_law(1e300, 0.5, 64)
+    for s, m, n in ((0, 1, 64), (-2, 1, None), (-2, np.array([1, 65, 100]), None)):
+        with pytest.raises(ValueError, match=r"a sum of a_nu\^2 nu\^-?\d leaves the float range"):
+            weighted_sum(huge, 2, s, m, n)
 
 
 def test_json_round_trip():

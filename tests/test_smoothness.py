@@ -483,6 +483,9 @@ def test_params_validation():
         SmoothnessParams(1, 0)
     with pytest.raises(ValueError):
         QuadratureSpec(M=100)  # not a power of two
+    for n in (0, np.array([4, 0, 2])):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bound_core(ONE, SmoothnessParams(1, 2), n)
 
 
 def test_bound_core_single_harmonic():
