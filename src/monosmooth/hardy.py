@@ -16,6 +16,7 @@ lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -155,40 +156,60 @@ def _sides(lemma_id, a, hp, tables, out):
     return lhs, float(np.einsum("i,i->", weight[hi - 1:n], terms))
 
 
-def _power_table(exponents, nu):
-    """Block whose row i holds nu^x over its first n entries, for the i-th
-    (x, n) of exponents and nu = 1 .. N, N >= every n; the rest of a row is
-    left unset.  An integer x takes in-place **, the ufunc that nu ** x
-    takes (exact wherever nu^x is an integer below 2^53); any other x is
-    exp(x ln nu), from one ln nu row taken in place in nu, so that nu holds
-    ln nu afterwards.  A power past the float range is inf, not warned of."""
-    block = np.empty((len(exponents), nu.size))
-    whole = [float(x).is_integer() for x, _ in exponents]
+# nu^x rows, read-only, keyed by x and least recently used first; a row
+# serves every n up to its length, and all of them hold at most _ROW_BUDGET
+# floats (8 MiB).  _ROWS_LOCK makes each lookup, with its build and
+# evictions, one step for threads that sweep at once
+_ROWS = {}
+_ROW_BUDGET = 2 ** 20
+_ROWS_LOCK = threading.Lock()
+
+
+def _power_table(x, n):
+    """nu^x for nu = 1 .. n.  An integer x takes in-place **, the ufunc that
+    nu ** x takes (exact wherever nu^x is an integer below 2^53); any other
+    x is exp(x ln nu).  A power past the float range is inf, not warned of."""
+    row = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore"):
-        for row, (x, n), integer in zip(block, exponents, whole):
-            if integer:
-                row[:n] = nu[:n]
-                row[:n] **= x
-        np.log(nu, out=nu)
-        for row, (x, n), integer in zip(block, exponents, whole):
-            if not integer:
-                np.exp(np.multiply(nu[:n], x, out=row[:n]), out=row[:n])
-    return block
+        if float(x).is_integer():
+            row **= x
+        else:
+            np.log(row, out=row)
+            row *= x
+            np.exp(row, out=row)
+    return row
+
+
+def _power_row(x, n):
+    """The _ROWS row of x if it is n long at least, else a new _power_table
+    row, which replaces it unless it alone exceeds _ROW_BUDGET, least
+    recently used rows giving way to keep _ROWS within the budget."""
+    with _ROWS_LOCK:
+        row = _ROWS.pop(x, None)
+        if row is None or row.size < n:
+            row = _power_table(x, n)
+            row.flags.writeable = False
+            if n > _ROW_BUDGET:
+                return row
+            while sum(kept.size for kept in _ROWS.values()) + n > _ROW_BUDGET:
+                del _ROWS[next(iter(_ROWS))]
+        _ROWS[x] = row
+        return row
 
 
 def _sweep(lemma_id, cases):
     """evaluate(seq, hp) -> RatioReport for the (seq, hp) pairs of cases.
 
-    The evaluations share one block of nu^x tables (_power_table), one row
-    for each exponent that a case passing its side condition needs, as
-    long as the largest n that reads it, and two workspaces of the
-    largest n.  A case whose lhs or rhs leaves the float range, a row of
-    nu^x past it included, is refused after its evaluation.  Each sequence
-    object is read once: its read-only head array, not a copy, when the
-    head covers the largest n asked of it, and values(1, n) otherwise;
-    validate_monotone keeps its result on the sequence.  The block and
-    workspaces live as long as evaluate.  A rejected case raises
-    ValueError; an unknown lemma_id raises before any case.
+    The evaluations read one row of nu^x (_power_row) for each exponent
+    that a case passing its side condition needs, at least as long as the
+    largest n that reads it, and share two workspaces of the largest n.  A
+    case whose lhs or rhs leaves the float range, a row of nu^x past it
+    included, is refused after its evaluation.  Each sequence object is
+    read once: its read-only head array, not a copy, when the head covers
+    the largest n asked of it, and values(1, n) otherwise;
+    validate_monotone keeps its result on the sequence.  The workspaces
+    live as long as evaluate.  A rejected case raises ValueError; an
+    unknown lemma_id raises before any case.
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id: {lemma_id!r}")
@@ -205,10 +226,9 @@ def _sweep(lemma_id, cases):
                 for x in xs:
                     exponents[x] = max(exponents.get(x, 0), hp.n)
                 rows[id(hp)] = xs
-    # nu = 1 .. N fills the tables, then serves as the first workspace
-    nu = np.arange(1, max(top.values(), default=1) + 1, dtype=float)
-    table = dict(zip(exponents, _power_table(list(exponents.items()), nu)))
-    out = nu, np.empty(nu.size)
+    table = {x: _power_row(x, n) for x, n in exponents.items()}
+    size = max(top.values(), default=1)
+    out = np.empty(size), np.empty(size)
     heads = {}
 
     def head(seq):

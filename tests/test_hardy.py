@@ -1,7 +1,10 @@
+import importlib.util
 import math
 import re
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import monosmooth
 from monosmooth import hardy
 from monosmooth.hardy import (
     LEMMA_IDS,
@@ -408,6 +412,8 @@ def test_sweep_equals_its_cases():
 
 
 def test_sweep_keeps_no_state():
+    # a sweep leaves nothing behind but rows of the row cache, and its
+    # results do not depend on which rows an earlier sweep left there
     seq = make_power_law(1, 1.5, 512)
     first = [(seq, HardyParams(alpha=1.0, lam=0.0, p=2, m=1, n=n)) for n in (64, 512)]
     second = [(seq, HardyParams(alpha=0.5, lam=0.25, p=2, m=1, n=n)) for n in (128, 512)]
@@ -420,10 +426,17 @@ def test_sweep_keeps_no_state():
     a1, b1 = run(first), run(second)
     b2, a2 = run(second), run(first)
     assert (a1, b1) == (a2, b2)
+    hardy._ROWS.clear()
+    b3, a3 = run(second), run(first)
+    assert (a1, b1) == (a3, b3)
     after = {k: v for k, v in vars(hardy).items() if not k.startswith("__")}
     assert after.keys() == before.keys()
     for key, (value, text) in before.items():
-        assert after[key] is value and repr(after[key]) == text, key
+        if key != "_ROWS":
+            assert after[key] is value and repr(after[key]) == text, key
+    assert after["_ROWS"] is before["_ROWS"][0] and hardy._ROWS
+    for x, row in hardy._ROWS.items():
+        assert not row.flags.writeable and np.array_equal(row, hardy._power_table(x, row.size)), x
 
 
 def test_zero_rhs_violation_flag():
@@ -500,27 +513,207 @@ def test_exp_rows_agree_with_pow(x, n):
     # Measured on 700 rows (x uniform in [-50, 50], n up to 2^16, AVX-512
     # numpy 2.4): at most 0.89 of this bound, 0.83 |x| ln n 2^-52 at |x| near 48
     nu = np.arange(1.0, n + 1)
-    row = hardy._power_table([(x, n)], nu.copy())[0]
+    row = hardy._power_table(x, n)
     want = nu ** x
     assert np.all(np.abs(row - want) <= (abs(x) * math.log(n) + 8) * 2.0 ** -52 * want)
 
 
 @given(st.integers(-50, 50), st.booleans(), st.integers(2, 2 ** 16))
 def test_integer_rows_equal_pow(x, as_float, n):
-    # an integer exponent keeps **, beside an exp row in the same block, so
-    # hand-checked sums such as (10, 10, 1) and (6, 6) stay exact
+    # an integer exponent keeps **, so hand-checked sums such as (10, 10, 1)
+    # and (6, 6) stay exact
     x = float(x) if as_float else x
-    nu = np.arange(1.0, n + 1)
-    rows = hardy._power_table([(x, n), (0.5, n // 2)], nu.copy())
-    assert np.array_equal(rows[0], nu ** x)
+    assert np.array_equal(hardy._power_table(x, n), np.arange(1.0, n + 1) ** x)
 
 
-def test_power_table_leaves_ln_nu_in_nu():
-    nu = np.arange(1.0, 9)
-    rows = hardy._power_table([(2, 8), (-0.5, 4)], nu)
-    assert np.array_equal(nu, np.log(np.arange(1.0, 9)))
-    assert np.array_equal(rows[0], np.arange(1.0, 9) ** 2)
-    assert rows[1][:4] == pytest.approx(np.arange(1.0, 5) ** -0.5, rel=1e-15)
+def test_power_table_builds_one_row():
+    assert np.array_equal(hardy._power_table(2, 8), np.arange(1.0, 9) ** 2)
+    assert hardy._power_table(-0.5, 4) == pytest.approx(np.arange(1.0, 5) ** -0.5, rel=1e-15)
+
+
+# --- the row cache: one read-only nu^x row per exponent, per process ---
+
+@pytest.fixture
+def cold_rows(monkeypatch):
+    """An empty row cache for the test, the process's own one afterwards."""
+    monkeypatch.setattr(hardy, "_ROWS", {})
+    return hardy._ROWS
+
+
+def _oracle_row(x, n):
+    with np.errstate(over="ignore"):
+        return table_power(np.arange(1.0, n + 1), x)
+
+
+@pytest.mark.parametrize("x", [0, 1, 3, -2, 0.5, -1.75, 400])
+def test_cached_rows_equal_the_oracle(cold_rows, x):
+    # a row serves every shorter n as it is, and a longer n replaces it
+    row = hardy._power_row(x, 64)
+    assert np.array_equal(row, _oracle_row(x, 64)) and cold_rows[x] is row
+    assert hardy._power_row(x, 40) is row
+    assert np.array_equal(row[:40], _oracle_row(x, 40))
+    longer = hardy._power_row(x, 200)
+    assert np.array_equal(longer, _oracle_row(x, 200))
+    assert list(cold_rows) == [x] and cold_rows[x] is longer
+    if x == 400:
+        # 6^400 is past 2^1024: the row holds inf and a side that reads it
+        # is refused after its evaluation, from a warm row as from a cold one
+        assert np.isinf(longer[5]) and np.all(np.isfinite(longer[:5]))
+        hp = HardyParams(alpha=1, lam=400, p=2, m=1, n=64)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^lp_upper: lhs or rhs leaves the float range"):
+                verify_lemma("lp_upper", make_power_law(1, 1.5, 64), hp)
+
+
+def test_cached_rows_are_read_only(cold_rows):
+    estimate_constant("lp_upper", [(make_power_law(1, 1.5, 64),
+                                    HardyParams(alpha=1.5, lam=0.25, p=2, m=1, n=64))])
+    assert sorted(cold_rows) == [0.25, 0.5, 1.25]
+    for row in cold_rows.values():
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 2.0
+
+
+def test_row_budget_evicts_the_least_recently_used(cold_rows, monkeypatch):
+    monkeypatch.setattr(hardy, "_ROW_BUDGET", 3 * 1024)
+    for x in (0.5, 1.5, 2.5, 0.5, 3.5):
+        hardy._power_row(x, 1024)
+        assert sum(row.size for row in cold_rows.values()) <= 3 * 1024
+    assert list(cold_rows) == [2.5, 0.5, 3.5]
+    hardy._power_row(1.5, 2048)
+    assert list(cold_rows) == [3.5, 1.5]
+    # a row longer than the budget serves its call and is not kept
+    seq = make_power_law(1, 1.5, 4096)
+    hp = HardyParams(alpha=1.5, lam=0.25, p=2, m=1, n=4096)
+    small = verify_lemma("lp_upper", seq, hp)
+    assert list(cold_rows) == [3.5, 1.5] and cold_rows[1.5].size == 2048
+    monkeypatch.setattr(hardy, "_ROW_BUDGET", 2 ** 20)
+    assert repr(small) == repr(verify_lemma("lp_upper", seq, hp))
+    assert sorted(cold_rows) == [0.25, 0.5, 1.25, 1.5, 3.5]
+
+
+def test_threads_share_the_row_cache(cold_rows, monkeypatch):
+    # more threads than cores, switching every microsecond, on twelve
+    # exponents and a budget of four rows of 512, so that most lookups
+    # build and evict: each lookup, with its build and evictions, is one
+    # step, so none fails, every row read is whole and the cache ends
+    # within its budget.  Unlocked, the evictions raise KeyError and
+    # "dictionary changed size during iteration"
+    monkeypatch.setattr(hardy, "_ROW_BUDGET", 4 * 512)
+    xs = [0.25 + 0.5 * i for i in range(12)]
+    failures = []
+
+    def work(k):
+        try:
+            for i in range(3000):
+                x, n = xs[(7 * i + k) % len(xs)], 64 << (i + k) % 4
+                assert np.array_equal(hardy._power_row(x, n)[:n], _oracle_row(x, n))
+        except Exception as exc:  # read after join, in the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sum(row.size for row in cold_rows.values()) <= 4 * 512
+
+
+def _workloads():
+    """perfbench/workloads.py, imported once (its dataclasses look their
+    module up in sys.modules)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _hardy_sweep(seed, lemmas=LEMMA_IDS):
+    """The experiments of one hardy-sweep cycle of perfbench, by name: the
+    estimate_constant sweep and the verify_lemma case of each lemma and p."""
+    workloads = _workloads()
+    inp = workloads.hardy_inputs(monosmooth, seed)
+    results = {}
+    for lemma in lemmas:
+        for p, cases in inp["cases"].items():
+            _, vseq, vhp = next(case for case in cases if case[0] == "random"
+                                and case[2].n == workloads.HARDY_N[-1] and case[2].m == 1)
+            rep = estimate_constant(lemma, [(seq, hp) for _, seq, hp in cases])
+            results[lemma, p] = repr((rep.ratios, rep.skipped, rep.bound,
+                                      verify_lemma(lemma, vseq, vhp)))
+    return results
+
+
+def test_results_do_not_depend_on_the_rows_kept(cold_rows):
+    cold = _hardy_sweep(1)
+    assert len(cold) == 21 and len(cold_rows) == 8
+    assert _hardy_sweep(1) == cold
+    assert _hardy_sweep(1, LEMMA_IDS[::-1]) == cold
+    cold_rows.clear()
+    assert _hardy_sweep(1, LEMMA_IDS[::-1]) == cold
+
+
+def test_a_sweep_cycle_builds_each_row_once(cold_rows, monkeypatch):
+    # lam, lam + 1, alpha - 1 and -alpha - 1 of the workload's two variants
+    built = []
+
+    def counted(x, n, _f=hardy._power_table):
+        built.append((x, n))
+        return _f(x, n)
+
+    monkeypatch.setattr(hardy, "_power_table", counted)
+    displays = LEMMA_IDS[1:]
+    assert len(_hardy_sweep(2, displays)) == 18
+    assert len(built) == 8 and {n for _, n in built} == {2 ** 16}
+    built.clear()
+    _hardy_sweep(2, displays)
+    assert built == []
+    cold_rows.clear()
+    seq = make_power_law(1, 1.5, 512)
+    cases = [(seq, HardyParams(alpha=0.75, lam=-0.25, p=p, m=1, n=n))
+             for p in (0.5, 2) for n in (128, 512)]
+    estimate_constant("lp_lower", cases)
+    assert len(built) == 3
+    verify_lemma("lp_lower", *cases[1])
+    assert len(built) == 3
+
+
+# --- closed forms at p = 1 ---
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2])
+def test_unit_at_one_gives_lp_lower_a_zeta_partial_sum(alpha):
+    # every head sum is a_1 = 1: lhs = H_n^(alpha + 1) and rhs = 1
+    n = 4096
+    seq = CoefficientSequence((1.0,) + (0.0,) * (n - 1))
+    rep = verify_lemma("lp_lower", seq, HardyParams(alpha=alpha, lam=0, p=1, m=1, n=n))
+    want = math.fsum(mu ** (-alpha - 1) for mu in range(1, n + 1))
+    assert rep.rhs == 1.0
+    assert rep.ratio == pytest.approx(want, rel=1e-13, abs=0)
+    if alpha != 0.5:
+        assert rep.ratio == pytest.approx({1: 1.64468995602312, 2: 1.20205687336454}[alpha],
+                                          rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2])
+def test_unit_at_n_gives_lp_upper_a_power_sum(alpha):
+    # every tail sum is a_n = 1: lhs = sum_mu mu^(alpha - 1) and rhs = n^alpha
+    n = 4096
+    seq = CoefficientSequence((0.0,) * (n - 1) + (1.0,))
+    rep = verify_lemma("lp_upper", seq, HardyParams(alpha=alpha, lam=0, p=1, m=1, n=n))
+    want = math.fsum(mu ** (alpha - 1) for mu in range(1, n + 1)) / n ** alpha
+    assert rep.ratio == pytest.approx(want, rel=1e-13, abs=0)
+    if alpha == 0.5:
+        assert rep.ratio == pytest.approx(1.97730402862882, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("lemma, alpha, lam, x", [
