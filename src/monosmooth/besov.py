@@ -273,10 +273,13 @@ class _OmegaTable:
     The first top is the smallest power of two that is at least nu_cap and
     the first nu asked for; a later request past top doubles it until it
     fits.  All DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it
-    are the far-sum suffix tables of I and J (far_sums) and the core
-    closure's nodes.  A modulus source is a subclass with nu_cap and
-    _fill(top); it names batch in its own class body, so that it can be
-    wrapped per class.
+    are the far-sum suffix tables of I and J (far_sums).  A modulus source
+    is a subclass with nu_cap and _fill(top); it names batch in its own
+    class body, so that it can be wrapped per class.  The sources of this
+    module keep each table, and the core closure's nodes, on the sequence
+    (CoefficientSequence._kept), keyed by every other input that fixes
+    them, so that a new source on the same sequence reads them and does not
+    build them again.
     """
 
     def __init__(self, seq, params):
@@ -346,7 +349,7 @@ class CoreModulusSource(_OmegaTable):
     first request fills smoothness.core_table for nu = 1..T, T the smallest
     power of two >= max(NU_CAP, horizon, the largest nu asked for); a
     request past T doubles it, and _closure sums I's and J's far sums past
-    it."""
+    it.  The table is kept on the sequence under ("core", k, p, T)."""
 
     batch = _OmegaTable.batch
 
@@ -355,7 +358,9 @@ class CoreModulusSource(_OmegaTable):
         self.nu_cap = max(NU_CAP, 1 << (seq.horizon - 1).bit_length())
 
     def _fill(self, top):
-        table, self._log_near_top = core_table(self.seq, self.params, top)
+        k, p = self.params.k, self.params.p
+        table, self._log_near_top = self.seq._kept(
+            ("core", k, p, top), lambda: core_table(self.seq, self.params, top))
         return table
 
     def _closure(self, cell, theta, c):
@@ -374,7 +379,8 @@ class CoreModulusSource(_OmegaTable):
         takes the summand's asymptotic form, whose term is constant in w);
         the inner integrals are _log_q's, running integrals over
         the sorted nodes.  The nodes' l, log-Jacobian and ln E (_log_e) are
-        kept beside the suffix tables, so that J and I share them.
+        kept on the sequence under ("closure", k, p, top, q - 1, theta y - 1),
+        so that J and I, and every source of that table, share them.
         """
         tail = self.seq.tail
         xe, ye = tail_decay(tail, self.params)
@@ -382,9 +388,9 @@ class CoreModulusSource(_OmegaTable):
         critical = abs(q1) <= _CRITICAL_TOL
         if q1 < 0 or critical and theta * ye <= 1:
             return DIVERGENT
-        if (q1, rho) not in self._sums:
-            self._sums[q1, rho] = self._log_e(q1, rho, critical)
-        ell, log_jac, log_e = self._sums[q1, rho]
+        k, p, top = self.params.k, self.params.p, self._omega.size
+        ell, log_jac, log_e = self.seq._kept(("closure", k, p, top, q1, rho),
+                                             lambda: self._log_e(q1, rho, critical))
         log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
         terms = log_jac + theta * log_e + log_w
         nodes, weights = _exp_quadrature()
@@ -392,11 +398,10 @@ class CoreModulusSource(_OmegaTable):
             # past l0 e^700 the summand is its asymptotic form: E ~ c_t x^-x_f
             # l^-gamma ((p x_f)^-1/p + (p (k - x_f))^-1/p), x_f = x_E = r < k,
             # which makes every such term -rho ln l0 - ln rho + theta ln(E x^x_f l^gamma)
-            k, p = self.params.k, self.params.p
             xf = tail.beta - 1 + 1 / p
             limit = (theta * (math.log(tail.c) + np.logaddexp(-math.log(p * xf) / p,
                                                                -math.log(p * (k - xf)) / p))
-                     - rho * math.log(math.log(self._omega.size + 0.5)) - math.log(rho))
+                     - rho * math.log(math.log(top + 0.5)) - math.log(rho))
             terms = np.append(terms, np.full(nodes.size - terms.size, limit))
         top_term = terms.max(initial=-np.inf)
         if top_term == -np.inf:
@@ -459,7 +464,8 @@ class DirectModulusSource(_OmegaTable):
     counts squared: for a_nu = nu^-2, k = 2 and n <= 64, 4 is the smallest
     that keeps every I, J and omega within 1e-4 of a 2048 table at p = 1.5,
     2 and 3 (2 moves them by up to 2.6e-4).  A top past DIRECT_TOP_MAX
-    is refused (ValueError) before anything is allocated.
+    is refused (ValueError) before anything is allocated.  The table is
+    kept on the sequence under ("direct", H, k, p, top).
     """
 
     batch = _OmegaTable.batch
@@ -478,6 +484,11 @@ class DirectModulusSource(_OmegaTable):
         if top > DIRECT_TOP_MAX:
             raise ValueError(f"n_grid: the direct omega table would reach top = {top} "
                              f"(4 max n), past its budget of {DIRECT_TOP_MAX}")
+        return self.seq._kept(("direct", self.H, self.params.k, self.params.p, top),
+                              lambda: self._moduli(top))
+
+    def _moduli(self, top):
+        """The table of _fill, built."""
         k, p = self.params.k, self.params.p
         horizon = min(8 * top, self.seq.horizon) if self.seq.tail.c == 0 else 8 * top
         ends = 1.0 / np.arange(1, top + 1)

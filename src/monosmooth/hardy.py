@@ -73,6 +73,8 @@ class HardyParams:
 
     def __post_init__(self):
         check_rules(self)
+        for name in ("alpha", "lam", "p"):  # a Fraction sums as its float
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

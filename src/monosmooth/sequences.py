@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,12 +30,22 @@ _CRITICAL_TOL = 1e-10
 _SHIFT_STEP = 512.0  # e-folds per step of a running shift (_running_sums)
 #: the smallest normal float, 2^-1022
 _TINY = sys.float_info.min
+#: floats that one sequence keeps of its derived results (8 MiB); see
+#: CoefficientSequence._kept
+_STORE_BUDGET = 2 ** 20
 
 
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _arrays(value):
+    """The arrays of a result kept on a sequence: an array, or a tuple of
+    arrays and scalars."""
+    return [a for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
 
 
 @functools.cache
@@ -213,7 +224,8 @@ class CoefficientSequence:
     head is one read-only, C-contiguous float64 array, a private copy of the
     list, tuple or array given.  Equality and the hash are by value: equal
     tails and equal heads, a -0.0 in the head stored as 0.0 so that equal
-    heads hash alike.
+    heads hash alike.  Results derived from it are kept beside it
+    (_kept), as attributes and not as fields.
     """
 
     head: np.ndarray
@@ -231,6 +243,8 @@ class CoefficientSequence:
         check_rules(self)
         head += 0.0  # -0.0 + 0.0 is 0.0
         head.flags.writeable = False
+        object.__setattr__(self, "_store", {})
+        object.__setattr__(self, "_store_lock", threading.RLock())
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientSequence):
@@ -247,6 +261,28 @@ class CoefficientSequence:
     @property
     def horizon(self):
         return len(self.head)
+
+    def _kept(self, key, build):
+        """build(), kept on this sequence under key, a tuple of every other
+        input that fixes the result: besov's omega tables and closure nodes,
+        and validate_monotone's result.  Its arrays (_arrays) are made
+        read-only.  The results kept, least recently used first, hold at most
+        _STORE_BUDGET floats; one larger than that is built for its call and
+        not kept.  The lock makes each lookup, with its build and evictions,
+        one step for threads.  A copy (scaled, dataclasses.replace, pickling)
+        is built afresh, and so starts with nothing kept."""
+        with self._store_lock:
+            value = self._store.pop(key, None)
+            if value is None:
+                value = build()
+                size = sum(a.size for a in _read_only(*_arrays(value)))
+                if size > _STORE_BUDGET:
+                    return value
+                while sum(a.size for v in self._store.values() for a in _arrays(v)) + size \
+                        > _STORE_BUDGET:
+                    del self._store[next(iter(self._store))]
+            self._store[key] = value
+            return value
 
     def values(self, m, n):
         """Array of a_m .. a_n (inclusive, 1-based)."""
@@ -309,13 +345,11 @@ def validate_monotone(seq):
     holds by the rules of the head and the tail.
 
     Returns a ValidationResult; `index` is the first (1-based) position
-    violating monotonicity.  The result is kept on seq, not as a field, so
-    a sequence is scanned once; a copy made by scaled or dataclasses.replace
+    violating monotonicity.  The result is kept on seq (seq._kept), so a
+    sequence is scanned once; a copy made by scaled or dataclasses.replace
     is a new object and is scanned afresh.
     """
-    if "_monotone" not in vars(seq):
-        object.__setattr__(seq, "_monotone", _scan_monotone(seq))
-    return seq._monotone
+    return seq._kept(("monotone",), lambda: _scan_monotone(seq))
 
 
 def _scan_monotone(seq):
@@ -475,7 +509,7 @@ def weighted_sum(seq, q, s, m=1, n=None):
     """
     if q <= 0:
         raise ValueError("exponent q must be positive")
-    single = np.ndim(m) == 0 and np.ndim(n) == 0
+    single = np.ndim(m if n is None else n) == 0  # the grid's; with n given, m is one start
     starts = np.array(m, ndmin=1)
     if (starts < 1).any():
         raise ValueError("range must start at m >= 1")

@@ -480,13 +480,13 @@ def _core_values(near, far, n, k, p):
     """E = n^-k (N e^h)^(1/p) + (F e^g)^(1/p) at the float array n, a sum of
     shift 0 by its plain power and any other in log space; refused
     (ValueError) where NaN or >= 2^1023."""
-    (s, h), (f, g) = near, far
+    (s, h), (f, g) = near, far  # a shift is the float 0 where no sum was shifted
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = s ** (1.0 / p) * n ** -float(k)
-        if np.any(h):
+        if isinstance(h, np.ndarray) and h.any():
             e[h != 0] = np.exp((np.log(s[h != 0]) + h[h != 0]) / p - k * np.log(n[h != 0]))
         root = f ** (1.0 / p)
-        if np.any(g):
+        if isinstance(g, np.ndarray) and g.any():
             root[g != 0] = np.exp((np.log(f[g != 0]) + g[g != 0]) / p)
         e += root
     if not e.max() < 2.0 ** 1023:
@@ -521,12 +521,13 @@ def bound_core(seq, params, n):
     value is its one-point call.  DIVERGENT when the tail's far sum diverges.
     """
     k, p = params.k, params.p
+    single = np.ndim(n) == 0
     ns = np.array(n, ndmin=1)  # a single n: the one-point grid
     if (ns < 1).any():
         raise ValueError("n must be >= 1")
     if not seq.tail.converges(p, p - 2):
-        return DIVERGENT if np.ndim(n) == 0 else np.full(ns.shape, DIVERGENT)
+        return DIVERGENT if single else np.full(ns.shape, DIVERGENT)
     near = _weighted_sums(seq, p, k + 1 - 2 / p, 1, ns)
     far = _weighted_sums(seq, p, 1 - 2 / p, ns + 1, s=p - 2)
     e = _core_values(near, far, ns.astype(float), k, p)
-    return float(e[0]) if np.ndim(n) == 0 else e
+    return float(e[0]) if single else e

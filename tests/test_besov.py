@@ -1,11 +1,19 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monosmooth
+from monosmooth import besov, sequences, smoothness
 from monosmooth.besov import (
     Band,
     ClassParams,
@@ -22,7 +30,7 @@ from monosmooth.besov import (
     _OmegaTable,
 )
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
-                                  make_power_log, weighted_sum)
+                                  make_power_log, validate_monotone, weighted_sum)
 from monosmooth.smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
                                    difference_norms, grid_size)
 
@@ -705,3 +713,237 @@ def test_equivalence_report_small_grid():
     for band in bands.values():
         assert band.spread is not None and band.spread < 50
     assert len(rep["values"]["n"]) == 3
+
+
+# -- the tables and closure nodes kept on the sequence ------------------------
+
+# the shared sequences live for the whole process, so that a second pass of
+# this file in it (CI's "warm table store" step) finds their stores warm
+_SHARED = {}
+
+
+def _shared(name):
+    """(seq, cp): a power law; set D's power-log tail with gamma = -0.5 on
+    its critical line, whose closure takes the critical nodes; a zero tail."""
+    if not _SHARED:
+        d = ClassParams(theta=1, r=0.75, lam=0.75, k=3, p=4)
+        _SHARED.update({
+            "power-law": (make_power_law(1.2, 2, 4096), CP),
+            "power-log": (make_power_log(1.0, d.r + 0.4 + 1 - 1 / d.p, -0.5, 4096), d),
+            "zero-tail": (CoefficientSequence(1.0 / np.arange(1, 65)), CP),
+        })
+    return _SHARED[name]
+
+
+def _kept_floats(seq):
+    return sum(a.size for v in seq._store.values() for a in sequences._arrays(v))
+
+
+def _store_results(seq, cp):
+    """repr of every functional that reads the store: J and I on one core
+    source each, membership J and I, and the equivalence report on a core
+    and on a direct source."""
+    ns = np.array([2, 16, 300])
+    out = [discrete_seminorm(cp, ns, CoreModulusSource(seq, cp.smoothness)).tolist(),
+           integral_seminorm(cp, 1.0 / (ns + 1), CoreModulusSource(seq, cp.smoothness)).tolist()]
+    for functional in "JI":
+        rep = membership_test(seq, cp, PhiSpec.power(0.25), functional)
+        out.append((rep.values, rep.ratios, rep.verdict))
+    for source in (CoreModulusSource(seq, cp.smoothness),
+                   DirectModulusSource(seq, cp.smoothness, H=4)):
+        rep = equivalence_report(seq, cp, [4, 8, 16], source)
+        out.append((rep["values"], {name: band.ratios for name, band in rep["bands"].items()}))
+    return repr(out)
+
+
+@pytest.mark.parametrize("name", ["power-law", "power-log", "zero-tail"])
+def test_results_do_not_depend_on_the_store(name, monkeypatch):
+    # cold (a fresh copy), warm (the shared sequence, twice), and on copies
+    # whose budget keeps nothing, or one table at a time so that each
+    # closure evicts the table it continues
+    seq, cp = _shared(name)
+    cold = _store_results(dataclasses.replace(seq), cp)
+    assert _store_results(seq, cp) == cold
+    assert _store_results(seq, cp) == cold
+    assert seq._store
+    for budget in (0, 9000):
+        monkeypatch.setattr(sequences, "_STORE_BUDGET", budget)
+        twin = dataclasses.replace(seq)
+        assert _store_results(twin, cp) == cold
+        assert _kept_floats(twin) <= budget
+
+
+def test_kept_results_are_read_only():
+    seq = make_power_log(1.0, 2.0, 0.5, 512)
+    source = CoreModulusSource(seq, CP.smoothness)
+    discrete_seminorm(CP, 8, source)
+    equivalence_report(seq, CP, [4, 8], DirectModulusSource(seq, CP.smoothness, H=4))
+    validate_monotone(seq)
+    assert {key[0] for key in seq._store} == {"core", "closure", "direct", "monotone"}
+    arrays = [a for v in seq._store.values() for a in sequences._arrays(v)]
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        source._omega[0] = 0.0
+
+
+def test_store_budget_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 3 * 1024)
+    seq = CoefficientSequence((1.0,))
+    built = []
+
+    def get(key, n):
+        def build():
+            built.append(key)
+            return np.arange(float(n)), 0.5  # an array and a scalar, as the core table
+        return seq._kept((key,), build)
+
+    a = get("a", 1024)
+    get("b", 1024)
+    get("c", 1024)
+    assert get("a", 1024) is a  # a hit, now the most recently used
+    get("d", 1024)  # makes room by dropping b
+    assert list(seq._store) == [("c",), ("a",), ("d",)]
+    get("big", 4096)  # past the budget: built for its call, not kept
+    assert list(seq._store) == [("c",), ("a",), ("d",)]
+    get("b", 1024)
+    assert built == ["a", "b", "c", "d", "big", "b"]
+    assert list(seq._store) == [("a",), ("d",), ("b",)] and _kept_floats(seq) == 3 * 1024
+    # a core table past the budget is built for each source and not kept
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 4096)
+    fills = _count_fills(monkeypatch)
+    seq = make_power_law(1, 2, 64)
+    for _ in range(2):
+        CoreModulusSource(seq, CP.smoothness)(5)
+    assert len(fills) == 2 and not seq._store
+
+
+def _count_fills(monkeypatch):
+    fills = []
+
+    def counted(seq, params, top, _f=besov.core_table):
+        fills.append((id(seq), params.k, params.p, top))
+        return _f(seq, params, top)
+
+    monkeypatch.setattr(besov, "core_table", counted)
+    return fills
+
+
+def _in_threads(work, count):
+    """work(i) in count threads switching every microsecond; the exceptions raised."""
+    failures = []
+
+    def run(i):
+        try:
+            work(i)
+        except Exception as exc:  # read after join, in the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return failures
+
+
+def test_threads_fill_one_sequence(monkeypatch):
+    # two threads ask for one table at once: one fills it, the other reads it
+    seq = make_power_log(1.0, 2.0, 0.5, 4096)
+    ns = np.array([4, 64])
+    want = discrete_seminorm(CP, ns, CoreModulusSource(dataclasses.replace(seq), CP.smoothness))
+    fills = _count_fills(monkeypatch)
+    got = []
+    assert _in_threads(lambda i: got.append(
+        discrete_seminorm(CP, ns, CoreModulusSource(seq, CP.smoothness))), 2) == []
+    assert len(fills) == 1 and len(got) == 2
+    assert all(np.array_equal(j, want) for j in got)
+    # four threads on six tables and a budget of two, so that most lookups
+    # fill and evict: each lookup is one step, and every table read is whole
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 2 * 2 ** 13)
+    params = [SmoothnessParams(k, p) for k in (2, 3) for p in (1.5, 2, 3)]
+    nus = np.array([1, 100, 8192])
+    oracle = [CoreModulusSource(dataclasses.replace(seq), sp).batch(nus) for sp in params]
+
+    def work(i):
+        for j in range(30):
+            at = (5 * j + i) % len(params)
+            assert np.array_equal(CoreModulusSource(seq, params[at]).batch(nus), oracle[at])
+
+    assert _in_threads(work, 4) == []
+    assert _kept_floats(seq) <= 2 * 2 ** 13
+
+
+def test_copies_start_with_an_empty_store():
+    seq = make_power_law(1, 2, 64)
+    discrete_seminorm(CP, 8, CoreModulusSource(seq, CP.smoothness))
+    validate_monotone(seq)
+    assert {key[0] for key in seq._store} == {"core", "closure", "monotone"}
+    for twin in (seq.scaled(1.0), dataclasses.replace(seq), pickle.loads(pickle.dumps(seq)),
+                 copy.copy(seq), copy.deepcopy(seq)):
+        assert twin == seq and twin._store == {} and twin._store_lock is not seq._store_lock
+    assert len(seq._store) == 3
+
+
+def test_a_class_sweep_cycle_fills_each_table_once(monkeypatch, workloads):
+    # one class-sweep cycle of perfbench (seed 1, 68 experiments) on 20
+    # sequences: with every store emptied before each experiment, as each
+    # source filled its own before the store, it fills 45 tables (20
+    # distinct) and 35 sets of closure nodes (15 distinct); on cold stores,
+    # 20 and 15; on the warm stores of the cycle before, none
+    monkeypatch.syspath_prepend(str(Path(workloads.__file__).parent))  # its reference module
+    fills = _count_fills(monkeypatch)
+    closures = []
+
+    def counted(self, q1, rho, critical, _f=CoreModulusSource._log_e):
+        closures.append((id(self.seq), self._omega.size, q1, rho))
+        return _f(self, q1, rho, critical)
+
+    monkeypatch.setattr(CoreModulusSource, "_log_e", counted)
+    inp = workloads.cs_inputs(monosmooth, 1)
+    cycle = workloads.cs_cycle(monosmooth, inp, None, lambda thunk: None)
+    seqs = [seq for _, _, seq in inp["seqs"].values()]
+    assert len(cycle) == 68 and len(seqs) == 20
+
+    def run(clear_each):
+        fills.clear()
+        closures.clear()
+        results = []
+        for experiment in cycle:
+            for seq in seqs if clear_each else ():
+                seq._store.clear()
+            results.append(repr(experiment.run()))
+        return results, (len(fills), len(set(fills)), len(closures), len(set(closures)))
+
+    cold, counts = run(True)
+    assert counts == (45, 20, 35, 15)
+    for seq in seqs:
+        seq._store.clear()
+    assert run(False) == (cold, (20, 20, 15, 15))
+    assert run(False) == (cold, (0, 0, 0, 0))
+
+
+def test_a_warm_direct_table_sends_nothing_to_the_fft(monkeypatch):
+    # a p = 3 direct source takes its norms through the grid kernel; a
+    # second source on the same sequence, H, k, p and top reads the table
+    sent = []
+
+    def counting(hs, *args, _f=smoothness._grid_sums):
+        sent.append(hs.size)
+        return _f(hs, *args)
+
+    monkeypatch.setattr(smoothness, "_grid_sums", counting)
+    seq = make_power_law(1, 2, 4096)
+    cp = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=3)
+    first = equivalence_report(seq, cp, [4, 8], DirectModulusSource(seq, cp.smoothness, H=4))
+    assert sum(sent) > 256
+    sent.clear()
+    again = equivalence_report(seq, cp, [4, 8], DirectModulusSource(seq, cp.smoothness, H=4))
+    assert sent == [] and repr(again) == repr(first)
+    DirectModulusSource(seq, cp.smoothness, H=8)(4)  # another H is another table
+    assert sum(sent) > 256

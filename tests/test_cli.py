@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import monosmooth
+from monosmooth import cli
 from monosmooth.besov import ClassParams, CoreModulusSource, MembershipReport, equivalence_report
 from monosmooth.cli import (
     _TASKS,
@@ -204,6 +205,34 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(shlex.split(_GOLDEN_COMMANDS[name]) + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# one sequence object per sequence spec for the whole process, so that a
+# second pass of this file in it (CI's "warm table store" step) starts warm
+_SEQUENCES = {}
+
+
+def test_golden_reports_on_a_warm_store(tmp_path, monkeypatch):
+    # every golden report, twice in a row and then once more in reverse
+    # order, from one sequence object per spec: its tables, closure nodes
+    # and monotonicity scan, kept by the first run, change no byte
+    def shared(spec, seed=0):
+        key = json.dumps(spec, sort_keys=True), seed
+        if key not in _SEQUENCES:
+            _SEQUENCES[key] = resolve_sequence(spec, seed)
+        return _SEQUENCES[key]
+
+    monkeypatch.setattr(cli, "resolve_sequence", shared)
+    commands = {**_GOLDEN_COMMANDS, **{
+        f"modulus_p{p}.csv": f"modulus --power-law 1 2 --k 2 --p {p} "
+                             "--t-grid 0.001,0.015625,0.125,0.5,2" for p in ("1", "3")}}
+    assert len(commands) == len(list(GOLDEN.iterdir()))
+    for name in [*commands, *commands, *reversed(commands)]:
+        out = tmp_path / name
+        assert main(shlex.split(commands[name]) + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    kept = {key[0] for seq in _SEQUENCES.values() for key in seq._store}
+    assert kept == {"core", "closure", "direct", "monotone"}
 
 
 def test_seminorm_direct_p3(tmp_path):

@@ -1,10 +1,9 @@
-import importlib.util
 import math
 import re
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -300,6 +299,23 @@ def test_hardy_params_must_be_finite(key, value, line):
     args = {"alpha": 1, "lam": 0, "p": 1, "m": 1, "n": 16, key: value}
     with pytest.raises(ValueError, match=f"^{line}$"):
         HardyParams(**args)
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_fraction_weights_sum_as_their_floats(lemma):
+    # a Fraction passes the rules; alpha, lam and p are then kept as floats,
+    # so the sweep sums it as the float it equals
+    seq = make_power_law(1, 1.5, 64)
+    hp = HardyParams(alpha=Fraction(1, 2), lam=Fraction(1, 3), p=Fraction(3, 2), m=1, n=64)
+    assert (hp.alpha, hp.lam, hp.p) == (0.5, 1 / 3, 1.5)
+    assert all(type(v) is float for v in (hp.alpha, hp.lam, hp.p))
+    floats = HardyParams(alpha=0.5, lam=1 / 3, p=1.5, m=1, n=64)
+    assert repr(verify_lemma(lemma, seq, hp)) == repr(verify_lemma(lemma, seq, floats))
+    # one case fails n >= 16 m and is skipped, as its float twin is
+    cases = [(seq, hp), (seq, HardyParams(alpha=Fraction(1), lam=Fraction(-1, 4), p=2, m=8,
+                                          n=64))]
+    twins = [(seq, floats), (seq, HardyParams(alpha=1.0, lam=-0.25, p=2, m=8, n=64))]
+    assert repr(estimate_constant(lemma, cases)) == repr(estimate_constant(lemma, twins))
 
 
 def test_hardy_params_need_integer_range():
@@ -626,22 +642,9 @@ def test_threads_share_the_row_cache(cold_rows, monkeypatch):
     assert sum(row.size for row in cold_rows.values()) <= 4 * 512
 
 
-def _workloads():
-    """perfbench/workloads.py, imported once (its dataclasses look their
-    module up in sys.modules)."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
-def _hardy_sweep(seed, lemmas=LEMMA_IDS):
+def _hardy_sweep(workloads, seed, lemmas=LEMMA_IDS):
     """The experiments of one hardy-sweep cycle of perfbench, by name: the
     estimate_constant sweep and the verify_lemma case of each lemma and p."""
-    workloads = _workloads()
     inp = workloads.hardy_inputs(monosmooth, seed)
     results = {}
     for lemma in lemmas:
@@ -654,16 +657,16 @@ def _hardy_sweep(seed, lemmas=LEMMA_IDS):
     return results
 
 
-def test_results_do_not_depend_on_the_rows_kept(cold_rows):
-    cold = _hardy_sweep(1)
+def test_results_do_not_depend_on_the_rows_kept(cold_rows, workloads):
+    cold = _hardy_sweep(workloads, 1)
     assert len(cold) == 21 and len(cold_rows) == 8
-    assert _hardy_sweep(1) == cold
-    assert _hardy_sweep(1, LEMMA_IDS[::-1]) == cold
+    assert _hardy_sweep(workloads, 1) == cold
+    assert _hardy_sweep(workloads, 1, LEMMA_IDS[::-1]) == cold
     cold_rows.clear()
-    assert _hardy_sweep(1, LEMMA_IDS[::-1]) == cold
+    assert _hardy_sweep(workloads, 1, LEMMA_IDS[::-1]) == cold
 
 
-def test_a_sweep_cycle_builds_each_row_once(cold_rows, monkeypatch):
+def test_a_sweep_cycle_builds_each_row_once(cold_rows, monkeypatch, workloads):
     # lam, lam + 1, alpha - 1 and -alpha - 1 of the workload's two variants
     built = []
 
@@ -673,10 +676,10 @@ def test_a_sweep_cycle_builds_each_row_once(cold_rows, monkeypatch):
 
     monkeypatch.setattr(hardy, "_power_table", counted)
     displays = LEMMA_IDS[1:]
-    assert len(_hardy_sweep(2, displays)) == 18
+    assert len(_hardy_sweep(workloads, 2, displays)) == 18
     assert len(built) == 8 and {n for _, n in built} == {2 ** 16}
     built.clear()
-    _hardy_sweep(2, displays)
+    _hardy_sweep(workloads, 2, displays)
     assert built == []
     cold_rows.clear()
     seq = make_power_law(1, 1.5, 512)
