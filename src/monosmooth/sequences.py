@@ -244,7 +244,7 @@ class CoefficientSequence:
         head += 0.0  # -0.0 + 0.0 is 0.0
         head.flags.writeable = False
         object.__setattr__(self, "_store", {})
-        object.__setattr__(self, "_store_lock", threading.RLock())
+        object.__setattr__(self, "_store_lock", threading.Lock())
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientSequence):
@@ -269,7 +269,8 @@ class CoefficientSequence:
         read-only.  The results kept, least recently used first, hold at most
         _STORE_BUDGET floats; one larger than that is built for its call and
         not kept.  The lock makes each lookup, with its build and evictions,
-        one step for threads.  A copy (scaled, dataclasses.replace, pickling)
+        one step for threads; so build must not look up this sequence's
+        results.  A copy (scaled, dataclasses.replace, pickling)
         is built afresh, and so starts with nothing kept."""
         with self._store_lock:
             value = self._store.pop(key, None)
