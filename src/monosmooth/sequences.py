@@ -270,8 +270,8 @@ class CoefficientSequence:
         _STORE_BUDGET floats; one larger than that is built for its call and
         not kept.  The lock makes each lookup, with its build and evictions,
         one step for threads; so build must not look up this sequence's
-        results.  A copy (scaled, dataclasses.replace, pickling)
-        is built afresh, and so starts with nothing kept."""
+        results.  A copy (scaled, dataclasses.replace, pickling) is built
+        afresh, and so starts with nothing kept."""
         with self._store_lock:
             value = self._store.pop(key, None)
             if value is None:

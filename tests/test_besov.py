@@ -723,13 +723,15 @@ _SHARED = {}
 
 
 def _shared(name):
-    """(seq, cp): a power law; set D's power-log tail with gamma = -0.5 on
-    its critical line, whose closure takes the critical nodes; a zero tail."""
+    """(seq, cp): a power law; class-sweep's set D on the critical line of
+    its verdict, a power-log tail with gamma = -0.5; a power-log tail whose
+    closure takes the critical nodes (x_E = r, so q = 1); a zero tail."""
     if not _SHARED:
         d = ClassParams(theta=1, r=0.75, lam=0.75, k=3, p=4)
         _SHARED.update({
             "power-law": (make_power_law(1.2, 2, 4096), CP),
             "power-log": (make_power_log(1.0, d.r + 0.4 + 1 - 1 / d.p, -0.5, 4096), d),
+            "critical-closure": (make_power_log(1.0, 1.0, 1.5, 4096), CP),
             "zero-tail": (CoefficientSequence(1.0 / np.arange(1, 65)), CP),
         })
     return _SHARED[name]
@@ -756,7 +758,7 @@ def _store_results(seq, cp):
     return repr(out)
 
 
-@pytest.mark.parametrize("name", ["power-law", "power-log", "zero-tail"])
+@pytest.mark.parametrize("name", ["power-law", "power-log", "critical-closure", "zero-tail"])
 def test_results_do_not_depend_on_the_store(name, monkeypatch):
     # cold (a fresh copy), warm (the shared sequence, twice), and on copies
     # whose budget keeps nothing, or one table at a time so that each

@@ -165,13 +165,15 @@ def test_modulus_at_large_k(p, tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+_MODULUS_COMMAND = "modulus --power-law 1 2 --k 2 --p {} --t-grid 0.001,0.015625,0.125,0.5,2"
+
+
 @pytest.mark.parametrize("p", ["1", "3"])
 def test_modulus_report_matches_golden(p, tmp_path):
     # the README sequence; the reports were written before modulus_direct
     # skipped shifts by their bounds, so skipping must not move a digit
     out = tmp_path / "mod.csv"
-    rc = main(["modulus", "--power-law", "1", "2", "--k", "2", "--p", p,
-               "--t-grid", "0.001,0.015625,0.125,0.5,2", "--out", str(out)])
+    rc = main(shlex.split(_MODULUS_COMMAND.format(p)) + ["--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"modulus_p{p}.csv").read_bytes()
 
@@ -223,9 +225,8 @@ def test_golden_reports_on_a_warm_store(tmp_path, monkeypatch):
         return _SEQUENCES[key]
 
     monkeypatch.setattr(cli, "resolve_sequence", shared)
-    commands = {**_GOLDEN_COMMANDS, **{
-        f"modulus_p{p}.csv": f"modulus --power-law 1 2 --k 2 --p {p} "
-                             "--t-grid 0.001,0.015625,0.125,0.5,2" for p in ("1", "3")}}
+    commands = {**_GOLDEN_COMMANDS,
+                **{f"modulus_p{p}.csv": _MODULUS_COMMAND.format(p) for p in ("1", "3")}}
     assert len(commands) == len(list(GOLDEN.iterdir()))
     for name in [*commands, *commands, *reversed(commands)]:
         out = tmp_path / name
