@@ -272,22 +272,19 @@ class _OmegaTable:
 
     The first top is the smallest power of two that is at least nu_cap and
     the first nu asked for; a later request past top doubles it until it
-    fits.  All DIVERGENT, with no table, if sum a^p nu^(p-2) is.  Beside it
-    are the far-sum suffix tables of I and J (far_sums).  A modulus source
-    is a subclass with nu_cap and _fill(top); it names batch in its own
-    class body, so that it can be wrapped per class.  The sources of this
-    module keep each table, and the core closure's nodes, on the sequence
-    (CoefficientSequence._kept), keyed by every other input that fixes
-    them, so that a new source on the same sequence reads them and does not
-    build them again.
+    fits.  All DIVERGENT, with no table, if sum a^p nu^(p-2) is.  A modulus
+    source is a subclass with nu_cap and _fill(top); it names batch in its
+    own class body, so that it can be wrapped per class.  The sources of
+    this module keep each table, and the core closure's nodes, in the
+    sequence's store (CoefficientSequence._store), keyed by every other
+    input that fixes them, so that a new source on the same sequence reads
+    them and does not build them again.
     """
 
     def __init__(self, seq, params):
         self.seq = seq
         self.params = params
         self._omega = np.array([], dtype=float)
-        self._sums = {}
-        self._core = None
         self._divergent = not seq.tail.converges(params.p, params.p - 2)
 
     def _grow(self, nu):
@@ -296,7 +293,6 @@ class _OmegaTable:
             top *= 2
         if top > self._omega.size:
             self._omega = self._fill(top)
-            self._sums = {}
 
     def batch(self, nus):
         nus = np.asarray(nus, dtype=int)
@@ -308,40 +304,30 @@ class _OmegaTable:
     def __call__(self, nu):
         return float(self.batch(np.array([nu]))[0])
 
-    def far_sums(self, cell, theta, c):
-        """sums(starts): sum_{nu >= start} omega(1/nu)^theta w(nu) per start,
-        w(nu) = nu^(c-1) (J) or, with cell, ((nu+1)^c - nu^c)/c (I's cells).
-
-        One lookup in a suffix table, the terms' reverse cumulative sum plus
-        _closure's sum past top, built on first use and dropped with omega.
-        """
-        key = (cell, theta, c)
-
-        def sums(starts):
-            if self._divergent:
-                return np.full(starts.shape, DIVERGENT)
-            self._grow(starts.max(initial=0))
-            if key not in self._sums:
-                _check_weight(c, self._omega.size + 1)
-                rest = self._closure(cell, theta, c)
-                nu = np.arange(1, self._omega.size + 1, dtype=float)
-                w = ((nu + 1) ** c - nu ** c) / c if cell else nu ** (c - 1)
-                terms = self._omega ** theta * w
-                self._sums[key] = np.append(np.cumsum(terms[::-1])[::-1] + rest, rest)
-            return self._sums[key][starts - 1]
-
-        return sums
+    def far_sums(self, cell, theta, c, starts):
+        """sum_{nu >= start} omega(1/nu)^theta w(nu) per start of the array
+        starts, w(nu) = nu^(c-1) (J) or, with cell, ((nu+1)^c - nu^c)/c (I's
+        cells): the terms' reverse cumulative sum over the table plus
+        _closure's sum past top."""
+        if self._divergent:
+            return np.full(starts.shape, DIVERGENT)
+        self._grow(starts.max(initial=0))
+        _check_weight(c, self._omega.size + 1)
+        rest = self._closure(cell, theta, c)
+        nu = np.arange(1, self._omega.size + 1, dtype=float)
+        w = ((nu + 1) ** c - nu ** c) / c if cell else nu ** (c - 1)
+        terms = self._omega ** theta * w
+        return np.append(np.cumsum(terms[::-1])[::-1] + rest, rest)[starts - 1]
 
     def _closure(self, cell, theta, c):
         """The far sum past top: the core source's, scaled by
         (omega(1/top)/E(top))^theta so that it continues this table."""
         top = self._omega.size
-        if self._core is None:
-            self._core = CoreModulusSource(self.seq, self.params)
-        rest = extrapolated_tail_sum(self._core.far_sums(cell, theta, c), top + 1)
+        core = CoreModulusSource(self.seq, self.params)
+        rest = extrapolated_tail_sum(lambda starts: core.far_sums(cell, theta, c, starts), top + 1)
         if rest in (0.0, DIVERGENT):  # E(top) > 0 whenever rest > 0
             return rest
-        return (self._omega[-1] / self._core(top)) ** theta * rest
+        return (self._omega[-1] / core(top)) ** theta * rest
 
 
 class CoreModulusSource(_OmegaTable):
@@ -359,7 +345,7 @@ class CoreModulusSource(_OmegaTable):
 
     def _fill(self, top):
         k, p = self.params.k, self.params.p
-        table, self._log_near_top = self.seq._kept(
+        table, self._log_near_top = self.seq._store.get(
             ("core", k, p, top), lambda: core_table(self.seq, self.params, top))
         return table
 
@@ -389,8 +375,8 @@ class CoreModulusSource(_OmegaTable):
         if q1 < 0 or critical and theta * ye <= 1:
             return DIVERGENT
         k, p, top = self.params.k, self.params.p, self._omega.size
-        ell, log_jac, log_e = self.seq._kept(("closure", k, p, top, q1, rho),
-                                             lambda: self._log_e(q1, rho, critical))
+        ell, log_jac, log_e = self.seq._store.get(("closure", k, p, top, q1, rho),
+                                                  lambda: self._log_e(q1, rho, critical))
         log_w = (c - 1) * np.log1p(0.5 * np.exp(-ell)) if cell else 0.0
         terms = log_jac + theta * log_e + log_w
         nodes, weights = _exp_quadrature()
@@ -484,8 +470,8 @@ class DirectModulusSource(_OmegaTable):
         if top > DIRECT_TOP_MAX:
             raise ValueError(f"n_grid: the direct omega table would reach top = {top} "
                              f"(4 max n), past its budget of {DIRECT_TOP_MAX}")
-        return self.seq._kept(("direct", self.H, self.params.k, self.params.p, top),
-                              lambda: self._moduli(top))
+        return self.seq._store.get(("direct", self.H, self.params.k, self.params.p, top),
+                                   lambda: self._moduli(top))
 
     def _moduli(self, top):
         """The table of _fill, built."""
@@ -509,8 +495,9 @@ class DirectModulusSource(_OmegaTable):
 
 
 def extrapolated_tail_sum(term, start):
-    """sum_{nu >= start} of a far-sum summand: one lookup of term, a
-    source's far_sums.  DIVERGENT when the tail model's far sum diverges."""
+    """sum_{nu >= start} of a far-sum summand: one call of term, a source's
+    far_sums at one cell, theta and c.  DIVERGENT when the tail model's far
+    sum diverges."""
     return float(term(np.array([start]))[0])
 
 
@@ -520,9 +507,9 @@ def integral_seminorm(cp, delta, source):
 
     The t-weight is integrated in closed form on each cell
     [1/(nu+1), 1/nu], with omega evaluated at 1/nu; partial end cells
-    are truncated at delta.  The far cells' sums, DIVERGENT or not, are a
-    lookup in the source's suffix table (see _OmegaTable.far_sums), and
-    the near cells' sums are one cumulative sum over nu < max 1/delta,
+    are truncated at delta.  The far cells' sums, DIVERGENT or not, are
+    read from one suffix sum over the source's table (_OmegaTable.far_sums),
+    and the near cells' sums are one cumulative sum over nu < max 1/delta,
     read at each delta.
     """
     deltas = np.array(delta, dtype=float, ndmin=1)
@@ -532,7 +519,7 @@ def integral_seminorm(cp, delta, source):
     c1, c2 = cp.r * th, (cp.r + cp.lam) * th
     nu0 = np.ceil(1.0 / deltas).astype(int)
     _check_weight(c2, nu0)
-    rest = source.far_sums(True, th, c1)(nu0 + 1)
+    rest = source.far_sums(True, th, c1, nu0 + 1)
     if rest[0] == DIVERGENT:  # the tail model's: at every delta or at none
         return _shaped(delta, rest)
     nu = np.arange(1, nu0.max() + 1)
@@ -551,17 +538,17 @@ def integral_seminorm(cp, delta, source):
 
 def discrete_seminorm(cp, n, source):
     """J(n), for an int n or an array of them: discrete seminorm built from
-    omega(1/nu) samples.  The far sums are a lookup in the source's suffix
-    table (see _OmegaTable.far_sums), and the near sums one cumulative sum
-    of omega(1/nu)^theta nu^((r+lam) theta - 1) over nu <= max n, read at
-    each n."""
+    omega(1/nu) samples.  The far sums are read from one suffix sum over
+    the source's table (_OmegaTable.far_sums), and the near sums from one
+    cumulative sum of omega(1/nu)^theta nu^((r+lam) theta - 1) over
+    nu <= max n, read at each n."""
     ns = np.array(n, ndmin=1)
     if (ns < 1).any():
         raise ValueError("n must be >= 1")
     th = cp.theta
     c2 = (cp.r + cp.lam) * th
     _check_weight(c2, ns)
-    far = source.far_sums(False, th, cp.r * th)(ns + 1)
+    far = source.far_sums(False, th, cp.r * th, ns + 1)
     if far[0] == DIVERGENT:  # the tail model's: at every n or at none
         return _shaped(n, far)
     nu = np.arange(1, ns.max() + 1)

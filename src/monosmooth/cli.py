@@ -35,6 +35,11 @@ HORIZON = 4096
 #: the core table is the power of two past max(n) + 2, so n <= 2^19 keeps
 #: each table within 2^20 floats (8 MiB)
 N_GRID_MAX = 2 ** 19
+#: memory budget of a sequence's length (horizon, size) and of a Hardy
+#: sum's n: 2^20 floats (8 MiB)
+LENGTH_MAX = 2 ** 20
+#: memory budget of modulus's p != 2 grid, grid_size(LENGTH_MAX) points
+M_MAX = 2 ** 22
 #: the norm of every report: smoothness's L^p norms
 NORM_CONVENTION = "Lp integral over [0, 2pi), no 1/(2pi) normalization"
 
@@ -68,6 +73,8 @@ _SEQUENCE_RULES = (
     *PowerLogTail.RULES,
     ("scale", ("scale",), lambda v: finite_real(v) and v >= 0, "must be a finite real number >= 0"),
     *((key, (key,), positive_integer, "must be a positive integer") for key in ("horizon", "size")),
+    *((key, (key,), lambda v: not positive_integer(v) or v <= LENGTH_MAX,
+       f"must be at most {LENGTH_MAX}") for key in ("horizon", "size")),
     *CoefficientSequence.RULES,
     ("tail", ("tail",), lambda v: isinstance(v, dict), "must be an object"),
 )
@@ -84,6 +91,9 @@ _RULES = _SEQUENCE_RULES + (
          0 < x < math.inf and 1.0 / x < N_GRID_MAX + 1 and round(1.0 / x) <= N_GRID_MAX
          for x in v),
      f"must be ascending finite positive values with round(1/t) at most {N_GRID_MAX}"),
+    ("n", ("n",), lambda v: not positive_integer(v) or v <= LENGTH_MAX,
+     f"must be at most {LENGTH_MAX}"),
+    ("M", ("M",), lambda v: not positive_integer(v) or v <= M_MAX, f"must be at most {M_MAX}"),
     ("lemma", ("lemma",), lambda v: v in _load("hardy.LEMMA_IDS"), "unknown id {!r}"),
     ("source", ("source",), lambda v: v in ("core", "direct"), "must be 'core' or 'direct'"),
     ("functional", ("functional",), lambda v: v in ("I", "J", "K"),

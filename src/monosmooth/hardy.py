@@ -16,13 +16,12 @@ lhs >= C rhs, "two_sided": both).  Ratios are always lhs/rhs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from .sequences import check_rules, validate_monotone
+from .sequences import _Store, check_rules, validate_monotone
 
 # (lemma id, p >= 1) -> (inner sum, lhs start, rhs start, c, bound).  A start
 # k is mu = k m, and k = 0 is mu = 1; every sum runs to n, and a head sum
@@ -158,13 +157,9 @@ def _sides(lemma_id, a, hp, tables, out):
     return lhs, float(np.einsum("i,i->", weight[hi - 1:n], terms))
 
 
-# nu^x rows, read-only, keyed by x and least recently used first; a row
-# serves every n up to its length, and all of them hold at most _ROW_BUDGET
-# floats (8 MiB).  _ROWS_LOCK makes each lookup, with its build and
-# evictions, one step for threads that sweep at once
-_ROWS = {}
-_ROW_BUDGET = 2 ** 20
-_ROWS_LOCK = threading.Lock()
+# the nu^x rows of every sweep in the process, keyed by x; a row serves
+# every n up to its length
+_ROWS = _Store()
 
 
 def _power_table(x, n):
@@ -184,19 +179,8 @@ def _power_table(x, n):
 
 def _power_row(x, n):
     """The _ROWS row of x if it is n long at least, else a new _power_table
-    row, which replaces it unless it alone exceeds _ROW_BUDGET, least
-    recently used rows giving way to keep _ROWS within the budget."""
-    with _ROWS_LOCK:
-        row = _ROWS.pop(x, None)
-        if row is None or row.size < n:
-            row = _power_table(x, n)
-            row.flags.writeable = False
-            if n > _ROW_BUDGET:
-                return row
-            while sum(kept.size for kept in _ROWS.values()) + n > _ROW_BUDGET:
-                del _ROWS[next(iter(_ROWS))]
-        _ROWS[x] = row
-        return row
+    row in its place."""
+    return _ROWS.get(x, lambda: _power_table(x, n), fits=lambda row: row.size >= n)
 
 
 def _sweep(lemma_id, cases):

@@ -30,8 +30,7 @@ _CRITICAL_TOL = 1e-10
 _SHIFT_STEP = 512.0  # e-folds per step of a running shift (_running_sums)
 #: the smallest normal float, 2^-1022
 _TINY = sys.float_info.min
-#: floats that one sequence keeps of its derived results (8 MiB); see
-#: CoefficientSequence._kept
+#: floats that one _Store keeps (8 MiB)
 _STORE_BUDGET = 2 ** 20
 
 
@@ -42,10 +41,41 @@ def _read_only(*arrays):
 
 
 def _arrays(value):
-    """The arrays of a result kept on a sequence: an array, or a tuple of
+    """The arrays of a result that a _Store keeps: an array, or a tuple of
     arrays and scalars."""
     return [a for a in (value if isinstance(value, tuple) else (value,))
             if isinstance(a, np.ndarray)]
+
+
+class _Store:
+    """Results kept under keys, least recently used first.
+
+    The arrays of a kept result (_arrays) are made read-only, and all of
+    them hold at most _STORE_BUDGET floats; a result larger than that is
+    built for its call and not kept.  The lock makes each lookup, with its
+    build and evictions, one step for threads; so a build must not look up
+    its own store.
+    """
+
+    def __init__(self):
+        self._results = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, build, fits=None):
+        """The result kept under key, if fits(it) (any, without fits); else
+        build(), kept under key in its place."""
+        with self._lock:
+            value = self._results.pop(key, None)
+            if value is None or fits is not None and not fits(value):
+                value = build()
+                size = sum(a.size for a in _read_only(*_arrays(value)))
+                if size > _STORE_BUDGET:
+                    return value
+                while sum(a.size for v in self._results.values() for a in _arrays(v)) + size \
+                        > _STORE_BUDGET:
+                    del self._results[next(iter(self._results))]
+            self._results[key] = value
+            return value
 
 
 @functools.cache
@@ -224,8 +254,9 @@ class CoefficientSequence:
     head is one read-only, C-contiguous float64 array, a private copy of the
     list, tuple or array given.  Equality and the hash are by value: equal
     tails and equal heads, a -0.0 in the head stored as 0.0 so that equal
-    heads hash alike.  Results derived from it are kept beside it
-    (_kept), as attributes and not as fields.
+    heads hash alike.  Results derived from it are kept in its _store, an
+    attribute and not a field; a copy (scaled, dataclasses.replace,
+    pickling) is built afresh, and so starts with nothing kept.
     """
 
     head: np.ndarray
@@ -243,8 +274,7 @@ class CoefficientSequence:
         check_rules(self)
         head += 0.0  # -0.0 + 0.0 is 0.0
         head.flags.writeable = False
-        object.__setattr__(self, "_store", {})
-        object.__setattr__(self, "_store_lock", threading.Lock())
+        object.__setattr__(self, "_store", _Store())
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientSequence):
@@ -261,29 +291,6 @@ class CoefficientSequence:
     @property
     def horizon(self):
         return len(self.head)
-
-    def _kept(self, key, build):
-        """build(), kept on this sequence under key, a tuple of every other
-        input that fixes the result: besov's omega tables and closure nodes,
-        and validate_monotone's result.  Its arrays (_arrays) are made
-        read-only.  The results kept, least recently used first, hold at most
-        _STORE_BUDGET floats; one larger than that is built for its call and
-        not kept.  The lock makes each lookup, with its build and evictions,
-        one step for threads; so build must not look up this sequence's
-        results.  A copy (scaled, dataclasses.replace, pickling) is built
-        afresh, and so starts with nothing kept."""
-        with self._store_lock:
-            value = self._store.pop(key, None)
-            if value is None:
-                value = build()
-                size = sum(a.size for a in _read_only(*_arrays(value)))
-                if size > _STORE_BUDGET:
-                    return value
-                while sum(a.size for v in self._store.values() for a in _arrays(v)) + size \
-                        > _STORE_BUDGET:
-                    del self._store[next(iter(self._store))]
-            self._store[key] = value
-            return value
 
     def values(self, m, n):
         """Array of a_m .. a_n (inclusive, 1-based)."""
@@ -346,11 +353,11 @@ def validate_monotone(seq):
     holds by the rules of the head and the tail.
 
     Returns a ValidationResult; `index` is the first (1-based) position
-    violating monotonicity.  The result is kept on seq (seq._kept), so a
+    violating monotonicity.  The result is kept in seq._store, so a
     sequence is scanned once; a copy made by scaled or dataclasses.replace
     is a new object and is scanned afresh.
     """
-    return seq._kept(("monotone",), lambda: _scan_monotone(seq))
+    return seq._store.get(("monotone",), lambda: _scan_monotone(seq))
 
 
 def _scan_monotone(seq):

@@ -9,6 +9,7 @@ fixed max_examples (the mpmath reference of test_closure.py) does not.
 import importlib.util
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,68 @@ def workloads():
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
+
+
+def _in_threads(work, count):
+    """work(i) in count threads switching every microsecond; the exceptions raised."""
+    failures = []
+
+    def run(i):
+        try:
+            work(i)
+        except Exception as exc:  # read after join, in the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return failures
+
+
+@pytest.fixture
+def in_threads():
+    """_in_threads(work, count)."""
+    return _in_threads
+
+
+class _ReentryCheckedLock:
+    """A store's lock that raises RuntimeError where threading.Lock would
+    wait forever: when the thread that holds it asks for it again, as a
+    build that looks up its own store does."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._owner = None
+
+    def __enter__(self):
+        if self._owner == threading.get_ident():
+            raise RuntimeError("a build looked up its own store")
+        self._lock.acquire()
+        self._owner = threading.get_ident()
+
+    def __exit__(self, *exc):
+        self._owner = None
+        self._lock.release()
+
+
+@pytest.fixture
+def checked_stores(monkeypatch):
+    """Every store made during the test, and hardy's row cache (empty), on
+    a _ReentryCheckedLock."""
+    from monosmooth import hardy, sequences
+
+    class Checked(sequences._Store):
+        def __init__(self):
+            super().__init__()
+            self._lock = _ReentryCheckedLock()
+
+    monkeypatch.setattr(sequences, "_Store", Checked)
+    monkeypatch.setattr(hardy, "_ROWS", Checked())

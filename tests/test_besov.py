@@ -2,8 +2,6 @@ import copy
 import dataclasses
 import math
 import pickle
-import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -738,7 +736,7 @@ def _shared(name):
 
 
 def _kept_floats(seq):
-    return sum(a.size for v in seq._store.values() for a in sequences._arrays(v))
+    return sum(a.size for v in seq._store._results.values() for a in sequences._arrays(v))
 
 
 def _store_results(seq, cp):
@@ -767,7 +765,7 @@ def test_results_do_not_depend_on_the_store(name, monkeypatch):
     cold = _store_results(dataclasses.replace(seq), cp)
     assert _store_results(seq, cp) == cold
     assert _store_results(seq, cp) == cold
-    assert seq._store
+    assert seq._store._results
     for budget in (0, 9000):
         monkeypatch.setattr(sequences, "_STORE_BUDGET", budget)
         twin = dataclasses.replace(seq)
@@ -781,42 +779,21 @@ def test_kept_results_are_read_only():
     discrete_seminorm(CP, 8, source)
     equivalence_report(seq, CP, [4, 8], DirectModulusSource(seq, CP.smoothness, H=4))
     validate_monotone(seq)
-    assert {key[0] for key in seq._store} == {"core", "closure", "direct", "monotone"}
-    arrays = [a for v in seq._store.values() for a in sequences._arrays(v)]
+    assert {key[0] for key in seq._store._results} == {"core", "closure", "direct", "monotone"}
+    arrays = [a for v in seq._store._results.values() for a in sequences._arrays(v)]
     assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         source._omega[0] = 0.0
 
 
-def test_store_budget_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(sequences, "_STORE_BUDGET", 3 * 1024)
-    seq = CoefficientSequence((1.0,))
-    built = []
-
-    def get(key, n):
-        def build():
-            built.append(key)
-            return np.arange(float(n)), 0.5  # an array and a scalar, as the core table
-        return seq._kept((key,), build)
-
-    a = get("a", 1024)
-    get("b", 1024)
-    get("c", 1024)
-    assert get("a", 1024) is a  # a hit, now the most recently used
-    get("d", 1024)  # makes room by dropping b
-    assert list(seq._store) == [("c",), ("a",), ("d",)]
-    get("big", 4096)  # past the budget: built for its call, not kept
-    assert list(seq._store) == [("c",), ("a",), ("d",)]
-    get("b", 1024)
-    assert built == ["a", "b", "c", "d", "big", "b"]
-    assert list(seq._store) == [("a",), ("d",), ("b",)] and _kept_floats(seq) == 3 * 1024
-    # a core table past the budget is built for each source and not kept
+def test_a_table_past_the_budget_is_built_for_each_source(monkeypatch):
+    # the store's own order and budget are test_sequences.py's store tests
     monkeypatch.setattr(sequences, "_STORE_BUDGET", 4096)
     fills = _count_fills(monkeypatch)
     seq = make_power_law(1, 2, 64)
     for _ in range(2):
         CoreModulusSource(seq, CP.smoothness)(5)
-    assert len(fills) == 2 and not seq._store
+    assert len(fills) == 2 and not seq._store._results
 
 
 def _count_fills(monkeypatch):
@@ -830,66 +807,29 @@ def _count_fills(monkeypatch):
     return fills
 
 
-def _in_threads(work, count):
-    """work(i) in count threads switching every microsecond; the exceptions raised."""
-    failures = []
-
-    def run(i):
-        try:
-            work(i)
-        except Exception as exc:  # read after join, in the main thread
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    return failures
-
-
-def test_threads_fill_one_sequence(monkeypatch):
-    # two threads ask for one table at once: one fills it, the other reads it
+def test_threads_fill_one_sequence(monkeypatch, in_threads):
+    # two threads ask for one table at once: one fills it, the other reads
+    # it (many threads on one store: test_sequences.py's store tests)
     seq = make_power_log(1.0, 2.0, 0.5, 4096)
     ns = np.array([4, 64])
     want = discrete_seminorm(CP, ns, CoreModulusSource(dataclasses.replace(seq), CP.smoothness))
     fills = _count_fills(monkeypatch)
     got = []
-    assert _in_threads(lambda i: got.append(
+    assert in_threads(lambda i: got.append(
         discrete_seminorm(CP, ns, CoreModulusSource(seq, CP.smoothness))), 2) == []
     assert len(fills) == 1 and len(got) == 2
     assert all(np.array_equal(j, want) for j in got)
-    # four threads on six tables and a budget of two, so that most lookups
-    # fill and evict: each lookup is one step, and every table read is whole
-    monkeypatch.setattr(sequences, "_STORE_BUDGET", 2 * 2 ** 13)
-    params = [SmoothnessParams(k, p) for k in (2, 3) for p in (1.5, 2, 3)]
-    nus = np.array([1, 100, 8192])
-    oracle = [CoreModulusSource(dataclasses.replace(seq), sp).batch(nus) for sp in params]
-
-    def work(i):
-        for j in range(30):
-            at = (5 * j + i) % len(params)
-            assert np.array_equal(CoreModulusSource(seq, params[at]).batch(nus), oracle[at])
-
-    assert _in_threads(work, 4) == []
-    assert _kept_floats(seq) <= 2 * 2 ** 13
 
 
 def test_copies_start_with_an_empty_store():
     seq = make_power_law(1, 2, 64)
     discrete_seminorm(CP, 8, CoreModulusSource(seq, CP.smoothness))
     validate_monotone(seq)
-    assert {key[0] for key in seq._store} == {"core", "closure", "monotone"}
+    assert {key[0] for key in seq._store._results} == {"core", "closure", "monotone"}
     for twin in (seq.scaled(1.0), dataclasses.replace(seq), pickle.loads(pickle.dumps(seq)),
                  copy.copy(seq), copy.deepcopy(seq)):
-        assert twin == seq and twin._store == {} and twin._store_lock is not seq._store_lock
-    assert len(seq._store) == 3
+        assert twin == seq and twin._store._results == {} and twin._store is not seq._store
+    assert len(seq._store._results) == 3
 
 
 def test_a_class_sweep_cycle_fills_each_table_once(monkeypatch, workloads):
@@ -918,14 +858,14 @@ def test_a_class_sweep_cycle_fills_each_table_once(monkeypatch, workloads):
         results = []
         for experiment in cycle:
             for seq in seqs if clear_each else ():
-                seq._store.clear()
+                seq._store._results.clear()
             results.append(repr(experiment.run()))
         return results, (len(fills), len(set(fills)), len(closures), len(set(closures)))
 
     cold, counts = run(True)
     assert counts == (45, 20, 35, 15)
     for seq in seqs:
-        seq._store.clear()
+        seq._store._results.clear()
     assert run(False) == (cold, (20, 20, 15, 15))
     assert run(False) == (cold, (0, 0, 0, 0))
 

@@ -232,8 +232,27 @@ def test_golden_reports_on_a_warm_store(tmp_path, monkeypatch):
         out = tmp_path / name
         assert main(shlex.split(commands[name]) + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
-    kept = {key[0] for seq in _SEQUENCES.values() for key in seq._store}
+    kept = {key[0] for seq in _SEQUENCES.values() for key in seq._store._results}
     assert kept == {"core", "closure", "direct", "monotone"}
+
+
+def test_no_build_reads_its_own_store(checked_stores, tmp_path, monkeypatch, workloads):
+    # every store on a lock that raises on a lookup from a build of the
+    # same store, where the plain lock would hang: every golden command,
+    # one class-sweep cycle and one hardy-sweep cycle of perfbench
+    commands = {**_GOLDEN_COMMANDS,
+                **{f"modulus_p{p}.csv": _MODULUS_COMMAND.format(p) for p in ("1", "3")}}
+    for name, command in commands.items():
+        out = tmp_path / name
+        assert main(shlex.split(command) + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+    monkeypatch.syspath_prepend(str(Path(workloads.__file__).parent))  # its reference module
+    # the cycles' references are not computed: None, and a hardy case's three
+    for inputs, cycle, ref in ((workloads.cs_inputs, workloads.cs_cycle, None),
+                               (workloads.hardy_inputs, workloads.hardy_cycle, (None,) * 3)):
+        for experiment in cycle(monosmooth, inputs(monosmooth, 1), None, lambda thunk: ref):
+            experiment.run()
+    assert monosmooth.hardy._ROWS._results
 
 
 def test_seminorm_direct_p3(tmp_path):
@@ -849,6 +868,10 @@ def test_overflowing_head_in_the_core_table_gives_a_report(argv, tmp_path):
     assert all(1e297 < x < math.inf for x in _report_values(out))
 
 
+# a length of 2^40 floats, and the first one past the budget of 2^20
+_PAST_LENGTH = (2 ** 40, 2 ** 20 + 1)
+
+
 @pytest.mark.parametrize("argv, line", [
     (["equivalence", *_CLASS, "--k", "2", "--p", "2", "--n-grid", "4,100000000"],
      "n_grid: must be an ascending list of integers from 1 to 524288"),
@@ -858,12 +881,26 @@ def test_overflowing_head_in_the_core_table_gives_a_report(argv, tmp_path):
     *((["modulus", "--power-law", "1", "2", "--k", "2", "--p", "2", "--t-grid", t],
        "t_grid: must be ascending finite positive values with round(1/t) at most 524288")
       for t in ("5e-324", "1e-300", "1e-7")),
-], ids=["n-1e8", "direct-n-8192", "t-5e-324", "t-1e-300", "t-1e-7"])
+    *((["gen", "--horizon", str(v)], "horizon: must be at most 1048576") for v in _PAST_LENGTH),
+    *((["gen", "--family", "random", "--size", str(v)], "size: must be at most 1048576")
+      for v in _PAST_LENGTH),
+    *((["modulus", "--power-law", "1", "2", "--k", "2", "--p", "1", "--t-grid", "0.25",
+        "--M", str(v)], "M: must be at most 4194304") for v in (2 ** 40, 2 ** 23)),
+    *((["verify-lemma", "--power-law", "1", "1", "--lemma", "lp_upper", "--alpha", "1",
+        "--lam", "0", "--p", "1", "--m", "1", "--n", str(v)], "n: must be at most 1048576")
+      for v in _PAST_LENGTH),
+    (["modulus", "--power-law", "1", "2", "--horizon", str(2 ** 40), "--k", "2", "--p", "2",
+      "--t-grid", "0.25"], "sequence: horizon: must be at most 1048576"),
+], ids=["n-1e8", "direct-n-8192", "t-5e-324", "t-1e-300", "t-1e-7",
+        "horizon-2e40", "horizon-2e20+1", "size-2e40", "size-2e20+1", "M-2e40", "M-2e23",
+        "lemma-n-2e40", "lemma-n-2e20+1", "sequence-horizon-2e40"])
 def test_grid_past_its_memory_budget_is_one_config_error(argv, line, tmp_path, capsys):
     # a grid of 1e8 tried to allocate 8 GiB; both stop before any table.  t =
     # 5e-324 divided by zero in shift_grid, round(1/t) at t = 1e-300 is past
     # int64 (an IndexError in weighted_sum), and 1e-7 filled a 10^7-entry E
-    # table: round(1/t) is E's n, with the n-grid's bound
+    # table: round(1/t) is E's n, with the n-grid's bound.  A horizon, size
+    # or lemma n of 2^40 and an M of 2^40 ended in a MemoryError traceback
+    # (exit 1); each is refused from just past its bound on
     out = tmp_path / "out"
     start = time.perf_counter()
     assert main([*argv, "--out", str(out)]) == 2

@@ -54,7 +54,7 @@ def j_reference(cp, n, source):
     th = cp.theta
     nu = np.arange(1, n + 1, dtype=float)
     near = math.fsum(source.batch(np.arange(1, n + 1)) ** th * nu ** ((cp.r + cp.lam) * th - 1))
-    far = source.far_sums(False, th, cp.r * th)(np.array([n + 1]))[0]
+    far = source.far_sums(False, th, cp.r * th, np.array([n + 1]))[0]
     return (far + n ** (-cp.lam * th) * near) ** (1 / th)
 
 
@@ -68,7 +68,7 @@ def i_reference(cp, n, source):
     w2 = ((nu + 1) ** c2 - nu ** c2) / c2
     w2[-1] = (delta ** -c2 - (nu0 - 1) ** c2) / c2
     s1 = om[-1] * ((nu0 + 1) ** c1 - delta ** -c1) / c1 \
-        + source.far_sums(True, th, c1)(np.array([nu0 + 1]))[0]
+        + source.far_sums(True, th, c1, np.array([nu0 + 1]))[0]
     return (s1 + delta ** (cp.lam * th) * math.fsum(om[:-1] * w2)) ** (1 / th)
 
 

@@ -1,7 +1,6 @@
 import math
 import re
 import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monosmooth
-from monosmooth import hardy
+from monosmooth import hardy, sequences
 from monosmooth.hardy import (
     LEMMA_IDS,
     HardyParams,
@@ -442,7 +441,7 @@ def test_sweep_keeps_no_state():
     a1, b1 = run(first), run(second)
     b2, a2 = run(second), run(first)
     assert (a1, b1) == (a2, b2)
-    hardy._ROWS.clear()
+    hardy._ROWS._results.clear()
     b3, a3 = run(second), run(first)
     assert (a1, b1) == (a3, b3)
     after = {k: v for k, v in vars(hardy).items() if not k.startswith("__")}
@@ -450,8 +449,8 @@ def test_sweep_keeps_no_state():
     for key, (value, text) in before.items():
         if key != "_ROWS":
             assert after[key] is value and repr(after[key]) == text, key
-    assert after["_ROWS"] is before["_ROWS"][0] and hardy._ROWS
-    for x, row in hardy._ROWS.items():
+    assert after["_ROWS"] is before["_ROWS"][0] and hardy._ROWS._results
+    for x, row in hardy._ROWS._results.items():
         assert not row.flags.writeable and np.array_equal(row, hardy._power_table(x, row.size)), x
 
 
@@ -551,9 +550,10 @@ def test_power_table_builds_one_row():
 
 @pytest.fixture
 def cold_rows(monkeypatch):
-    """An empty row cache for the test, the process's own one afterwards."""
-    monkeypatch.setattr(hardy, "_ROWS", {})
-    return hardy._ROWS
+    """The rows kept by an empty row cache for the test, the process's own
+    cache afterwards."""
+    monkeypatch.setattr(hardy, "_ROWS", sequences._Store())
+    return hardy._ROWS._results
 
 
 def _oracle_row(x, n):
@@ -590,56 +590,17 @@ def test_cached_rows_are_read_only(cold_rows):
             row[0] = 2.0
 
 
-def test_row_budget_evicts_the_least_recently_used(cold_rows, monkeypatch):
-    monkeypatch.setattr(hardy, "_ROW_BUDGET", 3 * 1024)
-    for x in (0.5, 1.5, 2.5, 0.5, 3.5):
-        hardy._power_row(x, 1024)
-        assert sum(row.size for row in cold_rows.values()) <= 3 * 1024
-    assert list(cold_rows) == [2.5, 0.5, 3.5]
+def test_a_row_past_the_budget_serves_its_call(cold_rows, monkeypatch):
+    # the store's own order and budget are test_sequences.py's store tests
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 3 * 1024)
     hardy._power_row(1.5, 2048)
-    assert list(cold_rows) == [3.5, 1.5]
-    # a row longer than the budget serves its call and is not kept
     seq = make_power_law(1, 1.5, 4096)
     hp = HardyParams(alpha=1.5, lam=0.25, p=2, m=1, n=4096)
     small = verify_lemma("lp_upper", seq, hp)
-    assert list(cold_rows) == [3.5, 1.5] and cold_rows[1.5].size == 2048
-    monkeypatch.setattr(hardy, "_ROW_BUDGET", 2 ** 20)
+    assert list(cold_rows) == [1.5] and cold_rows[1.5].size == 2048
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 2 ** 20)
     assert repr(small) == repr(verify_lemma("lp_upper", seq, hp))
-    assert sorted(cold_rows) == [0.25, 0.5, 1.25, 1.5, 3.5]
-
-
-def test_threads_share_the_row_cache(cold_rows, monkeypatch):
-    # more threads than cores, switching every microsecond, on twelve
-    # exponents and a budget of four rows of 512, so that most lookups
-    # build and evict: each lookup, with its build and evictions, is one
-    # step, so none fails, every row read is whole and the cache ends
-    # within its budget.  Unlocked, the evictions raise KeyError and
-    # "dictionary changed size during iteration"
-    monkeypatch.setattr(hardy, "_ROW_BUDGET", 4 * 512)
-    xs = [0.25 + 0.5 * i for i in range(12)]
-    failures = []
-
-    def work(k):
-        try:
-            for i in range(3000):
-                x, n = xs[(7 * i + k) % len(xs)], 64 << (i + k) % 4
-                assert np.array_equal(hardy._power_row(x, n)[:n], _oracle_row(x, n))
-        except Exception as exc:  # read after join, in the main thread
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert sum(row.size for row in cold_rows.values()) <= 4 * 512
+    assert sorted(cold_rows) == [0.25, 0.5, 1.25, 1.5]
 
 
 def _hardy_sweep(workloads, seed, lemmas=LEMMA_IDS):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monosmooth import hardy, sequences
 from monosmooth.sequences import (
     DIVERGENT,
     CoefficientSequence,
@@ -423,3 +424,82 @@ def test_quadrature_tables_are_the_former_module_tables():
         assert [a.dtype for a in table] == [a.dtype for a in want]
         assert not any(a.flags.writeable for a in table)
     assert _exp_quadrature() is _exp_quadrature()
+
+
+# --- the store of kept results: a sequence's, and hardy's row cache ---
+
+@pytest.fixture(params=["sequence", "hardy"])
+def store(request, monkeypatch):
+    """An empty store: a new sequence's, or hardy's row cache emptied for the test."""
+    if request.param == "hardy":
+        assert type(hardy._ROWS) is sequences._Store
+        monkeypatch.setattr(hardy, "_ROWS", sequences._Store())
+        return hardy._ROWS
+    return CoefficientSequence((1.0,))._store
+
+
+def _kept_floats(store):
+    return sum(a.size for v in store._results.values() for a in sequences._arrays(v))
+
+
+def test_store_evicts_the_least_recently_used(store, monkeypatch):
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 3 * 1024)
+    built = []
+
+    def get(key, n, fits=None):
+        def build():
+            built.append(key)
+            return np.arange(float(n)), 0.5  # an array and a scalar, as the core table
+        return store.get(key, build, fits)
+
+    a = get("a", 1024)
+    assert not a[0].flags.writeable
+    get("b", 1024)
+    get("c", 1024)
+    assert get("a", 1024) is a  # a hit, now the most recently used
+    get("d", 1024)  # makes room by dropping b
+    assert list(store._results) == ["c", "a", "d"]
+    big = get("big", 4096)  # past the budget: built for its call, not kept
+    assert not big[0].flags.writeable
+    assert list(store._results) == ["c", "a", "d"]
+    get("b", 1024)
+    assert built == ["a", "b", "c", "d", "big", "b"]
+    assert list(store._results) == ["a", "d", "b"] and _kept_floats(store) == 3 * 1024
+    # a kept result that fits is a hit; one that does not is built again in
+    # its place, here twice as long, so that the least recently used goes
+    d = get("d", 512, lambda v: v[0].size >= 512)
+    assert d[0].size == 1024 and list(store._results) == ["a", "b", "d"] and len(built) == 6
+    get("b", 2048, lambda v: v[0].size >= 2048)
+    assert built[6:] == ["b"] and list(store._results) == ["d", "b"]
+    assert store._results["b"][0].size == 2048 and _kept_floats(store) == 3 * 1024
+
+
+def test_threads_share_one_store(store, monkeypatch, in_threads):
+    # more threads than cores, switching every microsecond, on twelve keys
+    # and a budget of four results of 512, so that most lookups build and
+    # evict: each lookup, with its build and evictions, is one step, so
+    # none fails, every result read is whole and the store ends within its
+    # budget.  Unlocked, the evictions raise KeyError and "dictionary
+    # changed size during iteration"
+    monkeypatch.setattr(sequences, "_STORE_BUDGET", 4 * 512)
+
+    def work(k):
+        for i in range(3000):
+            key, n = (7 * i + k) % 12, 64 << (i + k) % 4
+            got = store.get(key, lambda: (np.arange(float(n)) + key, 0.5),
+                            lambda v: v[0].size >= n)
+            assert np.array_equal(got[0][:n], np.arange(float(n)) + key) and got[1] == 0.5
+
+    assert in_threads(work, 8) == []
+    assert _kept_floats(store) <= 4 * 512
+
+
+def test_a_build_that_reads_its_own_store_fails(checked_stores):
+    # the plain lock would wait forever; the checked one raises, so a test
+    # that makes a build look up its own store fails instead of hanging
+    seq, other = CoefficientSequence((1.0,)), CoefficientSequence((2.0,))
+    assert seq._store.get("a", lambda: other._store.get("b", lambda: 1.0)) == 1.0
+    for store in (seq._store, hardy._ROWS):
+        with pytest.raises(RuntimeError, match="its own store"):
+            store.get("c", lambda: store.get("d", lambda: 1.0))
+        assert store.get("c", lambda: 2.0) == 2.0  # the lock was released

@@ -414,6 +414,9 @@ def test_grid_size():
     assert grid_size(16384) == 65536
     for horizon in (1, 4095, 4097, 20000):
         assert grid_size(horizon) > 2 * horizon
+    # the CLI's budget of M is the grid of its longest horizon
+    from monosmooth.cli import LENGTH_MAX, M_MAX
+    assert grid_size(LENGTH_MAX) == M_MAX
 
 
 def test_grid_quadrature_converges_for_p1():
