@@ -21,8 +21,8 @@ from numbers import Real
 
 import numpy as np
 
-from .sequences import (_CRITICAL_TOL, _TINY, DIVERGENT, _exp_quadrature, _gauss_legendre,
-                        check_rules, positive_integer, weighted_sum)
+from .sequences import (_CRITICAL_TOL, _TINY, DIVERGENT, _exp_quadrature, _exp_rule, check_rules,
+                        positive_integer, weighted_sum)
 from .smoothness import (K_RULE, SHIFTS_PER_OCTAVE, SmoothnessParams, bound_core,
                          core_table, difference_norms, parseval_scale, shift_grid)
 
@@ -59,7 +59,7 @@ class ClassParams:
     )
 
     def __post_init__(self):
-        check_rules(self)
+        check_rules(self, floats=("theta", "r", "lam", "p"))
 
     @property
     def smoothness(self):
@@ -144,97 +144,24 @@ def tail_decay(tail, params):
     return _decay(tail.beta - 1 + 1 / params.p, tail.gamma, params.k, params.p)
 
 
-#: panels in t past the start of a sub-step: 16-point Gauss-Legendre follows
-#: e^-t to 2e-16 across 15, and past 45 lies e^-45
-_PANELS = np.array([0.0, 10.0, 25.0, 45.0])
+#: _log_q's rows per block: 32 rows of 384 nodes are 96 KiB an array
+_LOG_Q_ROWS = 32
 
 
-def _step_logs(frame, other, length, beta, g, sign):
-    """ln int_0^(beta length) e^-t (v/frame)^-g dt per step, t = beta |v - frame|,
-    as v runs from frame to other = frame + sign length (length is passed
-    too, being exact where other - frame is not).
-
-    Each step is cut into sub-steps over which v changes by a factor of at
-    most e^min(ln 2, 2/|g|), so that v^-g is smooth on them, and each
-    sub-step into the _PANELS past its start; nothing is taken past
-    t = 45 + ln max (v/frame)^-g, where the rest is below e^-45.
-    """
-    s = beta * frame
-    rise = np.log(other / frame)
-    t_end = np.minimum(beta * length, 45.0 + np.maximum(0.0, -g * rise))
-    with np.errstate(divide="ignore"):  # a cut at v = 0 is never used
-        u_end = np.where(t_end < beta * length, np.log1p(sign * t_end / s), rise)
-    m = np.ceil(np.abs(u_end) / min(math.log(2.0), 2.0 / abs(g))).astype(int)
-    m = np.maximum(m, 1)
-    row = np.repeat(np.arange(frame.size), m)
-    j = np.arange(row.size) - np.repeat(np.cumsum(m) - m, m)
-    u = (u_end / m)[row]
-    t_a = sign * s[row] * np.expm1(u * j)
-    edges = np.minimum(t_a[:, None] + _PANELS, (sign * s[row] * np.expm1(u * (j + 1)))[:, None])
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    keep = np.flatnonzero(hi > lo)
-    row, lo, half = np.repeat(row, _PANELS.size - 1)[keep], lo[keep], (hi - lo)[keep] / 2
-    x, w = _gauss_legendre()
-    t = lo + half * (x[:, None] + 1)  # one column per panel
-    psi = np.log(w)[:, None] - t - g * np.log1p(sign * t / s[row])
-    psi += np.log(half)
-    first = np.diff(row, prepend=-1) != 0
-    starts = np.flatnonzero(first)
-    top = np.maximum.reduceat(psi.max(axis=0), starts)
-    total = np.add.reduceat(np.exp(psi - top[np.cumsum(first) - 1]).sum(axis=0), starts)
-    out = np.full(frame.size, -np.inf)
-    out[row[starts]] = top + np.log(total)
-    return out
-
-
-def _log_scan(decay, s):
-    """x_i = logaddexp(x_{i-1} - decay_i, s_i), x_{-1} = -inf, by doubling:
-    each element composes the steps of a window ending at it, so that every
-    x_i is kept in the frame of step i."""
-    a, x = decay.copy(), s.copy()
-    k = 1
-    while k < x.size:
-        x[k:] = np.logaddexp(x[:-k] - a[k:], x[k:])
-        a[k:] = a[k:] + a[:-k]
-        k *= 2
-    return x
-
-
-def _log_q(beta, span, v0, g, where):
-    """ln int_0^upper e^-t (1 + sign t/scale)^-g dt at each outer node, as
-    running integrals over the nodes v = v0 + span, span ascending:
-
-    * "near":  upper = beta span, scale = beta v, sign -1 (frame at the node);
-    * "start": upper = beta span, scale = beta v0, sign +1 (frame at v0);
-    * "far":   upper = inf, scale = beta v, sign +1 (frame at the node).
-
-    The steps between consecutive nodes are _step_logs'; "start" adds them
-    up, "near" and "far" with the decay e^(-beta gap) of their frames over
-    a gap between nodes, and "far" also the integral past the last node, on
-    _exp_quadrature's nodes.  Only steps and sub-steps are allocated, never nodes x nodes.
-    """
+def _log_q(upper, scale, sign, g):
+    """ln int_0^upper e^-t (1 + sign t/scale)^-g dt for arrays (or scalars) upper and
+    scale, on _exp_rule cut at each row's upper, _LOG_Q_ROWS rows at a time: a temporary
+    past glibc's 128 KiB mmap threshold would leave the allocator slower for the run."""
     if g == 0:
-        upper = np.inf if where == "far" else beta * span
         return np.log(-np.expm1(-upper))
-    if not span.size:  # every node of the q = 1 rule dropped
-        return span
-    v = v0 + span
-    prev = np.append(0.0, span[:-1])
-    gap = span - prev
-    if where == "near":
-        x = _log_scan(beta * gap, _step_logs(v, v0 + prev, gap, beta, g, -1.0) - g * np.log(v))
-        return x + g * np.log(v)
-    if where == "start":
-        frame = v0 + prev
-        x = np.logaddexp.accumulate(_step_logs(frame, v, gap, beta, g, 1.0) - g * np.log(frame)
-                                    - beta * prev)
-        return x + g * math.log(v0)
-    s = _step_logs(v[:-1], v[1:], gap[1:], beta, g, 1.0)
-    nodes, weights = _exp_quadrature()
-    tail = np.log(weights @ np.exp(-g * np.log1p(nodes / (beta * v[-1]))))
-    x = _log_scan(np.append(beta * gap[1:], 0.0)[::-1],
-                  (np.append(s, tail) - g * np.log(v))[::-1])[::-1]
-    return x + g * np.log(v)
+    upper, scale = np.broadcast_arrays(upper, scale)
+    out = np.empty(upper.shape)
+    for i in range(0, upper.size, _LOG_Q_ROWS):
+        rows = slice(i, i + _LOG_Q_ROWS)
+        nodes, weights = _exp_rule(upper[rows])
+        weights *= np.exp(-g * np.log1p(sign * nodes / scale[rows, None]))
+        out[rows] = np.log(weights.sum(axis=1))
+    return out
 
 
 def _check_weight(c, nu):
@@ -363,8 +290,8 @@ class CoreModulusSource(_OmegaTable):
         E = x^-x_E Et, w = (q - 1)(l - l0) maps the integral onto the nodes
         of _exp_quadrature (at q = 1, w = (theta y - 1) ln(l/l0), and a node past l0 e^700
         takes the summand's asymptotic form, whose term is constant in w);
-        the inner integrals are _log_q's, running integrals over
-        the sorted nodes.  The nodes' l, log-Jacobian and ln E (_log_e) are
+        E's inner integrals are _log_q's, each on _exp_rule cut at its
+        node.  The nodes' l, log-Jacobian and ln E (_log_e) are
         kept on the sequence under ("closure", k, p, top, q - 1, theta y - 1),
         so that J and I, and every source of that table, share them.
         """
@@ -419,17 +346,18 @@ class CoreModulusSource(_OmegaTable):
         xf = tail.beta - 1 + 1 / p
         bf, b = p * xf, p * (k - xf)
         # grown: ln of x^(p (x_E - k)) int_{top+1/2}^y (a/c_t)^p u^((k+1)p-2) du
-        span, v0 = ell + delta - l0, 1.0 + l0
+        span = ell + delta - l0
         if b > -_CRITICAL_TOL:  # u = y e^(-t/b); a b near 0 counts as _CRITICAL_TOL
             b = max(b, _CRITICAL_TOL)
             grown = (p * (xe - xf) * ell + b * delta - g * np.log(vy) - math.log(b)
-                     + _log_q(b, span, v0, g, "near"))
+                     + _log_q(b * span, b * vy, -1.0, g))
         else:  # u = (top + 1/2) e^(t/|b|)
+            v0 = 1.0 + l0
             grown = (b * l0 - g * math.log(v0) - math.log(-b)
-                     + _log_q(-b, span, v0, g, "start"))
+                     + _log_q(-b * span, -b * v0, 1.0, g))
         log_near = np.logaddexp(log_near, p * lc + grown)
         log_far = (lc + (xe - xf) * ell - xf * delta
-                   + (_log_q(bf, span, v0, g, "far") - g * np.log(vy) - math.log(bf)) / p)
+                   + (_log_q(np.inf, bf * vy, 1.0, g) - g * np.log(vy) - math.log(bf)) / p)
         return ell, log_jac, np.logaddexp(log_near / p, log_far)
 
 

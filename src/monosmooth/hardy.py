@@ -71,9 +71,7 @@ class HardyParams:
     )
 
     def __post_init__(self):
-        check_rules(self)
-        for name in ("alpha", "lam", "p"):  # a Fraction sums as its float
-            object.__setattr__(self, name, float(getattr(self, name)))
+        check_rules(self, floats=("alpha", "lam", "p"))
 
 
 @dataclass(frozen=True)

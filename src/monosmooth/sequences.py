@@ -87,20 +87,27 @@ def _gauss_legendre():
     return _read_only(*np.polynomial.legendre.leggauss(16))
 
 
-@functools.cache
-def _exp_quadrature():
-    """Nodes W and weights for int_0^inf e^-w f(w) dw ~ weights @ f(W),
-    read-only and built on first use.
+def _exp_rule(upper=math.inf):
+    """Nodes W and weights for int_0^upper e^-w f(w) dw ~ weights @ f(W).
 
     16-point Gauss-Legendre on [0, 1e-9] and on 23 geometric panels of
     [1e-9, 90], e^-w folded into the weights; past 90 lies e^-90 ~ 1e-39.
-    The panels resolve f varying on scales down to about 1e-7.
+    The panels resolve f varying on scales down to about 1e-7.  With an
+    array upper, row i holds the rule for int_0^upper[i]: the panels are
+    cut at upper[i], and those past it get zero weight.
     """
     x, w = _gauss_legendre()
-    edges = np.concatenate([[0.0], np.geomspace(1e-9, 90.0, 24)])
-    lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2
-    nodes = (lo + half * (x + 1)).ravel()
-    return _read_only(nodes, (half * w).ravel() * np.exp(-nodes))
+    edges = np.minimum(np.concatenate([[0.0], np.geomspace(1e-9, 90.0, 24)]),
+                       np.asarray(upper, dtype=float)[..., None])
+    lo, half = edges[..., :-1, None], np.diff(edges)[..., None] / 2
+    nodes = (lo + half * (x + 1)).reshape(edges.shape[:-1] + (-1,))
+    return nodes, (half * w).reshape(nodes.shape) * np.exp(-nodes)
+
+
+@functools.cache
+def _exp_quadrature():
+    """_exp_rule's nodes and weights for upper = inf, read-only and built on first use."""
+    return _read_only(*_exp_rule())
 
 
 def positive_integer(v):
@@ -115,28 +122,34 @@ def finite_real(v):
 
 
 def broken_rules(rules, values):
-    """'label: message' for each row (label, keys, test, message) of rules
-    whose test(*values of keys) is false or raises TypeError or ValueError;
-    message may hold {} fields for those values; rows missing a key are skipped.
-    """
+    """'label: message' for each row (label, keys, test, message) of rules whose
+    test(*values of keys) is false or raises TypeError, ValueError or OverflowError;
+    message may hold {} fields for those values; rows missing a key are skipped."""
     bad = []
     for label, keys, test, message in rules:
         if all(key in values for key in keys):
             args = [values[key] for key in keys]
             try:
                 ok = test(*args)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 ok = False
             if not ok:
                 bad.append(f"{label}: {message.format(*args)}")
     return bad
 
 
-def check_rules(obj):
-    """Raise one ValueError listing every row of obj.RULES that obj breaks."""
+def check_rules(obj, floats=()):
+    """Raise one ValueError listing every row of obj.RULES that obj breaks; then store
+    each field named in floats as its float, so that an int or a Fraction computes as
+    one, and refuse one past the float range (ValueError)."""
     bad = broken_rules(obj.RULES, vars(obj))
     if bad:
         raise ValueError("; ".join(bad))
+    for name in floats:
+        try:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
+        except OverflowError:
+            raise ValueError(f"{name}: must lie in the float range") from None
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ class SmoothnessParams:
     RULES = (K_RULE, ("p", ("p",), lambda p: 0 < p < math.inf, "must lie in (0, inf)"))
 
     def __post_init__(self):
-        check_rules(self)
+        check_rules(self, floats=("p",))
         object.__setattr__(self, "k", int(self.k))  # 2.0 from JSON indexes as 2
 
 

@@ -2,8 +2,9 @@
 
 default: hypothesis's own example counts.  ci: ten times as many, in a
 fixed order and with no deadline.  A property whose count is written as a
-share of settings().max_examples scales with the profile; one with a
-fixed max_examples (the mpmath reference of test_closure.py) does not.
+share of settings().max_examples scales with the profile (the mpmath
+reference of test_closure.py runs 4 examples locally and 40 under ci);
+one with a fixed max_examples (test_closure.py's homogeneity) does not.
 """
 
 import importlib.util

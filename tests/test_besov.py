@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from monosmooth.besov import (
 from monosmooth.sequences import (CoefficientSequence, DIVERGENT, make_power_law,
                                   make_power_log, validate_monotone, weighted_sum)
 from monosmooth.smoothness import (QuadratureSpec, SmoothnessParams, bound_core,
-                                   difference_norms, grid_size)
+                                   difference_norms, grid_size, modulus_direct)
 
 CP = ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=2)
 
@@ -112,6 +113,42 @@ def test_class_params_list_every_broken_rule():
     # a whole float order is stored as an int, so it can index and count
     assert ClassParams(theta=1, r=0.5, lam=0.5, k=2.0, p=2).smoothness.k == 2
     assert isinstance(SmoothnessParams(k=2.0, p=2).k, int)
+
+
+@pytest.mark.parametrize("values", [
+    dict(theta=1, r=1, lam=1, k=3, p=2),
+    dict(theta=Fraction(3, 2), r=Fraction(1, 2), lam=Fraction(1), k=2, p=Fraction(3)),
+], ids=["int", "Fraction"])
+def test_int_and_fraction_parameters_compute_as_their_floats(values):
+    # theta, r, lam and p pass the rules as any real number and are then kept
+    # as floats: before, an int lam raised "Integers to negative integer
+    # powers are not allowed" in K and J on their int grids, and a Fraction
+    # a TypeError in equivalence_report, modulus_direct and bound_core
+    floats = {name: v if name == "k" else float(v) for name, v in values.items()}
+    exact = ClassParams(**values)
+    assert all(type(getattr(exact, name)) is float for name in ("theta", "r", "lam", "p"))
+    assert type(exact.smoothness.p) is float
+
+    def reports(params):
+        cp = ClassParams(**params)
+        seq = make_power_log(1, 2.5, 0.5, 64)  # fresh, with an empty store
+        sp = SmoothnessParams(k=cp.k, p=params["p"])
+        return [repr(x) for x in (
+            *(membership_test(seq, cp, PhiSpec.power(0.5), f) for f in "KJI"),
+            equivalence_report(seq, cp, [2, 8]), bound_core(seq, sp, np.array([2, 8])),
+            modulus_direct(seq, 64, sp, 0.25))]
+
+    assert reports(values) == reports(floats)
+
+
+def test_parameters_past_the_float_range_are_refused():
+    with pytest.raises(ValueError, match="^p: must lie in the float range$"):
+        ClassParams(theta=1, r=0.5, lam=0.5, k=2, p=10 ** 400)
+    with pytest.raises(ValueError, match="^p: must lie in the float range$"):
+        SmoothnessParams(k=2, p=10 ** 400)
+    # a rule that overflows on its value counts as broken
+    with pytest.raises(ValueError, match="^theta: 1/theta and r theta must be finite"):
+        ClassParams(theta=10 ** 400, r=0.5, lam=0.5, k=2, p=2)
 
 
 def test_direct_source_h_rule_and_default():

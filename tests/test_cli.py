@@ -306,6 +306,37 @@ def test_membership_json_verdict(tmp_path):
     assert "norm" in doc
 
 
+@pytest.mark.parametrize("task, extra", [
+    ("membership", {"phi": "power:0.5", "functional": "K"}),
+    ("membership", {"phi": "power:0.5", "functional": "J"}),
+    ("membership", {"phi": "power:0.5", "functional": "I"}),
+    ("equivalence", {"n_grid": [2, 8]}),
+], ids=["membership-K", "membership-J", "membership-I", "equivalence"])
+def test_integer_class_values_report_as_their_floats(task, extra, tmp_path):
+    # "theta": 1, "lam": 1 in a config document ended in "config error:
+    # Integers to negative integer powers are not allowed"
+    ints = {"task": task, "sequence": {"family": "power_law", "beta": 2, "horizon": 64},
+            "theta": 1, "r": 0.5, "lam": 1, "k": 2, "p": 2, **extra}
+    reports = []
+    for doc in (ints, {**ints, "theta": 1.0, "lam": 1.0, "p": 2.0}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "out": str(tmp_path / "report.json")}))
+        assert main(["--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report.pop("config")["theta"] == doc["theta"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert "verdict" in reports[0] or "bands" in reports[0]
+
+
+def test_class_value_past_the_float_range_is_one_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_MEMBERSHIP, "p": 10 ** 400, "out": str(tmp_path / "m.json")}))
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: p: must lie in the float range\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_file_reruns_byte_identical(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -8,6 +8,7 @@ incomplete gamma functions.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monosmooth.besov import (
+    _LOG_Q_ROWS,
     ClassParams,
     CoreModulusSource,
     DirectModulusSource,
@@ -27,7 +29,7 @@ from monosmooth.besov import (
     tail_decay,
 )
 from monosmooth.sequences import (CoefficientSequence, PowerLogTail, PowerLawTail,
-                                  make_power_law, make_power_log)
+                                  _exp_quadrature, make_power_law, make_power_log)
 from monosmooth.smoothness import bound_core
 
 N = 2 ** 14
@@ -212,7 +214,8 @@ def test_power_log_closure_matches_reference(seq, tail, cp):
     _assert_matches_reference(seq, tail, cp, ns=(100, 4096, 8191), rtol=CLOSURE_RTOL)
 
 
-@settings(max_examples=4, deadline=None)
+# 4 examples locally, 40 under the ci profile: each takes about half a second
+@settings(max_examples=max(1, settings().max_examples // 25), deadline=None)
 @given(beta=st.floats(1.3, 3.5), gamma=st.floats(-0.9, 2.0),
        theta=st.sampled_from([0.5, 1.0, 2.0]), p=st.sampled_from([2.0, 3.0, 4.0]),
        cell=st.booleans())
@@ -267,6 +270,37 @@ def test_class_sweep_closures_unchanged(name, offset, j_rest, i_rest):
     src(2 ** 13)
     assert src._closure(False, cp.theta, cp.r * cp.theta) == pytest.approx(j_rest, rel=1e-12)
     assert src._closure(True, cp.theta, cp.r * cp.theta) == pytest.approx(i_rest, rel=1e-12)
+
+
+@pytest.mark.parametrize("tail, j_rest, i_rest", [
+    # x_f = 2.5 > k, b = p (k - x_f) < 0: the "start" inner integral
+    ((1.3, 3.0, -0.6), 2.0165971848906723e-06, 2.0165602316924953e-06),
+    # q = 1 with a log factor: the closure's nodes on w = rho ln(l/l0)
+    ((1.3, 1.0, 2.3), 0.07526465206682631, 0.07526441169902326),
+], ids=["start", "q1-log"])
+def test_unswept_branch_closures_unchanged(tail, j_rest, i_rest):
+    # the closures of the two branches that class-sweep never reaches, with
+    # CP, as the running integrals over the sorted nodes gave them
+    src = CoreModulusSource(make_power_log(*tail, 4096), CP.smoothness)
+    src(2 ** 13)
+    assert src._closure(False, CP.theta, CP.r * CP.theta) == pytest.approx(j_rest, rel=1e-12)
+    assert src._closure(True, CP.theta, CP.r * CP.theta) == pytest.approx(i_rest, rel=1e-12)
+
+
+def test_power_log_closure_stays_small_in_memory():
+    # _log_q takes its cut rule _LOG_Q_ROWS outer nodes at a time: no array
+    # of a block reaches glibc's 128 KiB mmap threshold, and a cold closure
+    # traces well under 1 MiB (a single block of all 384 nodes traced 4.7 MiB)
+    assert _LOG_Q_ROWS * _exp_quadrature()[0].size * 8 < 128 * 1024
+    src = CoreModulusSource(make_power_log(1.3, 1.5, 0.7, 4096), CP.smoothness)
+    src(2 ** 13)
+    tracemalloc.start()
+    try:
+        src._closure(False, CP.theta, CP.r * CP.theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_divergent_only_where_the_model_far_sum_diverges():
